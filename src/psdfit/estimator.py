@@ -4,10 +4,11 @@ The estimation recipe: pick spectrum points u_j outside the sample bulk,
 cache the companion Stieltjes transform there, and choose the model
 parameters that make the model-side spectrum point map reproduce the
 u_j best in the least-squares sense.  Atomic models go through a
-derivative-free simplex search over an unconstrained reparameterization;
-the polynomial-exponential family is linear in its coefficients and
-solves in one orthogonal factorization; the inverse-cubic family is a
-one-dimensional golden-section search.
+multi-start trust-region least-squares search with an analytic Jacobian
+over an unconstrained reparameterization; the polynomial-exponential
+family is linear in its coefficients and solves in one orthogonal
+factorization; the inverse-cubic family is a one-dimensional
+golden-section search.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ FAMILIES = ("discrete", "laguerre", "inverse_cubic")
 _ATOMIC_FAMILIES = ("discrete",)
 
 _PENALTY = 1e12
+# stopping tolerance of the atomic least-squares search, used for the
+# relative change of the cost, the relative step and the scaled gradient
+_LSQ_TOL = 1e-12
 _MIN_EIG_GAP = 1e-9
 _POSITIVITY_GRID = np.arange(0.0, 50.0 + 1e-9, 0.01)
 # Dips this deep on the density scale mean the unconstrained solution left
@@ -165,7 +169,8 @@ def objective(theta, family: str, net: UNet, c=None) -> float:
 
     Parameter vectors whose poles violate the evaluation guard do not
     get a finite map value; they score a penalty of 1e12 plus the margin
-    by which the guard was missed, which keeps simplex searches moving.
+    by which the guard was missed, so a search step into the guard is
+    never preferred over one outside it.
     """
     c = net.ratio() if c is None else float(c)
     model = params_to_model(family, theta)
@@ -180,18 +185,27 @@ def objective(theta, family: str, net: UNet, c=None) -> float:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the simplex search used by the atomic fitter."""
+    """Knobs for the atomic fitter's multi-start search.
+
+    ``starts`` is the number of starting points, ``seed`` drives the
+    jitter of starts beyond the third, and ``max_iter`` caps the residual
+    evaluations of each start.
+    """
 
     starts: int = 8
     seed: int = 0
     max_iter: int = 2000
-    xatol: float = 1e-9
-    fatol: float = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Outcome of a family fit against an evaluation net."""
+    """Outcome of a family fit against an evaluation net.
+
+    ``iterations`` counts residual evaluations over all starts for the
+    atomic family, constrained-projection steps for the
+    polynomial-exponential family and objective evaluations for the
+    inverse-cubic family.
+    """
 
     model: PSDModel
     theta: NDArray
@@ -244,14 +258,79 @@ def _raw_to_theta(raw: NDArray, k: int) -> NDArray:
     return np.concatenate([atoms, w[:-1]])
 
 
+def _atomic_terms(raw: NDArray, k: int, s: NDArray):
+    # atoms, weights and the table 1 + a_i s_j of a raw vector, with the
+    # last weight closed the way params_to_model closes it
+    theta = _raw_to_theta(raw, k)
+    atoms = theta[:k]
+    weights = np.append(theta[k:], 1.0 - theta[k:].sum())
+    return atoms, weights, 1.0 + np.outer(atoms, s)
+
+
+def _discrete_residual(raw: NDArray, k: int, net: UNet, c: float) -> NDArray:
+    """Residual net.points - u_hat of the k-atom model a raw vector encodes.
+
+    Inside the pole guard it is a finite penalty vector whose squared norm
+    is the objective's penalty, so a step into the guard is rejected.
+    """
+    s = net.companion_values
+    atoms, weights, denom = _atomic_terms(raw, k, s)
+    closeness = np.abs(denom).min()
+    if c != 0.0 and closeness < POLE_GUARD:
+        out = np.zeros(net.m)
+        out[0] = math.sqrt(_PENALTY + (POLE_GUARD - closeness))
+        return out
+    uhat = -1.0 / s + c * ((weights * atoms) @ (1.0 / denom))
+    return net.points - uhat
+
+
+def _discrete_jacobian(raw: NDArray, k: int, net: UNet, c: float) -> NDArray:
+    """Jacobian of ``_discrete_residual`` in the raw parameters (m by 2k-1)."""
+    atoms, weights, denom = _atomic_terms(raw, k, net.companion_values)
+    if c != 0.0 and np.abs(denom).min() < POLE_GUARD:
+        return np.zeros((net.m, raw.size))
+    # u_hat = -1/s + c sum_i w_i a_i / (1 + a_i s): one row per atom
+    d_atom = c * weights[:, None] / denom**2
+    d_weight = c * atoms[:, None] / denom
+    # a_i sums exp(raw_l) over l <= i
+    gaps = np.exp(np.clip(raw[:k], -40.0, 40.0))
+    d_gaps = gaps[:, None] * np.cumsum(d_atom[::-1], axis=0)[::-1]
+    # softmax with the last logit pinned: dw_i/dz_l = w_i (delta_il - w_l)
+    d_logits = weights[:-1, None] * (d_weight[:-1] - weights @ d_weight)
+    jac = -np.concatenate([d_gaps, d_logits]).T
+    jac[:, np.abs(raw) > 40.0] = 0.0
+    return jac
+
+
+def _start_points(net: UNet, k: int, options: FitOptions) -> list:
+    pos = net.spectrum.eigenvalues[net.spectrum.eigenvalues > 0.0]
+    if pos.size == 0:
+        raise ValueError("spectrum is degenerate: no positive eigenvalues")
+    base = np.quantile(pos, (np.arange(k) + 0.5) / k)
+    rng = np.random.default_rng(options.seed)
+    scales = (1.0, 0.5, 2.0)
+    starts = []
+    for i in range(options.starts):
+        atoms0 = np.sort(base * scales[i % 3])
+        if i >= 3:
+            atoms0 = np.sort(atoms0 * np.exp(0.25 * rng.standard_normal(k)))
+        gaps0 = np.maximum(np.diff(np.concatenate([[0.0], atoms0])),
+                           1e-4 * atoms0[-1] / k)
+        logits0 = 0.2 * rng.standard_normal(k - 1) if i >= 3 else np.zeros(k - 1)
+        starts.append(np.concatenate([np.log(gaps0), logits0]))
+    return starts
+
+
 def fit_discrete(net: UNet, k: int, *, c=None,
                  options: FitOptions = FitOptions()) -> FitResult:
-    """Fit a k-atom spectrum by multi-start simplex search.
+    """Fit a k-atom spectrum by multi-start trust-region least squares.
 
-    Starts place atoms at sample-spectrum quantiles scaled by {1, 1/2, 2},
-    with multiplicative jitter beyond the first three, and equal weights.
-    The best start wins; exact objective ties break toward the
-    lexicographically smallest parameter vector.
+    Each start runs ``scipy.optimize.least_squares`` on the residual
+    vector with its analytic Jacobian.  Starts place atoms at
+    sample-spectrum quantiles scaled by {1, 1/2, 2}, with multiplicative
+    jitter beyond the first three, and equal weights.  The best start
+    wins; exact objective ties break toward the lexicographically
+    smallest parameter vector.
     """
     k = int(k)
     if k < 1:
@@ -260,34 +339,20 @@ def fit_discrete(net: UNet, k: int, *, c=None,
         raise ValueError(f"net has {net.m} points but {2 * k - 1} are required")
     c = net.ratio() if c is None else float(c)
 
-    cost = lambda raw: objective(_raw_to_theta(raw, k), "discrete", net, c)
-    pos = net.spectrum.eigenvalues[net.spectrum.eigenvalues > 0.0]
-    if pos.size == 0:
-        raise ValueError("spectrum is degenerate: no positive eigenvalues")
-    base = np.quantile(pos, (np.arange(k) + 0.5) / k)
-    rng = np.random.default_rng(options.seed)
-    scales = (1.0, 0.5, 2.0)
-
     candidates = []
     iterations = 0
-    for i in range(options.starts):
-        atoms0 = np.sort(base * scales[i % 3])
-        if i >= 3:
-            atoms0 = np.sort(atoms0 * np.exp(0.25 * rng.standard_normal(k)))
-        gaps0 = np.maximum(np.diff(np.concatenate([[0.0], atoms0])),
-                           1e-4 * atoms0[-1] / k)
-        logits0 = 0.2 * rng.standard_normal(k - 1) if i >= 3 else np.zeros(k - 1)
-        raw0 = np.concatenate([np.log(gaps0), logits0])
-        res = optimize.minimize(
-            cost, raw0, method="Nelder-Mead",
-            options={"maxiter": options.max_iter, "xatol": options.xatol,
-                     "fatol": options.fatol, "adaptive": True})
-        iterations += int(res.nit)
-        candidates.append((float(res.fun), _raw_to_theta(res.x, k), bool(res.success)))
+    for raw0 in _start_points(net, k, options):
+        res = optimize.least_squares(
+            _discrete_residual, raw0, jac=_discrete_jacobian, args=(k, net, c),
+            method="trf", ftol=_LSQ_TOL, xtol=_LSQ_TOL, gtol=_LSQ_TOL,
+            max_nfev=options.max_iter)
+        iterations += int(res.nfev)
+        candidates.append((float(res.fun @ res.fun), _raw_to_theta(res.x, k),
+                           bool(res.success)))
 
     best_val = min(fun for fun, _, _ in candidates)
     if best_val >= _PENALTY:
-        raise IterationError("every simplex start ended inside the pole guard")
+        raise IterationError("every least-squares start ended inside the pole guard")
     near = [cand for cand in candidates
             if cand[0] <= best_val * (1.0 + 1e-12) + 1e-300]
     _, theta, converged = min(near, key=lambda cand: tuple(cand[1]))

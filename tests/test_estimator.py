@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import helpers
-from psdfit import (Discrete, InverseCubic, Laguerre, PointMass, RankError,
-                    SampleSpectrum, build_unet, fit_discrete,
-                    fit_inverse_cubic, fit_laguerre, objective,
-                    params_to_model, population_from_model, sample_spectrum,
-                    wasserstein)
-from psdfit.estimator import FitOptions, UNet
+from psdfit import (Discrete, InverseCubic, IterationError, Laguerre,
+                    PointMass, RankError, SampleSpectrum, build_unet,
+                    estimator, fit_discrete, fit_inverse_cubic, fit_laguerre,
+                    objective, params_to_model, population_from_model,
+                    sample_spectrum, wasserstein)
+from psdfit.estimator import (FitOptions, UNet, _discrete_jacobian,
+                              _discrete_residual)
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +213,117 @@ class TestFitDiscrete:
         fit = fit_discrete(build_unet(spec, "discrete"), 1)
         assert 0.9 < float(fit.theta[0]) < 1.1
         assert fit.model.weights.tolist() == [1.0]
+
+
+def _pole_raw(net):
+    # two atoms, the first on the pole -1/s of a net point with s < 0
+    s_neg = net.companion_values[net.companion_values < 0.0][0]
+    return np.array([np.log(-1.0 / s_neg), np.log(-1.0 / s_neg), 0.0])
+
+
+class TestAtomicResidual:
+    @pytest.fixture(scope="class")
+    def nets(self, case1_spectrum):
+        wide = population_from_model(Discrete([1.0, 5.0, 15.0], [0.3, 0.4, 0.3]), 200)
+        return {0.2: build_unet(case1_spectrum, "discrete"),
+                2.0: build_unet(sample_spectrum(wide, 100, seed=4), "discrete")}
+
+    @pytest.mark.parametrize("c", [0.2, 2.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_jacobian_matches_central_differences(self, nets, c, k):
+        net = nets[c]
+        assert net.ratio() == pytest.approx(c)
+        rng = np.random.default_rng(10 * k + int(c))
+        for _ in range(5):
+            raw = np.concatenate([rng.normal(0.5, 0.6, k), rng.normal(0.0, 1.0, k - 1)])
+            jac = _discrete_jacobian(raw, k, net, c)
+            assert jac.shape == (net.m, 2 * k - 1)
+            fd = np.empty_like(jac)
+            for j in range(raw.size):
+                step = np.zeros_like(raw)
+                step[j] = 1e-6
+                fd[:, j] = (_discrete_residual(raw + step, k, net, c)
+                            - _discrete_residual(raw - step, k, net, c)) / 2e-6
+            np.testing.assert_allclose(jac, fd, rtol=1e-6,
+                                       atol=1e-6 * np.abs(jac).max())
+
+    @pytest.mark.parametrize("c", [0.2, 2.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_squared_norm_is_the_objective(self, nets, c, k):
+        from psdfit.estimator import _raw_to_theta
+        net = nets[c]
+        rng = np.random.default_rng(20 * k + int(c))
+        for raw in rng.normal(0.5, 1.0, size=(10, 2 * k - 1)):
+            res = _discrete_residual(raw, k, net, c)
+            phi = objective(_raw_to_theta(raw, k), "discrete", net, c)
+            assert phi < 1e12               # off the guard
+            assert float(res @ res) == pytest.approx(phi, rel=1e-12)
+
+    def test_jacobian_vanishes_where_raw_is_clipped(self, nets):
+        raw = np.array([0.0, 45.0, -41.0])
+        jac = _discrete_jacobian(raw, 2, nets[0.2], 0.2)
+        assert np.all(jac[:, 1:] == 0.0)
+        assert np.any(jac[:, 0] != 0.0)
+
+
+class TestPoleGuard:
+    def test_residual_is_finite_penalty_on_the_pole(self, case1_spectrum):
+        net = build_unet(case1_spectrum, "discrete")
+        raw = _pole_raw(net)
+        res = _discrete_residual(raw, 2, net, 0.2)
+        assert np.all(np.isfinite(res))
+        assert float(res @ res) >= 1e12
+        assert np.all(np.isfinite(_discrete_jacobian(raw, 2, net, 0.2)))
+
+    def test_fit_survives_a_start_on_the_pole(self, case1_spectrum, monkeypatch):
+        net = build_unet(case1_spectrum, "discrete")
+        clean = fit_discrete(net, 2)
+        starts = estimator._start_points
+
+        def with_pole_start(net, k, options):
+            return [_pole_raw(net)] + starts(net, k, options)[1:]
+        monkeypatch.setattr(estimator, "_start_points", with_pole_start)
+        fit = fit_discrete(net, 2)
+        assert isinstance(fit.model, Discrete)
+        assert fit.model.atoms.size == 2
+        assert np.all(np.isfinite(fit.residuals))
+        assert fit.objective_value <= clean.objective_value * (1.0 + 1e-9)
+
+    def test_every_start_on_the_pole_raises(self, case1_spectrum, monkeypatch):
+        net = build_unet(case1_spectrum, "discrete")
+        monkeypatch.setattr(estimator, "_start_points",
+                            lambda net, k, options: [_pole_raw(net)] * 3)
+        with pytest.raises(IterationError):
+            fit_discrete(net, 2)
+
+
+# Objective values reached by the Nelder-Mead fitter that preceded the
+# least-squares one (8 adaptive simplex starts, xatol 1e-9, fatol 1e-13;
+# commit f89126d), on the nets below.
+_NELDER_MEAD_OBJECTIVES = {
+    ("two_atom", 101): 1.9451678802045468e-09,
+    ("two_atom", 102): 6.08698826630157e-10,
+    ("two_atom", 103): 8.093430997376059e-10,
+    ("two_atom", 104): 2.9366834919939526e-09,
+    ("two_atom", 105): 8.53121202807603e-11,
+    ("wide_three_atom", 101): 6.569101381208251e-10,
+    ("wide_three_atom", 102): 1.167091000073088e-10,
+    ("wide_three_atom", 103): 1.571525624834326e-09,
+    ("wide_three_atom", 104): 3.060707466430576e-10,
+    ("wide_three_atom", 105): 7.894677555627859e-11,
+}
+_PANEL_TRUTHS = {"two_atom": Discrete([1.0, 2.0], [0.5, 0.5]),
+                 "wide_three_atom": Discrete([1.0, 5.0, 15.0], [0.3, 0.4, 0.3])}
+
+
+@pytest.mark.parametrize("case, seed", sorted(_NELDER_MEAD_OBJECTIVES))
+def test_objective_parity_with_nelder_mead(case, seed):
+    truth = _PANEL_TRUTHS[case]
+    spec = sample_spectrum(population_from_model(truth, 100), 500, seed=seed)
+    net = build_unet(spec, "discrete")
+    fit = fit_discrete(net, truth.atoms.size)
+    assert fit.objective_value <= _NELDER_MEAD_OBJECTIVES[case, seed] * (1.0 + 1e-9)
+    assert fit.objective_value <= objective(truth.theta, "discrete", net)
 
 
 class TestFitLaguerre:
