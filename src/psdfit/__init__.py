@@ -13,10 +13,10 @@ inverse-cubic law for correlation spectra).
 from .errors import (IterationError, NearPoleError, NumericsError, PoleError,
                      RankError, ScanResolutionError)
 from .models import (Discrete, InverseCubic, Laguerre, PointMass, PSDModel,
-                     model_from_dict, model_to_dict, wasserstein)
-from .mptransform import (AspectRatio, DensityCurve, SampleSpectrum,
-                          SupportReport, companion_stieltjes,
-                          lsd_density_curve, mp_u_derivative, mp_u_map,
+                     model_from_dict, wasserstein)
+from .mptransform import (DensityCurve, SampleSpectrum, SupportReport,
+                          companion_stieltjes, lsd_density_curve,
+                          mp_u_derivative, mp_u_map,
                           solve_companion_fixed_point, solve_companion_real,
                           support_bounds)
 from .estimator import (FitOptions, FitResult, UNet, build_unet, fit_discrete,
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisResult",
-    "AspectRatio",
     "DensityCurve",
     "Discrete",
     "ExperimentConfig",
@@ -64,7 +63,6 @@ __all__ = [
     "load_returns_csv",
     "lsd_density_curve",
     "model_from_dict",
-    "model_to_dict",
     "mp_u_derivative",
     "mp_u_map",
     "objective",

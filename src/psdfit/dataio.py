@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .estimator import FitResult, build_unet, fit_inverse_cubic
-from .models import PointMass, PSDModel, model_from_dict, model_to_dict
+from .models import PointMass, PSDModel, model_from_dict
 from .mptransform import DensityCurve, SampleSpectrum, lsd_density_curve
 from .simulate import ExperimentConfig, ExperimentReport
 
@@ -237,7 +237,7 @@ def read_curve_csv(path) -> DensityCurve:
 
 def save_model_json(path, model: PSDModel) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
+        json.dump(model.to_dict(), fh, indent=2)
         fh.write("\n")
 
 

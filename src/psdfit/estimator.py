@@ -7,8 +7,8 @@ u_j best in the least-squares sense.  Atomic models go through a
 multi-start trust-region least-squares search with an analytic Jacobian
 over an unconstrained reparameterization; the polynomial-exponential
 family is linear in its coefficients and solves in one orthogonal
-factorization; the inverse-cubic family is a one-dimensional
-golden-section search.
+factorization; the inverse-cubic family is a coarse grid followed by a
+bounded one-dimensional search.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from numpy.typing import NDArray
 from scipy import optimize
 
 from .errors import IterationError, NearPoleError, RankError
-from .models import Discrete, InverseCubic, Laguerre, PSDModel
-from .mptransform import (POLE_GUARD, SampleSpectrum, companion_stieltjes,
-                          laguerre_moment_integrals, mp_u_map)
+from .models import (_POSITIVITY_GRID, Discrete, InverseCubic, Laguerre,
+                     PSDModel, laguerre_moment_integrals)
+from .mptransform import POLE_GUARD, SampleSpectrum, companion_stieltjes, mp_u_map
 
 __all__ = [
     "UNet",
@@ -48,13 +48,16 @@ _PENALTY = 1e12
 # relative change of the cost, the relative step and the scaled gradient
 _LSQ_TOL = 1e-12
 _MIN_EIG_GAP = 1e-9
-_POSITIVITY_GRID = np.arange(0.0, 50.0 + 1e-9, 0.01)
 # Dips this deep on the density scale mean the unconstrained solution left
 # the family; shallower ones are estimation noise around a density that
 # touches zero, and projecting those would snap the fit onto the boundary.
 # Must sit strictly inside the construction tolerance so every returned
 # coefficient vector builds a valid model.
 _PROJECTION_TRIGGER = -0.15
+# the inverse-cubic fit scans alpha on this many grid points, then refines
+# the bracketing grid cell to this absolute tolerance
+_IC_COARSE = 200
+_IC_XATOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,39 +457,21 @@ def fit_laguerre(net: UNet, degree: int, *, c=None) -> FitResult:
     return _finish(model, "laguerre", net, c, iterations, True)
 
 
-def fit_inverse_cubic(net: UNet, *, c=None, coarse: int = 200,
-                      xtol: float = 1e-7) -> FitResult:
-    """Fit the inverse-cubic family by coarse grid plus golden section.
+def fit_inverse_cubic(net: UNet, *, c=None) -> FitResult:
+    """Fit the inverse-cubic family by coarse grid plus bounded search.
 
     The single parameter ranges over [0, 1); a 200-point grid brackets
-    the minimum and a golden-section refinement pins it down.
+    the minimum and ``scipy.optimize.minimize_scalar`` (bounded Brent
+    method, absolute tolerance 1e-7) pins it down inside that bracket.
     """
-    if coarse < 3:
-        raise ValueError("coarse grid needs at least 3 points")
     c = net.ratio() if c is None else float(c)
     f = lambda alpha: objective(np.array([alpha]), "inverse_cubic", net, c)
-    alphas = np.linspace(0.0, 1.0 - 1e-6, coarse)
-    vals = np.array([f(a) for a in alphas])
-    i = int(np.argmin(vals))
+    alphas = np.linspace(0.0, 1.0 - 1e-6, _IC_COARSE)
+    i = int(np.argmin([f(a) for a in alphas]))
     lo = alphas[max(i - 1, 0)]
-    hi = alphas[min(i + 1, coarse - 1)]
-    evals = coarse
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    evals += 2
-    while hi - lo > xtol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-        evals += 1
-    alpha_hat = x1 if f1 <= f2 else x2
-    model = InverseCubic(float(alpha_hat))
-    return _finish(model, "inverse_cubic", net, c, evals, True)
+    hi = alphas[min(i + 1, _IC_COARSE - 1)]
+    res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                   options={"xatol": _IC_XATOL})
+    model = InverseCubic(float(res.x))
+    return _finish(model, "inverse_cubic", net, c, _IC_COARSE + int(res.nfev),
+                   bool(res.success))

@@ -1,12 +1,15 @@
 """Population spectrum models.
 
 A model describes the limiting distribution of population covariance
-eigenvalues on the positive half line.  Four families are supported: a
-finite mixture of point masses, a single point mass, polynomial-times-
-exponential densities, and a shifted inverse-cubic tail law.  Each model
-exposes the distribution calculus the estimation pipeline needs (CDF,
-quantile function, density where one exists) plus JSON serialization,
-and the module provides a first-order transport distance between models.
+eigenvalues on the positive half line.  Three families are supported: a
+finite mixture of point masses (with a single point mass as its one-atom
+case), polynomial-times-exponential densities, and a shifted
+inverse-cubic tail law.  Each model exposes the distribution calculus
+the estimation pipeline needs (CDF, quantile function, density where one
+exists), the kernel integrals K1(s) = int t/(1+ts) dH and
+K2(s) = int t^2/(1+ts)^2 dH of the spectrum point map, and JSON
+serialization; the module provides a first-order transport distance
+between models.
 """
 
 from __future__ import annotations
@@ -18,16 +21,16 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import special
 
+from .errors import NearPoleError
+
 __all__ = [
     "PSDModel",
     "Discrete",
     "PointMass",
     "Laguerre",
     "InverseCubic",
-    "evaluate_cdf",
-    "quantile",
+    "laguerre_moment_integrals",
     "wasserstein",
-    "model_to_dict",
     "model_from_dict",
 ]
 
@@ -47,6 +50,104 @@ def _as_prob_array(prob):
     return p
 
 
+# ---------------------------------------------------------------------------
+# kernel integrals K1(s) = int t/(1+ts) dH, K2(s) = int t^2/(1+ts)^2 dH
+
+_GL_LAGUERRE = special.roots_laguerre(128)
+
+_leg_x, _leg_w = np.polynomial.legendre.leggauss(200)
+_UNIT_NODES = 0.5 * (_leg_x + 1.0)        # Gauss-Legendre on (0, 1)
+_UNIT_WEIGHTS = 0.5 * _leg_w
+
+
+def _laguerre_I_recursion(s: float, degree: int, derivative: bool = False):
+    """I_j(s) and optionally I_j'(s) for j = 0..degree at real s >= 1.
+
+    Uses J_0 = b e^b E1(b) with b = 1/s and the upward recursion
+    J_{r+1} = (r! - J_r)/s for the moments J_r = int t^r e^-t/(1+ts) dt;
+    I_j = J_{j+1}.  Upward differences stay order one for s >= 1, so no
+    cancellation builds up.
+    """
+    b = 1.0 / s
+    e_scaled = float(np.exp(b) * special.exp1(b))
+    J = b * e_scaled
+    dJ = -b * b * ((1.0 + b) * e_scaled - 1.0)
+    vals = np.empty(degree + 1)
+    ders = np.empty(degree + 1)
+    fact = 1.0
+    for r in range(degree + 1):
+        J_next = (fact - J) / s
+        dJ_next = -(J_next + dJ) / s
+        vals[r], ders[r] = J_next, dJ_next
+        J, dJ = J_next, dJ_next
+        fact *= r + 1
+    return (vals, ders) if derivative else vals
+
+
+def laguerre_moment_integrals(s, degree: int, derivative: bool = False):
+    """Moment integrals I_j(s) = int t^{j+1} e^-t / (1 + t s) dt, j = 0..degree.
+
+    Real arguments must be positive (for s <= 0 the integrand has a pole
+    inside the integration range); complex arguments with nonzero
+    imaginary part are evaluated by Gauss-Laguerre quadrature.  Returns
+    an array of shape (degree + 1,) + shape(s); with ``derivative`` a
+    pair (I, dI/ds) is returned.
+    """
+    s_arr = np.asarray(s)
+    scalar = s_arr.ndim == 0
+    s_arr = np.atleast_1d(s_arr)
+    x, w = _GL_LAGUERRE
+    if np.iscomplexobj(s_arr):
+        vals = np.empty((degree + 1, s_arr.size), dtype=complex)
+        ders = np.empty_like(vals)
+        denom = 1.0 + np.outer(x, s_arr)
+        for j in range(degree + 1):
+            wj = w * x ** (j + 1)
+            vals[j] = wj @ (1.0 / denom)
+            ders[j] = -(wj * x) @ (1.0 / denom**2)
+    else:
+        s_arr = s_arr.astype(float)
+        if np.any(s_arr <= 0.0):
+            raise ValueError("real arguments must be positive")
+        vals = np.empty((degree + 1, s_arr.size))
+        ders = np.empty_like(vals)
+        small = s_arr <= 1.0
+        if small.any():
+            denom = 1.0 + np.outer(x, s_arr[small])
+            for j in range(degree + 1):
+                wj = w * x ** (j + 1)
+                vals[j, small] = wj @ (1.0 / denom)
+                ders[j, small] = -(wj * x) @ (1.0 / denom**2)
+        for i in np.flatnonzero(~small):
+            vals[:, i], ders[:, i] = _laguerre_I_recursion(float(s_arr[i]), degree,
+                                                           derivative=True)
+    if scalar:
+        vals, ders = vals[:, 0], ders[:, 0]
+    return (vals, ders) if derivative else vals
+
+
+def _guard_atoms(atoms, s_arr, guard):
+    denom = 1.0 + np.outer(atoms, s_arr)
+    if guard is not None and not np.iscomplexobj(s_arr):
+        closeness = np.abs(denom)
+        if closeness.min() < guard:
+            i, j = np.unravel_index(np.argmin(closeness), closeness.shape)
+            raise NearPoleError(
+                f"companion value {s_arr[j]!r} puts -1/s within the guard of "
+                f"atom {atoms[i]!r}",
+                where=float(atoms[i]),
+                margin=float(closeness.min()),
+            )
+    return denom
+
+
+def _ic_nodes(model: InverseCubic):
+    # quantile substitution w = (1-alpha)/(t - shift): dH becomes 2 w dw on (0, 1)
+    t = model.shift + (1.0 - model.alpha) / _UNIT_NODES
+    w = 2.0 * _UNIT_NODES * _UNIT_WEIGHTS
+    return t, w
+
+
 class PSDModel:
     """Base class for population spectrum models."""
 
@@ -60,6 +161,17 @@ class PSDModel:
 
     def support(self):
         """Closed intervals (lo, hi) carrying the distribution's mass."""
+        raise NotImplementedError
+
+    def kernel(self, s, *, squared=False, guard=None):
+        """Kernel integral K1(s) = int t/(1+ts) dH, or K2 when ``squared``.
+
+        K2(s) = int t^2/(1+ts)^2 dH.  ``s`` is a 1-d array of real or
+        complex arguments and the result has its shape.  For real s whose
+        pole -1/s comes within ``guard`` of the support, NearPoleError is
+        raised with the offending support point and margin; None disables
+        the check.
+        """
         raise NotImplementedError
 
     @property
@@ -136,6 +248,12 @@ class Discrete(PSDModel):
     def support(self):
         return tuple((a, a) for a in self.atoms)
 
+    def kernel(self, s, *, squared=False, guard=None):
+        denom = _guard_atoms(self.atoms, s, guard)
+        if squared:
+            return (self.weights * self.atoms**2) @ (1.0 / denom**2)
+        return (self.weights * self.atoms) @ (1.0 / denom)
+
     @property
     def theta(self) -> NDArray:
         return np.concatenate([self.atoms, self.weights[:-1]])
@@ -148,38 +266,23 @@ class Discrete(PSDModel):
         }
 
 
-@dataclass(frozen=True, eq=False)
-class PointMass(PSDModel):
-    """All mass at one positive location."""
+class PointMass(Discrete):
+    """All mass at one positive location: a one-atom ``Discrete``."""
 
-    at: float
     kind = "point_mass"
 
-    def __post_init__(self):
-        at = float(self.at)
+    def __init__(self, at: float):
+        at = float(at)
         if not math.isfinite(at) or at <= 0.0:
             raise ValueError("location must be positive and finite")
-        object.__setattr__(self, "at", at)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= self.at, 1.0, 0.0)
-        return out if out.ndim else float(out)
-
-    def quantile(self, prob):
-        p = _as_prob_array(prob)
-        out = np.full_like(p, self.at)
-        return out if out.ndim else float(out)
-
-    def mean(self) -> float:
-        return self.at
-
-    def support(self):
-        return ((self.at, self.at),)
+        super().__init__(np.array([at]), np.array([1.0]))
 
     @property
-    def theta(self) -> NDArray:
-        return np.array([self.at])
+    def at(self) -> float:
+        return float(self.atoms[0])
+
+    def __repr__(self):
+        return f"PointMass(at={self.at!r})"
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "at": self.at}
@@ -272,6 +375,19 @@ class Laguerre(PSDModel):
     def support(self):
         return ((0.0, math.inf),)
 
+    def kernel(self, s, *, squared=False, guard=None):
+        if not np.iscomplexobj(s) and np.any(s < 0.0):
+            bad = float(s[s < 0.0][0])
+            if guard is not None:
+                raise NearPoleError(
+                    f"companion value {bad!r} puts -1/s inside the model support",
+                    where=-1.0 / bad, margin=0.0)
+        vals, ders = laguerre_moment_integrals(s, self.degree, derivative=True)
+        coeffs = self.full_coeffs
+        if squared:
+            return -(coeffs @ ders)
+        return coeffs @ vals
+
     @property
     def theta(self) -> NDArray:
         return self.coeffs
@@ -329,30 +445,29 @@ class InverseCubic(PSDModel):
     def support(self):
         return ((self.alpha, math.inf),)
 
+    def kernel(self, s, *, squared=False, guard=None):
+        if not np.iscomplexobj(s) and guard is not None:
+            neg = s < 0.0
+            if np.any(neg):
+                pole = -1.0 / s[neg]
+                margin = self.alpha - pole.max()
+                if margin < guard:
+                    raise NearPoleError(
+                        f"companion value puts -1/s within the guard of the "
+                        f"support edge {self.alpha!r}",
+                        where=self.alpha, margin=float(margin))
+        t, w = _ic_nodes(self)
+        denom = 1.0 + np.outer(t, s)
+        if squared:
+            return (w * t**2) @ (1.0 / denom**2)
+        return (w * t) @ (1.0 / denom)
+
     @property
     def theta(self) -> NDArray:
         return np.array([self.alpha])
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "alpha": self.alpha}
-
-
-def evaluate_cdf(model: PSDModel, x):
-    """CDF of ``model`` at ``x`` (scalar or array)."""
-    return model.cdf(x)
-
-
-def quantile(model: PSDModel, prob):
-    """Left-continuous quantile of ``model`` at probabilities in (0, 1)."""
-    return model.quantile(prob)
-
-
-def _atomic(model):
-    if isinstance(model, Discrete):
-        return model.atoms, model.weights
-    if isinstance(model, PointMass):
-        return np.array([model.at]), np.array([1.0])
-    return None
 
 
 def wasserstein(a: PSDModel, b: PSDModel, grid_points: int = 10_000) -> float:
@@ -363,10 +478,9 @@ def wasserstein(a: PSDModel, b: PSDModel, grid_points: int = 10_000) -> float:
     exactly over the merged probability breakpoints; any other pair uses a
     midpoint rule on ``grid_points`` probabilities.
     """
-    da, db = _atomic(a), _atomic(b)
-    if da is not None and db is not None:
-        atoms_a, w_a = da
-        atoms_b, w_b = db
+    if isinstance(a, Discrete) and isinstance(b, Discrete):
+        atoms_a, w_a = a.atoms, a.weights
+        atoms_b, w_b = b.atoms, b.weights
         edges = np.unique(np.concatenate([
             [0.0, 1.0], np.cumsum(w_a)[:-1], np.cumsum(w_b)[:-1]]))
         mids = 0.5 * (edges[:-1] + edges[1:])
@@ -386,11 +500,6 @@ _KINDS = {
     "laguerre": lambda d: Laguerre(np.asarray(d["alphas"])),
     "inverse_cubic": lambda d: InverseCubic(float(d["alpha"])),
 }
-
-
-def model_to_dict(model: PSDModel) -> dict:
-    """JSON-ready dict for ``model``; inverse of :func:`model_from_dict`."""
-    return model.to_dict()
 
 
 def model_from_dict(data: dict) -> PSDModel:

@@ -6,8 +6,8 @@ to the spectrum point
 
     u(s) = -1/s + c * integral t / (1 + t s) dH(t),
 
-where H is the population model and c the dimension-to-sample aspect
-ratio.  Restricted to the set where du/ds > 0 (and -1/s avoids the model
+where H is the population model, whose ``kernel`` method supplies the
+integral, and c the dimension-to-sample aspect ratio.  Restricted to the set where du/ds > 0 (and -1/s avoids the model
 support), this map is a monotone bijection onto the complement of the
 limiting sample spectrum support, which is what the whole estimation
 strategy rests on.  This module evaluates the map and its derivative,
@@ -22,20 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import integrate, optimize, special
+from scipy import integrate, optimize
 
-from .errors import IterationError, NearPoleError, PoleError, ScanResolutionError
-from .models import Discrete, InverseCubic, Laguerre, PointMass, PSDModel
+from .errors import IterationError, PoleError, ScanResolutionError
+from .models import PSDModel
 
 __all__ = [
-    "AspectRatio",
     "SampleSpectrum",
     "DensityCurve",
     "SupportReport",
     "companion_stieltjes",
     "mp_u_map",
     "mp_u_derivative",
-    "laguerre_moment_integrals",
     "solve_companion_fixed_point",
     "solve_companion_real",
     "lsd_density_curve",
@@ -48,26 +46,6 @@ POLE_GUARD = 1e-6
 
 _EIG_TOL = 1e-12      # how close a transform argument may sit to an eigenvalue
 _CLAMP_TOL = 1e-10    # sample eigenvalues below -this are rejected, above clamped
-
-
-@dataclass(frozen=True)
-class AspectRatio:
-    """Dimension-to-sample ratio p/n of a covariance estimation problem."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not math.isfinite(v) or v <= 0.0:
-            raise ValueError("aspect ratio must be positive and finite")
-        object.__setattr__(self, "value", v)
-
-    @classmethod
-    def from_dims(cls, p: int, n: int) -> "AspectRatio":
-        return cls(p / n)
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,10 +80,6 @@ class SampleSpectrum:
         object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
-
-    @property
-    def aspect_ratio(self) -> AspectRatio:
-        return AspectRatio(self.p / self.n)
 
     def largest(self) -> float:
         return float(self.eigenvalues[0])
@@ -166,178 +140,11 @@ def companion_stieltjes(spectrum: SampleSpectrum, u):
     return out if out.ndim else float(out)
 
 
-# ---------------------------------------------------------------------------
-# model-side kernel integrals K1(s) = int t/(1+ts) dH, K2(s) = int t^2/(1+ts)^2 dH
-
-_GL_LAGUERRE = special.roots_laguerre(128)
-
-_leg_x, _leg_w = np.polynomial.legendre.leggauss(200)
-_UNIT_NODES = 0.5 * (_leg_x + 1.0)        # Gauss-Legendre on (0, 1)
-_UNIT_WEIGHTS = 0.5 * _leg_w
-
-
-def _scaled_exp1(b: float) -> float:
-    """exp(b) * E1(b) for b > 0, stable for large b via a continued fraction."""
-    if b < 2.0:
-        return float(np.exp(b) * special.exp1(b))
-    # Lentz evaluation of E1(b) e^b = 1/(b + 1/(1 + 1/(b + 2/(1 + 2/(b + ...)))))
-    tiny = 1e-300
-    f, cc, dd = tiny, tiny, 0.0
-    a_k, b_k = 1.0, b
-    k = 0
-    for i in range(400):
-        dd = b_k + a_k * dd
-        if dd == 0.0:
-            dd = tiny
-        cc = b_k + a_k / cc
-        if cc == 0.0:
-            cc = tiny
-        dd = 1.0 / dd
-        delta = cc * dd
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-        if i % 2 == 0:
-            k += 1
-            a_k, b_k = float(k), 1.0
-        else:
-            a_k, b_k = float(k), b
-    return f
-
-
-def _laguerre_I_recursion(s: float, degree: int, derivative: bool = False):
-    """I_j(s) and optionally I_j'(s) for j = 0..degree at real s >= 1.
-
-    Uses J_0 = b e^b E1(b) with b = 1/s and the upward recursion
-    J_{r+1} = (r! - J_r)/s for the moments J_r = int t^r e^-t/(1+ts) dt;
-    I_j = J_{j+1}.  Upward differences stay order one for s >= 1, so no
-    cancellation builds up.
-    """
-    b = 1.0 / s
-    e_scaled = _scaled_exp1(b)
-    J = b * e_scaled
-    dJ = -b * b * ((1.0 + b) * e_scaled - 1.0)
-    vals = np.empty(degree + 1)
-    ders = np.empty(degree + 1)
-    fact = 1.0
-    for r in range(degree + 1):
-        J_next = (fact - J) / s
-        dJ_next = -(J_next + dJ) / s
-        vals[r], ders[r] = J_next, dJ_next
-        J, dJ = J_next, dJ_next
-        fact *= r + 1
-    return (vals, ders) if derivative else vals
-
-
-def laguerre_moment_integrals(s, degree: int, derivative: bool = False):
-    """Moment integrals I_j(s) = int t^{j+1} e^-t / (1 + t s) dt, j = 0..degree.
-
-    Real arguments must be positive (for s <= 0 the integrand has a pole
-    inside the integration range); complex arguments with nonzero
-    imaginary part are evaluated by Gauss-Laguerre quadrature.  Returns
-    an array of shape (degree + 1,) + shape(s); with ``derivative`` a
-    pair (I, dI/ds) is returned.
-    """
-    s_arr = np.asarray(s)
-    scalar = s_arr.ndim == 0
-    s_arr = np.atleast_1d(s_arr)
-    x, w = _GL_LAGUERRE
-    if np.iscomplexobj(s_arr):
-        vals = np.empty((degree + 1, s_arr.size), dtype=complex)
-        ders = np.empty_like(vals)
-        denom = 1.0 + np.outer(x, s_arr)
-        for j in range(degree + 1):
-            wj = w * x ** (j + 1)
-            vals[j] = wj @ (1.0 / denom)
-            ders[j] = -(wj * x) @ (1.0 / denom**2)
-    else:
-        s_arr = s_arr.astype(float)
-        if np.any(s_arr <= 0.0):
-            raise ValueError("real arguments must be positive")
-        vals = np.empty((degree + 1, s_arr.size))
-        ders = np.empty_like(vals)
-        small = s_arr <= 1.0
-        if small.any():
-            denom = 1.0 + np.outer(x, s_arr[small])
-            for j in range(degree + 1):
-                wj = w * x ** (j + 1)
-                vals[j, small] = wj @ (1.0 / denom)
-                ders[j, small] = -(wj * x) @ (1.0 / denom**2)
-        for i in np.flatnonzero(~small):
-            vals[:, i], ders[:, i] = _laguerre_I_recursion(float(s_arr[i]), degree,
-                                                           derivative=True)
-    if scalar:
-        vals, ders = vals[:, 0], ders[:, 0]
-    return (vals, ders) if derivative else vals
-
-
-def _guard_atoms(atoms, s_arr, guard):
-    denom = 1.0 + np.outer(atoms, s_arr)
-    if guard is not None and not np.iscomplexobj(s_arr):
-        closeness = np.abs(denom)
-        if closeness.min() < guard:
-            i, j = np.unravel_index(np.argmin(closeness), closeness.shape)
-            raise NearPoleError(
-                f"companion value {s_arr[j]!r} puts -1/s within the guard of "
-                f"atom {atoms[i]!r}",
-                where=float(atoms[i]),
-                margin=float(closeness.min()),
-            )
-    return denom
-
-
-def _ic_nodes(model: InverseCubic):
-    # quantile substitution w = (1-alpha)/(t - shift): dH becomes 2 w dw on (0, 1)
-    t = model.shift + (1.0 - model.alpha) / _UNIT_NODES
-    w = 2.0 * _UNIT_NODES * _UNIT_WEIGHTS
-    return t, w
-
-
-def _kernel(model: PSDModel, s_arr, guard, squared: bool):
-    """K2 when ``squared`` else K1, vectorized over the trailing axis of s."""
-    if isinstance(model, (Discrete, PointMass)):
-        atoms, weights = ((model.atoms, model.weights)
-                          if isinstance(model, Discrete)
-                          else (np.array([model.at]), np.array([1.0])))
-        denom = _guard_atoms(atoms, s_arr, guard)
-        if squared:
-            return (weights * atoms**2) @ (1.0 / denom**2)
-        return (weights * atoms) @ (1.0 / denom)
-    if isinstance(model, Laguerre):
-        if not np.iscomplexobj(s_arr) and np.any(s_arr < 0.0):
-            bad = float(s_arr[s_arr < 0.0][0])
-            if guard is not None:
-                raise NearPoleError(
-                    f"companion value {bad!r} puts -1/s inside the model support",
-                    where=-1.0 / bad, margin=0.0)
-        vals, ders = laguerre_moment_integrals(s_arr, model.degree, derivative=True)
-        coeffs = model.full_coeffs
-        if squared:
-            return -(coeffs @ ders)
-        return coeffs @ vals
-    if isinstance(model, InverseCubic):
-        if not np.iscomplexobj(s_arr) and guard is not None:
-            neg = s_arr < 0.0
-            if np.any(neg):
-                pole = -1.0 / s_arr[neg]
-                margin = model.alpha - pole.max()
-                if margin < guard:
-                    raise NearPoleError(
-                        f"companion value puts -1/s within the guard of the "
-                        f"support edge {model.alpha!r}",
-                        where=model.alpha, margin=float(margin))
-        t, w = _ic_nodes(model)
-        denom = 1.0 + np.outer(t, s_arr)
-        if squared:
-            return (w * t**2) @ (1.0 / denom**2)
-        return (w * t) @ (1.0 / denom)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
 def _eval_kernels(model, s, guard, squared):
+    """``model.kernel`` at a scalar or array s, returning the same shape."""
     s_arr = np.asarray(s)
     scalar = s_arr.ndim == 0
-    out = _kernel(model, np.atleast_1d(s_arr), guard, squared)
+    out = model.kernel(np.atleast_1d(s_arr), squared=squared, guard=guard)
     if scalar:
         return complex(out[0]) if np.iscomplexobj(out) else float(out[0])
     return out

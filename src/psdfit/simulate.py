@@ -11,8 +11,7 @@ from numpy.typing import NDArray
 from .errors import NumericsError
 from .estimator import (FAMILIES, build_unet, fit_discrete, fit_inverse_cubic,
                         fit_laguerre)
-from .models import (Discrete, PointMass, PSDModel, model_from_dict,
-                     model_to_dict, wasserstein)
+from .models import Discrete, PSDModel, model_from_dict, wasserstein
 from .mptransform import SampleSpectrum
 
 __all__ = [
@@ -36,11 +35,8 @@ def population_from_model(model: PSDModel, p: int) -> NDArray:
     p = int(p)
     if p < 1:
         raise ValueError("p must be at least 1")
-    if isinstance(model, (Discrete, PointMass)):
-        if isinstance(model, PointMass):
-            atoms, weights = np.array([model.at]), np.array([1.0])
-        else:
-            atoms, weights = model.atoms, model.weights
+    if isinstance(model, Discrete):
+        atoms, weights = model.atoms, model.weights
         counts = np.floor(weights * p).astype(int)
         short = p - counts.sum()
         if short > 0:
@@ -136,7 +132,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {
             "case": self.case,
-            "model": model_to_dict(self.model),
+            "model": self.model.to_dict(),
             "dims": [list(d) for d in self.dims],
             "replications": self.replications,
             "family": self.family,
@@ -231,7 +227,7 @@ def _replicate(config: ExperimentConfig, p: int, n: int, r: int) -> dict:
     record = {"p": p, "n": n, "replication": r, "seed": seed_r,
               "distance": None, "error": None}
     try:
-        if isinstance(config.model, (Discrete, PointMass)):
+        if isinstance(config.model, Discrete):
             pop = population_from_model(config.model, p)
         else:
             # separate stream so the population draw and the data matrix

@@ -366,7 +366,7 @@ class TestFitLaguerre:
 
     def test_residuals_orthogonal_to_design_columns(self):
         import math
-        from psdfit.mptransform import laguerre_moment_integrals
+        from psdfit.models import laguerre_moment_integrals
         pop = population_from_model(Laguerre([0.5]), 150)
         spec = sample_spectrum(pop, 300, seed=9)
         net = build_unet(spec, "laguerre")

@@ -1,12 +1,16 @@
 """Model families: validation, distribution functions, metric, serialization."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from psdfit import (Discrete, InverseCubic, Laguerre, PointMass,
-                    model_from_dict, model_to_dict, wasserstein)
+                    model_from_dict, wasserstein)
 
 
 class TestDiscrete:
@@ -53,8 +57,28 @@ class TestPointMass:
         assert m.mean() == 2.0
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            PointMass(0.0)
+        for at in (0.0, -1.0, math.inf):
+            with pytest.raises(ValueError, match="location must be positive and finite"):
+                PointMass(at)
+
+    def test_is_one_atom_discrete(self):
+        m = PointMass(2.5)
+        assert isinstance(m, Discrete)
+        assert m.at == 2.5 and repr(m) == "PointMass(at=2.5)"
+        assert m.theta.tolist() == [2.5]
+        assert m.atoms.tolist() == [2.5] and m.weights.tolist() == [1.0]
+
+    def test_dict_form_round_trips(self):
+        m = PointMass(2.5)
+        assert m.to_dict() == {"kind": "point_mass", "at": 2.5}
+        again = model_from_dict(m.to_dict())
+        assert type(again) is PointMass and again == m
+
+    def test_pickle_round_trip(self):
+        m = PointMass(2.5)
+        again = pickle.loads(pickle.dumps(m))
+        assert type(again) is PointMass and again == m
+        assert hash(again) == hash(m)
 
 
 class TestLaguerre:
@@ -183,7 +207,7 @@ class TestSerialization:
         InverseCubic(0.438),
     ])
     def test_round_trip(self, model):
-        again = model_from_dict(model_to_dict(model))
+        again = model_from_dict(model.to_dict())
         assert again == model
 
     def test_unknown_kind_rejected(self):
@@ -197,3 +221,42 @@ class TestSerialization:
     def test_equality_semantics(self):
         assert Discrete([1, 2], [0.5, 0.5]) == Discrete([2, 1], [0.5, 0.5])
         assert PointMass(1.0) != Discrete([1.0], [1.0])
+
+
+def _reference_kernel(model, s, squared):
+    """K1 or K2 written out from the definition: a finite sum over the
+    atoms, or adaptive quadrature of the density (real and imaginary
+    parts separately) for the smooth families."""
+    f = (lambda t: t * t / (1.0 + t * s) ** 2) if squared else (lambda t: t / (1.0 + t * s))
+    if isinstance(model, Discrete):
+        return sum(w * f(a) for a, w in zip(model.atoms.tolist(), model.weights.tolist()))
+    lo = model.support()[0][0]
+    parts = [integrate.quad(lambda t: part(f(t)) * model.density(t), lo, math.inf,
+                            epsabs=0.0, epsrel=1e-13, limit=500)[0]
+             for part in (np.real, np.imag)]
+    return complex(*parts) if isinstance(s, complex) else parts[0]
+
+
+_FIT_RANGE = [0.1, 0.7, 5.0]
+_UPPER_HALF = [0.3 + 0.4j, 1.0 + 1.0j, 0.5 + 0.1j]
+
+
+@pytest.mark.parametrize("squared", [False, True])
+@pytest.mark.parametrize("model, s", [
+    (model, s)
+    for model, gap in [
+        (Discrete([1.0, 3.0, 5.0], [0.3, 0.4, 0.3]), [-0.5]),   # pole at 2
+        (PointMass(2.5), [-1.0]),                               # pole at 1
+        (Laguerre([1.0]), []),
+        (Laguerre([1 / 9, 1 / 9, 1 / 9]), []),
+        (InverseCubic(0.0), []),
+        (InverseCubic(0.3), [-5.0]),                            # pole at 0.2
+        (InverseCubic(0.5), [-3.0]),                            # pole at 1/3
+    ]
+    for s in _FIT_RANGE + gap + _UPPER_HALF
+], ids=lambda v: f"{v.kind}{np.round(v.theta, 3).tolist()}" if hasattr(v, "kind") else None)
+def test_kernel_matches_reference(model, s, squared):
+    got = model.kernel(np.array([s]), squared=squared)
+    assert got.shape == (1,)
+    want = _reference_kernel(model, s, squared)
+    assert abs(got[0] - want) <= 1e-10 * abs(want)

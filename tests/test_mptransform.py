@@ -8,23 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from psdfit import (AspectRatio, DensityCurve, Discrete, InverseCubic,
-                    IterationError, Laguerre, NearPoleError, PointMass,
-                    PoleError, SampleSpectrum, SupportReport,
-                    companion_stieltjes, lsd_density_curve, mp_u_derivative,
-                    mp_u_map, solve_companion_fixed_point,
-                    solve_companion_real, support_bounds)
-from psdfit.mptransform import laguerre_moment_integrals
-
-
-class TestAspectRatio:
-    def test_from_dims(self):
-        assert float(AspectRatio.from_dims(100, 500)) == pytest.approx(0.2)
-
-    def test_rejects_nonpositive(self):
-        for v in (0.0, -1.0, math.inf):
-            with pytest.raises(ValueError):
-                AspectRatio(v)
+from psdfit import (DensityCurve, Discrete, InverseCubic, IterationError,
+                    Laguerre, NearPoleError, PointMass, PoleError,
+                    SampleSpectrum, SupportReport, companion_stieltjes,
+                    lsd_density_curve, mp_u_derivative, mp_u_map,
+                    solve_companion_fixed_point, solve_companion_real,
+                    support_bounds)
+from psdfit.models import laguerre_moment_integrals
 
 
 class TestSampleSpectrum:
