@@ -91,6 +91,11 @@ def load_returns_csv(path) -> ReturnsMatrix:
         if len(row) != width:
             raise ValueError(f"{path}: row {i + 2} has {len(row)} cells, "
                              f"expected {width}")
+        try:
+            values[i] = np.fromiter(map(float, row), float, width)
+            continue
+        except ValueError:
+            pass            # a blank or non-numeric cell: go cell by cell
         for j, cell in enumerate(row):
             cell = cell.strip()
             if not cell:

@@ -117,7 +117,8 @@ def laguerre_moment_integrals(s, degree: int, derivative: bool = False):
             for j in range(degree + 1):
                 wj = w * x ** (j + 1)
                 vals[j, small] = wj @ (1.0 / denom)
-                ders[j, small] = -(wj * x) @ (1.0 / denom**2)
+                if derivative:
+                    ders[j, small] = -(wj * x) @ (1.0 / denom**2)
         for i in np.flatnonzero(~small):
             vals[:, i], ders[:, i] = _laguerre_I_recursion(float(s_arr[i]), degree,
                                                            derivative=True)
@@ -376,17 +377,25 @@ class Laguerre(PSDModel):
         return ((0.0, math.inf),)
 
     def kernel(self, s, *, squared=False, guard=None):
-        if not np.iscomplexobj(s) and np.any(s < 0.0):
+        if np.iscomplexobj(s):
+            # fold the polynomial into the Gauss-Laguerre weights: one
+            # matrix-vector product instead of one per moment
+            x, w = _GL_LAGUERRE
+            wp = w * x * np.polynomial.polynomial.polyval(x, self.full_coeffs)
+            denom = 1.0 + np.outer(x, s)
+            if squared:
+                return (wp * x) @ (1.0 / denom**2)
+            return wp @ (1.0 / denom)
+        if np.any(s < 0.0):
             bad = float(s[s < 0.0][0])
             if guard is not None:
                 raise NearPoleError(
                     f"companion value {bad!r} puts -1/s inside the model support",
                     where=-1.0 / bad, margin=0.0)
-        vals, ders = laguerre_moment_integrals(s, self.degree, derivative=True)
-        coeffs = self.full_coeffs
+        moments = laguerre_moment_integrals(s, self.degree, derivative=squared)
         if squared:
-            return -(coeffs @ ders)
-        return coeffs @ vals
+            return -(self.full_coeffs @ moments[1])
+        return self.full_coeffs @ moments
 
     @property
     def theta(self) -> NDArray:

@@ -177,8 +177,90 @@ def mp_u_derivative(s, model: PSDModel, c, *, guard=POLE_GUARD):
     return out if out.ndim else float(out)
 
 
-def _u_complex(s: complex, model: PSDModel, c: float) -> complex:
-    return -1.0 / s + c * _eval_kernels(model, complex(s), None, squared=False)
+# Grid points solved together: bounds the (quadrature nodes x points)
+# kernel matrices on large grids without changing any point's iteration.
+_SOLVE_BLOCK = 2048
+_FIXED_POINT_STEPS = 600
+_NEWTON_STEPS = 60
+
+
+def _solve_block(z, model, c, damping, tol, max_iter):
+    """Companion values for a 1-d block of z, with each lane's residual.
+
+    Every lane runs the iteration of ``solve_companion_fixed_point`` on its
+    own; the kernel is evaluated only at the lanes still iterating.  Lanes
+    that converge have residual < tol; ``degenerate`` marks the lanes whose
+    fixed-point update broke down.
+    """
+    s = -1.0 / z
+    residual = np.full(z.size, np.inf)
+    done = np.zeros(z.size, dtype=bool)
+    degenerate = np.zeros(z.size, dtype=bool)
+    coarse = max(tol, 1e-6)
+    live = np.arange(z.size)
+    for k in range(min(_FIXED_POINT_STEPS, max_iter)):
+        if live.size == 0:
+            break
+        s_l, z_l = s[live], z[live]
+        k1 = model.kernel(s_l)
+        res = np.abs(-1.0 / s_l + c * k1 - z_l)
+        residual[live] = res
+        converged = res < tol
+        done[live[converged]] = True
+        # lanes under the coarse residual (after 5 steps) hand over to Newton
+        stay = ~converged & ~((res < coarse) & (k >= 5))
+        live, s_l = live[stay], s_l[stay]
+        step_to = z_l[stay] - c * k1[stay]
+        bad = (step_to == 0.0) | ~np.isfinite(step_to)
+        degenerate[live[bad]] = True
+        live, s_l, step_to = live[~bad], s_l[~bad], step_to[~bad]
+        s[live] = (1.0 - damping) * s_l + damping * (-1.0 / step_to)
+    live = np.flatnonzero(~done & ~degenerate)
+    for _ in range(_NEWTON_STEPS):
+        if live.size == 0:
+            break
+        s_l = s[live]
+        r = -1.0 / s_l + c * model.kernel(s_l) - z[live]
+        res = np.abs(r)
+        residual[live] = res
+        converged = res < tol
+        done[live[converged]] = True
+        live, s_l, r = live[~converged], s_l[~converged], r[~converged]
+        if live.size == 0:
+            break
+        # far from the root the slope or the step can overflow; such a
+        # lane ends here as a failure (only the residual test accepts one)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            slope = 1.0 / s_l**2 - c * model.kernel(s_l, squared=True)
+            s_new = s_l - r / slope
+        ok = ((slope != 0.0) & np.isfinite(slope)
+              & np.isfinite(s_new) & (s_new != 0.0))
+        live = live[ok]
+        s[live] = s_new[ok]
+    return s, residual, done, degenerate
+
+
+def _solve_companion(z, model, c, *, damping, tol, max_iter):
+    """Solve z = -1/s + c*K1(s) at every point of a 1-d complex array.
+
+    Works through the points in blocks of ``_SOLVE_BLOCK``; within a block
+    all points iterate together.  Returns s with |u(s) - z| < tol at every
+    point, else raises IterationError for the first point that failed.
+    """
+    out = np.empty(z.size, dtype=complex)
+    for start in range(0, z.size, _SOLVE_BLOCK):
+        block = slice(start, start + _SOLVE_BLOCK)
+        s, residual, done, degenerate = _solve_block(z[block], model, c,
+                                                     damping, tol, max_iter)
+        if not done.all():
+            i = int(np.argmin(done))
+            where = complex(z[start + i])
+            why = ("fixed-point update degenerated" if degenerate[i]
+                   else f"no convergence to residual {tol:g}")
+            raise IterationError(f"{why} at z={where!r}",
+                                 residual=float(residual[i]))
+        out[block] = s
+    return out
 
 
 def solve_companion_fixed_point(z: complex, model: PSDModel, c, *,
@@ -189,42 +271,18 @@ def solve_companion_fixed_point(z: complex, model: PSDModel, c, *,
     ``z`` must lie in the open upper half plane.  A damped fixed-point
     iteration (which cannot leave the upper half plane) brings the
     residual down to 1e-6; close to the support edges its linear rate
-    degrades, so a Newton stage finishes the remaining digits.  The
+    degrades, so a Newton stage finishes the remaining digits.  At most
+    min(600, max_iter) fixed-point and 60 Newton steps are taken.  The
     returned value satisfies |u(s) - z| < tol, else IterationError.
+    This is the one-point case of the solve ``lsd_density_curve`` runs on
+    a whole grid at once.
     """
     z = complex(z)
     if not (z.imag > 0.0):
         raise ValueError("z must have positive imaginary part")
-    c = float(c)
-    s = -1.0 / z
-    residual = math.inf
-    coarse = max(tol, 1e-6)
-    for k in range(min(600, max_iter)):
-        k1 = _eval_kernels(model, complex(s), None, squared=False)
-        residual = abs(-1.0 / s + c * k1 - z)
-        if residual < tol:
-            return s
-        if residual < coarse and k >= 5:
-            break
-        step_to = z - c * k1
-        if step_to == 0.0 or not np.isfinite(step_to):
-            raise IterationError("fixed-point update degenerated", residual=residual)
-        s = (1.0 - damping) * s + damping * (-1.0 / step_to)
-    for _ in range(60):
-        k1 = _eval_kernels(model, complex(s), None, squared=False)
-        r = -1.0 / s + c * k1 - z
-        residual = abs(r)
-        if residual < tol:
-            return s
-        k2 = _eval_kernels(model, complex(s), None, squared=True)
-        slope = 1.0 / s**2 - c * k2
-        if slope == 0.0 or not np.isfinite(slope):
-            break
-        s = s - r / slope
-        if not np.isfinite(s) or s == 0.0:
-            break
-    raise IterationError(
-        f"no convergence to residual {tol:g} at z={z!r}", residual=residual)
+    s = _solve_companion(np.array([z]), model, float(c), damping=damping,
+                         tol=tol, max_iter=max_iter)
+    return complex(s[0])
 
 
 def lsd_density_curve(model: PSDModel, c, grid, *, eps: float = 1e-6,
@@ -232,11 +290,14 @@ def lsd_density_curve(model: PSDModel, c, grid, *, eps: float = 1e-6,
                       max_iter: int = 2000) -> DensityCurve:
     """Limiting sample spectral density on a positive grid.
 
-    Solves the companion equation at x + i*eps for every grid point,
-    converts the companion transform back to the spectrum's Stieltjes
-    transform and takes its imaginary part over pi.  The curve integrates
-    to min(1, 1/c); for c > 1 the remaining 1 - 1/c sits in a point mass
-    at zero that a density grid cannot show.
+    Solves the companion equation at x + i*eps for every grid point in one
+    batched solve: each point runs the iteration of
+    ``solve_companion_fixed_point`` and must reach |u(s) - z| < tol, else
+    IterationError names the first failing point.  The companion transform
+    is converted back to the spectrum's Stieltjes transform, whose
+    imaginary part over pi is the density.  The curve integrates to
+    min(1, 1/c); for c > 1 the remaining 1 - 1/c sits in a point mass at
+    zero that a density grid cannot show.
     """
     x = np.asarray(grid, dtype=float).ravel()
     if x.size == 0 or np.any(x <= 0.0):
@@ -246,14 +307,13 @@ def lsd_density_curve(model: PSDModel, c, grid, *, eps: float = 1e-6,
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     c = float(c)
-    dens = np.empty_like(x)
-    for i, xi in enumerate(x):
-        z = complex(xi, eps)
-        s = solve_companion_fixed_point(z, model, c, damping=damping,
-                                        tol=tol, max_iter=max_iter)
-        stieltjes = (s + (1.0 - c) / z) / c
-        dens[i] = max(stieltjes.imag, 0.0) / math.pi
-    return DensityCurve(x, dens)
+    if c == 0.0:
+        raise ValueError("aspect ratio must be nonzero")
+    z = x + 1j * eps
+    s = _solve_companion(z, model, c, damping=damping, tol=tol,
+                         max_iter=max_iter)
+    stieltjes = (s + (1.0 - c) / z) / c
+    return DensityCurve(x, np.maximum(stieltjes.imag, 0.0) / math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -70,3 +70,49 @@ def exact_net(model, c, u_targets, p=100):
     points = np.array([mp_u_map(s, model, c) for s in roots])
     return UNet(points, roots, ("exact",) * len(roots), len(roots),
                 dummy_spectrum(p, n))
+
+
+def scalar_companion_solve(z, model, c, damping=0.5, tol=1e-10, max_iter=2000):
+    """One-point damped fixed point plus Newton, one complex scalar at a time.
+
+    The solver the batched ``lsd_density_curve`` replaced, kept as the
+    reference for its per-point iteration.
+    """
+    s = -1.0 / z
+    k1_at = lambda s: complex(model.kernel(np.array([s]))[0])
+    for k in range(min(600, max_iter)):
+        k1 = k1_at(s)
+        residual = abs(-1.0 / s + c * k1 - z)
+        if residual < tol:
+            return s
+        if residual < max(tol, 1e-6) and k >= 5:
+            break
+        s = (1.0 - damping) * s + damping * (-1.0 / (z - c * k1))
+    for _ in range(60):
+        r = -1.0 / s + c * k1_at(s) - z
+        if abs(r) < tol:
+            return s
+        s = s - r / (1.0 / s**2 - c * complex(model.kernel(np.array([s]), squared=True)[0]))
+    raise AssertionError(f"reference solve failed at z={z!r}")
+
+
+def companion_root(model, c, z):
+    """Upper-half-plane root s of z s P(s) + P(s) - c s Q(s) for an atomic model.
+
+    P(s) = prod (1 + a_i s) and Q(s) = sum_i w_i a_i prod_{j != i} (1 + a_j s),
+    so the polynomial's roots solve z = -1/s + c K1(s) exactly.
+    """
+    poly = np.polynomial.polynomial
+    p = np.array([1.0])
+    for a in model.atoms:
+        p = poly.polymul(p, [1.0, a])
+    q = np.zeros(1)
+    for i, (a, w) in enumerate(zip(model.atoms, model.weights)):
+        term = np.array([w * a])
+        for j, b in enumerate(model.atoms):
+            if j != i:
+                term = poly.polymul(term, [1.0, b])
+        q = poly.polyadd(q, term)
+    roots = poly.polyroots(poly.polysub(poly.polyadd(z * poly.polymulx(p), p),
+                                        c * poly.polymulx(q)))
+    return roots[np.argmax(roots.imag)]

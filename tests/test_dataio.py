@@ -37,6 +37,18 @@ class TestLoadReturnsCsv:
         with pytest.raises(ValueError, match="non-numeric"):
             load_returns_csv(f)
 
+    def test_blank_and_bad_cells_in_one_file(self, tmp_path):
+        # rows with a blank or bad cell are read cell by cell, the others whole
+        good = write(tmp_path / "good.csv", "a,b,c\n1, 2 ,3\n4,,6\n7,8,9\n")
+        rm = load_returns_csv(good)
+        assert rm.values.tolist() == [[1.0, 3.0], [4.0, 6.0], [7.0, 9.0]]
+        assert rm.labels == ("a", "c")
+        assert rm.dropped == ("b",)
+        bad = write(tmp_path / "bad.csv", "a,b,c\n1,2,3\n4,,6\n7,8,x y\n")
+        with pytest.raises(ValueError) as err:
+            load_returns_csv(bad)
+        assert str(err.value) == f"{bad}: non-numeric value 'x y' in row 4, column 'c'"
+
     def test_too_few_surviving_columns(self, tmp_path):
         f = write(tmp_path / "r.csv", "a,b\n1,\n3,4\n5,6\n")
         with pytest.raises(ValueError):

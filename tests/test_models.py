@@ -11,6 +11,7 @@ from scipy import integrate
 
 from psdfit import (Discrete, InverseCubic, Laguerre, PointMass,
                     model_from_dict, wasserstein)
+from psdfit.models import laguerre_moment_integrals
 
 
 class TestDiscrete:
@@ -260,3 +261,16 @@ def test_kernel_matches_reference(model, s, squared):
     assert got.shape == (1,)
     want = _reference_kernel(model, s, squared)
     assert abs(got[0] - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("coeffs", [[1.0], [1 / 9, 1 / 9, 1 / 9], [0.3, -0.05]])
+def test_laguerre_complex_kernel_equals_moment_sum(coeffs):
+    # the complex-s kernel folds the polynomial into the quadrature weights;
+    # the sum over the moment integrals is the same quadrature term by term
+    model = Laguerre(coeffs)
+    s = np.array([0.3 + 0.4j, 2.0 + 1e-6j, 0.05 + 3.0j, -0.7 + 0.01j, 40.0 + 5.0j])
+    vals, ders = laguerre_moment_integrals(s, model.degree, derivative=True)
+    k1 = model.full_coeffs @ vals
+    k2 = -(model.full_coeffs @ ders)
+    assert np.max(np.abs(model.kernel(s) - k1) / np.abs(k1)) < 1e-13
+    assert np.max(np.abs(model.kernel(s, squared=True) - k2) / np.abs(k2)) < 1e-13

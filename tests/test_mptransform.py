@@ -1,6 +1,7 @@
 """Spectrum transforms: companion values, kernels, solvers, support."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 
 import helpers
 from psdfit import (DensityCurve, Discrete, InverseCubic, IterationError,
-                    Laguerre, NearPoleError, PointMass, PoleError,
+                    Laguerre, NearPoleError, PointMass, PoleError, PSDModel,
                     SampleSpectrum, SupportReport, companion_stieltjes,
                     lsd_density_curve, mp_u_derivative, mp_u_map,
                     solve_companion_fixed_point, solve_companion_real,
                     support_bounds)
+from psdfit import mptransform
 from psdfit.models import laguerre_moment_integrals
 
 
@@ -254,6 +256,106 @@ class TestDensityCurve:
             DensityCurve([2.0, 1.0], [0.1, 0.1])
         tiny = DensityCurve([1.0, 2.0], [0.1, -1e-12])
         assert tiny.f[1] == 0.0
+
+
+# the benchmark's forward families with grids inside the range where their
+# kernels resolve the density
+FORWARD_FAMILIES = {
+    "identity": PointMass(1.0),
+    "two-atom": Discrete([1.0, 2.0], [0.5, 0.5]),
+    "split-bulk": Discrete([2.0, 7.0, 10.0], [0.3, 0.4, 0.3]),
+    "gamma-shape": Laguerre([1.0]),
+    "cubic-poly": Laguerre([1 / 9, 1 / 9, 1 / 9]),
+    "inverse-cubic": InverseCubic(0.5),
+}
+FORWARD_GRIDS = {
+    ("identity", 0.5): (0.02, 3.2), ("identity", 2.0): (0.1, 6.4),
+    ("two-atom", 0.5): (0.05, 5.4), ("two-atom", 2.0): (0.1, 10.3),
+    ("split-bulk", 0.5): (0.1, 24.6), ("split-bulk", 2.0): (0.3, 46.0),
+    ("gamma-shape", 0.5): (0.3, 7.0), ("gamma-shape", 2.0): (0.05, 14.0),
+    ("cubic-poly", 0.5): (0.45, 12.0), ("cubic-poly", 2.0): (0.3, 18.0),
+    ("inverse-cubic", 0.5): (0.03, 4.5), ("inverse-cubic", 2.0): (0.05, 9.5),
+}
+FORWARD_CASES = [pytest.param(FORWARD_FAMILIES[name], c, np.linspace(lo, hi, 400),
+                              id=f"{name}-c={c}")
+                 for (name, c), (lo, hi) in FORWARD_GRIDS.items()]
+ATOMIC_CASES = [case for case in FORWARD_CASES
+                if isinstance(case.values[0], Discrete)]
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize("model, c, grid", FORWARD_CASES)
+    def test_each_point_matches_one_point_curve(self, model, c, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = lsd_density_curve(model, c, grid)
+        alone = [lsd_density_curve(model, c, [x]).f[0] for x in grid]
+        assert np.max(np.abs(curve.f - alone)) < 1e-10
+
+    @pytest.mark.parametrize("model, c, grid", FORWARD_CASES)
+    def test_matches_scalar_reference_solver(self, model, c, grid):
+        curve = lsd_density_curve(model, c, grid)
+        for x, f in zip(grid[::8], curve.f[::8]):
+            z = complex(x, 1e-6)
+            s = helpers.scalar_companion_solve(z, model, c)
+            want = max(((s + (1.0 - c) / z) / c).imag, 0.0) / math.pi
+            assert abs(f - want) < 1e-10
+
+    @pytest.mark.parametrize("model, c, grid", ATOMIC_CASES)
+    def test_atomic_curve_matches_polynomial_root(self, model, c, grid):
+        # s itself is only pinned to tol / |du/ds|, which near the lower
+        # grid ends (|s| ~ 24) allows 5e-8; the density it gives is sharp
+        curve = lsd_density_curve(model, c, grid)
+        z = grid + 1e-6j
+        s = np.array([helpers.companion_root(model, c, zi) for zi in z])
+        want = np.maximum(((s + (1.0 - c) / z) / c).imag, 0.0) / math.pi
+        assert np.max(np.abs(curve.f - want)) < 1e-9
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        model = Discrete([1.0, 2.0], [0.5, 0.5])
+        grid = np.linspace(0.05, 5.4, 50)
+        whole = lsd_density_curve(model, 0.5, grid)
+        monkeypatch.setattr(mptransform, "_SOLVE_BLOCK", 7)
+        blocked = lsd_density_curve(model, 0.5, grid)
+        assert np.max(np.abs(blocked.f - whole.f)) < 1e-14
+
+    @pytest.mark.parametrize("name", ["identity", "two-atom", "cubic-poly"])
+    def test_failure_is_a_typed_whole_curve_error(self, name):
+        # at c = 1 the fixed point and Newton both stall near zero
+        with warnings.catch_warnings(), pytest.raises(IterationError) as err:
+            warnings.simplefilter("error")
+            lsd_density_curve(FORWARD_FAMILIES[name], 1.0, [0.001, 0.5, 1.0])
+        assert "at z=(0.001+1e-06j)" in str(err.value)
+        assert math.isfinite(err.value.residual)
+
+    def test_failure_names_first_failing_point(self):
+        with pytest.raises(IterationError) as err:
+            lsd_density_curve(PointMass(1.0), 1.0, [0.001, 0.002, 0.5])
+        assert str(err.value) == "no convergence to residual 1e-10 at z=(0.001+1e-06j)"
+        with pytest.raises(IterationError) as one:
+            solve_companion_fixed_point(0.001 + 1e-6j, PointMass(1.0), 1.0)
+        assert str(one.value) == str(err.value)
+        assert one.value.residual == err.value.residual
+
+    def test_failure_in_a_later_block(self, monkeypatch):
+        class BrokenAbove2(PSDModel):
+            """The identity kernel, made NaN where -1/s lies right of 2."""
+
+            def kernel(self, s, *, squared=False, guard=None):
+                k = PointMass(1.0).kernel(s, squared=squared)
+                return np.where((-1.0 / s).real > 2.0, np.nan, k)
+
+        monkeypatch.setattr(mptransform, "_SOLVE_BLOCK", 2)
+        grid = [0.5, 1.0, 1.5, 2.5, 3.0]
+        with pytest.raises(IterationError) as err:
+            lsd_density_curve(BrokenAbove2(), 0.5, grid)
+        assert str(err.value) == "fixed-point update degenerated at z=(2.5+1e-06j)"
+        ok = lsd_density_curve(BrokenAbove2(), 0.5, grid[:3])
+        assert np.array_equal(ok.f, lsd_density_curve(PointMass(1.0), 0.5, grid[:3]).f)
+
+    def test_rejects_zero_ratio(self):
+        with pytest.raises(ValueError):
+            lsd_density_curve(PointMass(1.0), 0.0, [1.0])
 
 
 class TestSupportBounds:
