@@ -19,7 +19,7 @@ from .mptransform import (DensityCurve, SampleSpectrum, SupportReport,
                           mp_u_derivative, mp_u_map,
                           solve_companion_fixed_point, solve_companion_real,
                           support_bounds)
-from .estimator import (FitOptions, FitResult, UNet, build_unet, fit_discrete,
+from .estimator import (FitResult, UNet, build_unet, fit_discrete,
                         fit_inverse_cubic, fit_laguerre, objective,
                         params_to_model)
 from .simulate import (ExperimentConfig, ExperimentReport, correlated_returns,
@@ -36,7 +36,6 @@ __all__ = [
     "Discrete",
     "ExperimentConfig",
     "ExperimentReport",
-    "FitOptions",
     "FitResult",
     "InverseCubic",
     "IterationError",

@@ -67,9 +67,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     eigs = read_eigenvalues_csv(args.eigs)
-    if eigs.size < args.p:
-        # spectra for p > n are often stored without their structural zeros
-        eigs = np.concatenate([eigs, np.zeros(args.p - eigs.size)])
+    missing = args.p - eigs.size
+    if 0 < missing <= args.p - args.n:
+        # spectra for p > n are often stored without their p - n
+        # structural zeros; any other shortfall is an input error
+        eigs = np.concatenate([eigs, np.zeros(missing)])
     spectrum = SampleSpectrum(eigs, args.p, args.n)
     net = build_unet(spectrum, args.family, args.l)
     if args.family == "discrete":

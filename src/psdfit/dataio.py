@@ -37,6 +37,8 @@ __all__ = [
     "write_report_csv",
 ]
 
+_GRID_SIZE = 400     # curve points run_analysis draws on (0, 1.1 lambda_max]
+
 
 @dataclass(frozen=True, eq=False)
 class ReturnsMatrix:
@@ -183,20 +185,20 @@ class AnalysisResult:
 
 
 def run_analysis(returns: ReturnsMatrix, *, spikes: int = 0,
-                 bandwidth: float = 0.05, spacing: int = 20,
-                 grid_size: int = 400) -> AnalysisResult:
+                 bandwidth: float = 0.05, spacing: int = 20) -> AnalysisResult:
     """Fit the inverse-cubic family to a correlation spectrum.
 
-    Produces the three comparable curves: kernel-smoothed empirical
-    density of the retained eigenvalues, the fitted model's spectral
-    density, and the identity-covariance baseline, all on one grid of
-    `grid_size` equally spaced points over (0, 1.1 * lambda_max].
+    The fit and both model curves use the ratio c = p/n of the retained
+    spectrum.  Produces the three comparable curves: kernel-smoothed
+    empirical density of the retained eigenvalues, the fitted model's
+    spectral density, and the identity-covariance baseline, all on one
+    grid of 400 equally spaced points over (0, 1.1 * lambda_max].
     """
     spectrum = correlation_spectrum(returns, spikes)
     net = build_unet(spectrum, "inverse_cubic", spacing)
     fit = fit_inverse_cubic(net)
     c = spectrum.p / spectrum.n
-    grid = np.linspace(0.0, 1.1 * spectrum.largest(), grid_size + 1)[1:]
+    grid = np.linspace(0.0, 1.1 * spectrum.largest(), _GRID_SIZE + 1)[1:]
     lam = spectrum.eigenvalues[spectrum.eigenvalues > 0.0]
     empirical = kde_curve(lam, bandwidth, grid)
     fitted = lsd_density_curve(fit.model, c, grid)

@@ -27,7 +27,6 @@ from .mptransform import POLE_GUARD, SampleSpectrum, companion_stieltjes, mp_u_m
 
 __all__ = [
     "UNet",
-    "FitOptions",
     "FitResult",
     "build_unet",
     "params_to_model",
@@ -47,6 +46,9 @@ _PENALTY = 1e12
 # stopping tolerance of the atomic least-squares search, used for the
 # relative change of the cost, the relative step and the scaled gradient
 _LSQ_TOL = 1e-12
+_STARTS = 8          # starts of the atomic search; those past the third
+_SEED = 0            # are jittered by a generator seeded with this
+_MAX_NFEV = 2000     # residual evaluations allowed per start
 _MIN_EIG_GAP = 1e-9
 # Dips this deep on the density scale mean the unconstrained solution left
 # the family; shallower ones are estimation noise around a density that
@@ -167,37 +169,22 @@ def params_to_model(family: str, theta) -> PSDModel:
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def objective(theta, family: str, net: UNet, c=None) -> float:
+def objective(theta, family: str, net: UNet) -> float:
     """Sum of squared gaps between net points and their model-side images.
 
-    Parameter vectors whose poles violate the evaluation guard do not
-    get a finite map value; they score a penalty of 1e12 plus the margin
-    by which the guard was missed, so a search step into the guard is
-    never preferred over one outside it.
+    The ratio c is the net's p/n.  Parameter vectors whose poles violate
+    the evaluation guard do not get a finite map value; they score a
+    penalty of 1e12 plus the margin by which the guard was missed, so a
+    search step into the guard is never preferred over one outside it.
     """
-    c = net.ratio() if c is None else float(c)
     model = params_to_model(family, theta)
     try:
-        uhat = mp_u_map(net.companion_values, model, c)
+        uhat = mp_u_map(net.companion_values, model, net.ratio())
     except NearPoleError as err:
         short = 0.0 if err.margin is None else max(0.0, POLE_GUARD - err.margin)
         return _PENALTY + short
     diff = net.points - uhat
     return float(diff @ diff)
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Knobs for the atomic fitter's multi-start search.
-
-    ``starts`` is the number of starting points, ``seed`` drives the
-    jitter of starts beyond the third, and ``max_iter`` caps the residual
-    evaluations of each start.
-    """
-
-    starts: int = 8
-    seed: int = 0
-    max_iter: int = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +266,7 @@ def _discrete_residual(raw: NDArray, k: int, net: UNet, c: float) -> NDArray:
     s = net.companion_values
     atoms, weights, denom = _atomic_terms(raw, k, s)
     closeness = np.abs(denom).min()
-    if c != 0.0 and closeness < POLE_GUARD:
+    if closeness < POLE_GUARD:
         out = np.zeros(net.m)
         out[0] = math.sqrt(_PENALTY + (POLE_GUARD - closeness))
         return out
@@ -290,7 +277,7 @@ def _discrete_residual(raw: NDArray, k: int, net: UNet, c: float) -> NDArray:
 def _discrete_jacobian(raw: NDArray, k: int, net: UNet, c: float) -> NDArray:
     """Jacobian of ``_discrete_residual`` in the raw parameters (m by 2k-1)."""
     atoms, weights, denom = _atomic_terms(raw, k, net.companion_values)
-    if c != 0.0 and np.abs(denom).min() < POLE_GUARD:
+    if np.abs(denom).min() < POLE_GUARD:
         return np.zeros((net.m, raw.size))
     # u_hat = -1/s + c sum_i w_i a_i / (1 + a_i s): one row per atom
     d_atom = c * weights[:, None] / denom**2
@@ -305,15 +292,15 @@ def _discrete_jacobian(raw: NDArray, k: int, net: UNet, c: float) -> NDArray:
     return jac
 
 
-def _start_points(net: UNet, k: int, options: FitOptions) -> list:
+def _start_points(net: UNet, k: int) -> list:
     pos = net.spectrum.eigenvalues[net.spectrum.eigenvalues > 0.0]
     if pos.size == 0:
         raise ValueError("spectrum is degenerate: no positive eigenvalues")
     base = np.quantile(pos, (np.arange(k) + 0.5) / k)
-    rng = np.random.default_rng(options.seed)
+    rng = np.random.default_rng(_SEED)
     scales = (1.0, 0.5, 2.0)
     starts = []
-    for i in range(options.starts):
+    for i in range(_STARTS):
         atoms0 = np.sort(base * scales[i % 3])
         if i >= 3:
             atoms0 = np.sort(atoms0 * np.exp(0.25 * rng.standard_normal(k)))
@@ -324,31 +311,31 @@ def _start_points(net: UNet, k: int, options: FitOptions) -> list:
     return starts
 
 
-def fit_discrete(net: UNet, k: int, *, c=None,
-                 options: FitOptions = FitOptions()) -> FitResult:
+def fit_discrete(net: UNet, k: int) -> FitResult:
     """Fit a k-atom spectrum by multi-start trust-region least squares.
 
-    Each start runs ``scipy.optimize.least_squares`` on the residual
-    vector with its analytic Jacobian.  Starts place atoms at
-    sample-spectrum quantiles scaled by {1, 1/2, 2}, with multiplicative
-    jitter beyond the first three, and equal weights.  The best start
-    wins; exact objective ties break toward the lexicographically
-    smallest parameter vector.
+    The ratio c is the net's p/n.  Each of 8 starts runs
+    ``scipy.optimize.least_squares`` on the residual vector with its
+    analytic Jacobian, for at most 2000 residual evaluations.  Starts
+    place atoms at sample-spectrum quantiles scaled by {1, 1/2, 2}, with
+    multiplicative jitter (from a generator seeded with 0) beyond the
+    first three, and equal weights.  The best start wins; exact objective
+    ties break toward the lexicographically smallest parameter vector.
     """
     k = int(k)
     if k < 1:
         raise ValueError("k must be at least 1")
     if net.m < 2 * k - 1:
         raise ValueError(f"net has {net.m} points but {2 * k - 1} are required")
-    c = net.ratio() if c is None else float(c)
+    c = net.ratio()
 
     candidates = []
     iterations = 0
-    for raw0 in _start_points(net, k, options):
+    for raw0 in _start_points(net, k):
         res = optimize.least_squares(
             _discrete_residual, raw0, jac=_discrete_jacobian, args=(k, net, c),
             method="trf", ftol=_LSQ_TOL, xtol=_LSQ_TOL, gtol=_LSQ_TOL,
-            max_nfev=options.max_iter)
+            max_nfev=_MAX_NFEV)
         iterations += int(res.nfev)
         candidates.append((float(res.fun @ res.fun), _raw_to_theta(res.x, k),
                            bool(res.success)))
@@ -420,22 +407,23 @@ def _project_nonneg_density(design, target, degree, grid=_POSITIVITY_GRID):
     return a, iteration
 
 
-def fit_laguerre(net: UNet, degree: int, *, c=None) -> FitResult:
+def fit_laguerre(net: UNet, degree: int) -> FitResult:
     """Fit a polynomial-exponential spectrum by linear least squares.
 
-    The free coefficients enter the spectrum point map linearly once the
-    pinned constant is substituted out, so the fit is a single orthogonal
-    factorization.  Solutions whose density goes materially negative on
-    the validation grid are replaced by the constrained minimizer over
-    the positive cone; shallow dips pass through untouched so that
-    spectra touching zero are not pinned to the boundary.
+    The ratio c is the net's p/n.  The free coefficients enter the
+    spectrum point map linearly once the pinned constant is substituted
+    out, so the fit is a single orthogonal factorization.  Solutions whose
+    density goes materially negative on the validation grid are replaced
+    by the constrained minimizer over the positive cone; shallow dips pass
+    through untouched so that spectra touching zero are not pinned to the
+    boundary.
     """
     degree = int(degree)
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if net.m < degree:
         raise ValueError(f"net has {net.m} points but {degree} are required")
-    c = net.ratio() if c is None else float(c)
+    c = net.ratio()
     s = net.companion_values
     if np.any(s <= 0.0):
         raise ValueError("net contains nonpositive companion values; "
@@ -457,15 +445,15 @@ def fit_laguerre(net: UNet, degree: int, *, c=None) -> FitResult:
     return _finish(model, "laguerre", net, c, iterations, True)
 
 
-def fit_inverse_cubic(net: UNet, *, c=None) -> FitResult:
+def fit_inverse_cubic(net: UNet) -> FitResult:
     """Fit the inverse-cubic family by coarse grid plus bounded search.
 
-    The single parameter ranges over [0, 1); a 200-point grid brackets
-    the minimum and ``scipy.optimize.minimize_scalar`` (bounded Brent
-    method, absolute tolerance 1e-7) pins it down inside that bracket.
+    The ratio c is the net's p/n.  The single parameter ranges over
+    [0, 1); a 200-point grid brackets the minimum and
+    ``scipy.optimize.minimize_scalar`` (bounded Brent method, absolute
+    tolerance 1e-7) pins it down inside that bracket.
     """
-    c = net.ratio() if c is None else float(c)
-    f = lambda alpha: objective(np.array([alpha]), "inverse_cubic", net, c)
+    f = lambda alpha: objective(np.array([alpha]), "inverse_cubic", net)
     alphas = np.linspace(0.0, 1.0 - 1e-6, _IC_COARSE)
     i = int(np.argmin([f(a) for a in alphas]))
     lo = alphas[max(i - 1, 0)]
@@ -473,5 +461,5 @@ def fit_inverse_cubic(net: UNet, *, c=None) -> FitResult:
     res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
                                    options={"xatol": _IC_XATOL})
     model = InverseCubic(float(res.x))
-    return _finish(model, "inverse_cubic", net, c, _IC_COARSE + int(res.nfev),
-                   bool(res.success))
+    return _finish(model, "inverse_cubic", net, net.ratio(),
+                   _IC_COARSE + int(res.nfev), bool(res.success))

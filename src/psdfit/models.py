@@ -41,6 +41,8 @@ _WEIGHT_TOL = 1e-12
 # tolerates shallow dips and only refuses clearly broken shapes.
 _DENSITY_TOL = -0.2
 _POSITIVITY_GRID = np.arange(0.0, 50.0 + 1e-9, 0.01)
+_QUANTILE_TOL = 1e-10   # Laguerre quantile bisection stops at this width
+_W_GRID = 10_000        # midpoint-rule probabilities of a smooth distance
 
 
 def _as_prob_array(prob):
@@ -349,7 +351,7 @@ class Laguerre(PSDModel):
         out = np.clip(np.where(x < 0.0, 0.0, out), 0.0, 1.0)
         return out if out.ndim else float(out)
 
-    def quantile(self, prob, tol=1e-10):
+    def quantile(self, prob):
         p = _as_prob_array(prob)
         scalar = p.ndim == 0
         p = np.atleast_1d(p)
@@ -364,7 +366,7 @@ class Laguerre(PSDModel):
             below = self.cdf(mid) < p
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-            if np.max(hi - lo) < tol:
+            if np.max(hi - lo) < _QUANTILE_TOL:
                 break
         out = 0.5 * (lo + hi)
         return float(out[0]) if scalar else out
@@ -479,13 +481,13 @@ class InverseCubic(PSDModel):
         return {"kind": self.kind, "alpha": self.alpha}
 
 
-def wasserstein(a: PSDModel, b: PSDModel, grid_points: int = 10_000) -> float:
+def wasserstein(a: PSDModel, b: PSDModel) -> float:
     """First-order transport distance between two models.
 
     Equals the integral over (0, 1) of the absolute difference of the two
     quantile functions.  Pairs of purely atomic models are integrated
     exactly over the merged probability breakpoints; any other pair uses a
-    midpoint rule on ``grid_points`` probabilities.
+    midpoint rule on 10,000 probabilities.
     """
     if isinstance(a, Discrete) and isinstance(b, Discrete):
         atoms_a, w_a = a.atoms, a.weights
@@ -497,9 +499,7 @@ def wasserstein(a: PSDModel, b: PSDModel, grid_points: int = 10_000) -> float:
         qa = atoms_a[np.minimum(np.searchsorted(cum_a, mids), atoms_a.size - 1)]
         qb = atoms_b[np.minimum(np.searchsorted(cum_b, mids), atoms_b.size - 1)]
         return float(np.abs(qa - qb) @ np.diff(edges))
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    probs = (np.arange(grid_points) + 0.5) / grid_points
+    probs = (np.arange(_W_GRID) + 0.5) / _W_GRID
     return float(np.mean(np.abs(a.quantile(probs) - b.quantile(probs))))
 
 

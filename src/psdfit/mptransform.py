@@ -46,6 +46,8 @@ POLE_GUARD = 1e-6
 
 _EIG_TOL = 1e-12      # how close a transform argument may sit to an eigenvalue
 _CLAMP_TOL = 1e-10    # sample eigenvalues below -this are rejected, above clamped
+_SCAN_GRID = 4000     # support-scan grid points, doubled at most
+_SCAN_REFINE = 3      # this many times until the count of runs is stable
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +135,8 @@ def companion_stieltjes(spectrum: SampleSpectrum, u):
     gap = np.min(np.abs(diffs), axis=0)
     if np.any(gap < _EIG_TOL) or np.any(np.abs(u_arr) < _EIG_TOL):
         bad = np.abs(u_arr) < _EIG_TOL
-        where = 0.0 if np.any(bad) else float(eig[np.argmin(np.abs(diffs))])
+        nearest = np.unravel_index(np.argmin(np.abs(diffs)), diffs.shape)[0]
+        where = 0.0 if np.any(bad) else float(eig[nearest])
         raise PoleError(f"u={u!r} sits on a pole of the transform", where=where)
     ratio = spectrum.p / spectrum.n
     out = -(1.0 - ratio) / u_arr + np.sum(1.0 / diffs, axis=0) / spectrum.n
@@ -182,39 +185,42 @@ def mp_u_derivative(s, model: PSDModel, c, *, guard=POLE_GUARD):
 _SOLVE_BLOCK = 2048
 _FIXED_POINT_STEPS = 600
 _NEWTON_STEPS = 60
+_SOLVE_TOL = 1e-10        # every point must reach |u(s) - z| below this
+_NEWTON_HANDOVER = 1e-6   # fixed-point residual that hands a lane to Newton
+_DAMPING = 0.5
+_DENSITY_EPS = 1e-6       # curves read the transform at x + i*_DENSITY_EPS
 
 
-def _solve_block(z, model, c, damping, tol, max_iter):
+def _solve_block(z, model, c):
     """Companion values for a 1-d block of z, with each lane's residual.
 
     Every lane runs the iteration of ``solve_companion_fixed_point`` on its
     own; the kernel is evaluated only at the lanes still iterating.  Lanes
-    that converge have residual < tol; ``degenerate`` marks the lanes whose
-    fixed-point update broke down.
+    that converge have residual < _SOLVE_TOL; ``degenerate`` marks the
+    lanes whose fixed-point update broke down.
     """
     s = -1.0 / z
     residual = np.full(z.size, np.inf)
     done = np.zeros(z.size, dtype=bool)
     degenerate = np.zeros(z.size, dtype=bool)
-    coarse = max(tol, 1e-6)
     live = np.arange(z.size)
-    for k in range(min(_FIXED_POINT_STEPS, max_iter)):
+    for k in range(_FIXED_POINT_STEPS):
         if live.size == 0:
             break
         s_l, z_l = s[live], z[live]
         k1 = model.kernel(s_l)
         res = np.abs(-1.0 / s_l + c * k1 - z_l)
         residual[live] = res
-        converged = res < tol
+        converged = res < _SOLVE_TOL
         done[live[converged]] = True
-        # lanes under the coarse residual (after 5 steps) hand over to Newton
-        stay = ~converged & ~((res < coarse) & (k >= 5))
+        # lanes under the hand-over residual (after 5 steps) go to Newton
+        stay = ~converged & ~((res < _NEWTON_HANDOVER) & (k >= 5))
         live, s_l = live[stay], s_l[stay]
         step_to = z_l[stay] - c * k1[stay]
         bad = (step_to == 0.0) | ~np.isfinite(step_to)
         degenerate[live[bad]] = True
         live, s_l, step_to = live[~bad], s_l[~bad], step_to[~bad]
-        s[live] = (1.0 - damping) * s_l + damping * (-1.0 / step_to)
+        s[live] = (1.0 - _DAMPING) * s_l + _DAMPING * (-1.0 / step_to)
     live = np.flatnonzero(~done & ~degenerate)
     for _ in range(_NEWTON_STEPS):
         if live.size == 0:
@@ -223,7 +229,7 @@ def _solve_block(z, model, c, damping, tol, max_iter):
         r = -1.0 / s_l + c * model.kernel(s_l) - z[live]
         res = np.abs(r)
         residual[live] = res
-        converged = res < tol
+        converged = res < _SOLVE_TOL
         done[live[converged]] = True
         live, s_l, r = live[~converged], s_l[~converged], r[~converged]
         if live.size == 0:
@@ -240,62 +246,56 @@ def _solve_block(z, model, c, damping, tol, max_iter):
     return s, residual, done, degenerate
 
 
-def _solve_companion(z, model, c, *, damping, tol, max_iter):
+def _solve_companion(z, model, c):
     """Solve z = -1/s + c*K1(s) at every point of a 1-d complex array.
 
     Works through the points in blocks of ``_SOLVE_BLOCK``; within a block
-    all points iterate together.  Returns s with |u(s) - z| < tol at every
-    point, else raises IterationError for the first point that failed.
+    all points iterate together.  Returns s with |u(s) - z| < _SOLVE_TOL at
+    every point, else raises IterationError for the first point that failed.
     """
     out = np.empty(z.size, dtype=complex)
     for start in range(0, z.size, _SOLVE_BLOCK):
         block = slice(start, start + _SOLVE_BLOCK)
-        s, residual, done, degenerate = _solve_block(z[block], model, c,
-                                                     damping, tol, max_iter)
+        s, residual, done, degenerate = _solve_block(z[block], model, c)
         if not done.all():
             i = int(np.argmin(done))
             where = complex(z[start + i])
             why = ("fixed-point update degenerated" if degenerate[i]
-                   else f"no convergence to residual {tol:g}")
+                   else f"no convergence to residual {_SOLVE_TOL:g}")
             raise IterationError(f"{why} at z={where!r}",
                                  residual=float(residual[i]))
         out[block] = s
     return out
 
 
-def solve_companion_fixed_point(z: complex, model: PSDModel, c, *,
-                                damping: float = 0.5, tol: float = 1e-10,
-                                max_iter: int = 2000) -> complex:
+def solve_companion_fixed_point(z: complex, model: PSDModel, c) -> complex:
     """Solve z = -1/s + c*K1(s) for the companion transform value at z.
 
-    ``z`` must lie in the open upper half plane.  A damped fixed-point
-    iteration (which cannot leave the upper half plane) brings the
+    ``z`` must lie in the open upper half plane.  A fixed-point iteration
+    damped by 1/2 (which cannot leave the upper half plane) brings the
     residual down to 1e-6; close to the support edges its linear rate
     degrades, so a Newton stage finishes the remaining digits.  At most
-    min(600, max_iter) fixed-point and 60 Newton steps are taken.  The
-    returned value satisfies |u(s) - z| < tol, else IterationError.
-    This is the one-point case of the solve ``lsd_density_curve`` runs on
-    a whole grid at once.
+    600 fixed-point and 60 Newton steps are taken.  The returned value
+    satisfies |u(s) - z| < 1e-10, else IterationError.  This is the
+    one-point case of the solve ``lsd_density_curve`` runs on a whole grid
+    at once.
     """
     z = complex(z)
     if not (z.imag > 0.0):
         raise ValueError("z must have positive imaginary part")
-    s = _solve_companion(np.array([z]), model, float(c), damping=damping,
-                         tol=tol, max_iter=max_iter)
+    s = _solve_companion(np.array([z]), model, float(c))
     return complex(s[0])
 
 
-def lsd_density_curve(model: PSDModel, c, grid, *, eps: float = 1e-6,
-                      damping: float = 0.5, tol: float = 1e-10,
-                      max_iter: int = 2000) -> DensityCurve:
+def lsd_density_curve(model: PSDModel, c, grid) -> DensityCurve:
     """Limiting sample spectral density on a positive grid.
 
-    Solves the companion equation at x + i*eps for every grid point in one
-    batched solve: each point runs the iteration of
-    ``solve_companion_fixed_point`` and must reach |u(s) - z| < tol, else
-    IterationError names the first failing point.  The companion transform
-    is converted back to the spectrum's Stieltjes transform, whose
-    imaginary part over pi is the density.  The curve integrates to
+    Solves the companion equation at x + 1e-6 i for every grid point in
+    one batched solve: each point runs the iteration of
+    ``solve_companion_fixed_point`` and must reach |u(s) - z| < 1e-10,
+    else IterationError names the first failing point.  The companion
+    transform is converted back to the spectrum's Stieltjes transform,
+    whose imaginary part over pi is the density.  The curve integrates to
     min(1, 1/c); for c > 1 the remaining 1 - 1/c sits in a point mass at
     zero that a density grid cannot show.
     """
@@ -304,14 +304,11 @@ def lsd_density_curve(model: PSDModel, c, grid, *, eps: float = 1e-6,
         raise ValueError("grid must be nonempty with positive entries")
     if np.any(np.diff(x) <= 0.0):
         raise ValueError("grid must be strictly increasing")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     c = float(c)
     if c == 0.0:
         raise ValueError("aspect ratio must be nonzero")
-    z = x + 1j * eps
-    s = _solve_companion(z, model, c, damping=damping, tol=tol,
-                         max_iter=max_iter)
+    z = x + 1j * _DENSITY_EPS
+    s = _solve_companion(z, model, c)
     stieltjes = (s + (1.0 - c) / z) / c
     return DensityCurve(x, np.maximum(stieltjes.imag, 0.0) / math.pi)
 
@@ -412,10 +409,10 @@ def _scan_region(deriv, xs: NDArray):
     return runs
 
 
-def _scan_with_refinement(deriv, a, b, n_grid, max_refine):
+def _scan_with_refinement(deriv, a, b):
     count = None
-    for level in range(max_refine + 1):
-        n = n_grid * 2**level
+    for level in range(_SCAN_REFINE + 1):
+        n = _SCAN_GRID * 2**level
         runs = _scan_region(deriv, _cluster_grid(a, b, n))
         check = _scan_region(deriv, _cluster_grid(a, b, 2 * n + 1))
         if len(runs) == len(check):
@@ -426,13 +423,14 @@ def _scan_with_refinement(deriv, a, b, n_grid, max_refine):
         f"the scan grid is too coarse for this model")
 
 
-def support_bounds(model: PSDModel, c, *, n_grid: int = 4000,
-                   max_refine: int = 3) -> SupportReport:
+def support_bounds(model: PSDModel, c) -> SupportReport:
     """Locate the limiting sample spectrum support for a model at ratio c.
 
     Scans the increasing branches of the spectrum point map: the positive
     branch analytically (its derivative has a single monotone sign change)
-    and one scan per gap of the model support for the negative branches.
+    and one scan per gap of the model support for the negative branches,
+    on a 4000-point grid clustered toward the gap ends and doubled up to
+    three times until the count of increasing runs is stable.
     Branch images are complement intervals of the support; the support is
     what they leave uncovered on (0, inf).
     """
@@ -440,7 +438,7 @@ def support_bounds(model: PSDModel, c, *, n_grid: int = 4000,
     if c <= 0.0:
         raise ValueError("aspect ratio must be positive")
     u_at = lambda s: float(mp_u_map(s, model, c, guard=None))
-    k2 = lambda s_arr: np.atleast_1d(_eval_kernels(model, s_arr, None, squared=True))
+    k2 = lambda s_arr: model.kernel(s_arr, squared=True)
 
     branches, images = [], []
 
@@ -470,7 +468,7 @@ def support_bounds(model: PSDModel, c, *, n_grid: int = 4000,
     for g_lo, g_hi in _support_gaps(model):
         if math.isinf(g_hi):
             deriv = lambda s_arr: 1.0 / s_arr**2 - c * k2(s_arr)
-            runs = _scan_with_refinement(deriv, -1.0 / g_lo, 0.0, n_grid, max_refine)
+            runs = _scan_with_refinement(deriv, -1.0 / g_lo, 0.0)
             for left, right, at_lo, at_hi in runs:
                 if at_lo:
                     raise ScanResolutionError("increasing run reached a pole")
@@ -481,7 +479,7 @@ def support_bounds(model: PSDModel, c, *, n_grid: int = 4000,
             def deriv(v_arr):
                 s_arr = -1.0 / v_arr
                 return 1.0 / s_arr**2 - c * k2(s_arr)
-            runs = _scan_with_refinement(deriv, g_lo, g_hi, n_grid, max_refine)
+            runs = _scan_with_refinement(deriv, g_lo, g_hi)
             for left, right, at_lo, at_hi in runs:
                 if at_hi:
                     raise ScanResolutionError("increasing run reached a pole")

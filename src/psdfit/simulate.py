@@ -128,6 +128,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.order < 1:
             raise ValueError("order must be at least 1")
+        if self.spacing < 1:
+            raise ValueError("spacing must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def to_dict(self) -> dict:
         return {
@@ -253,8 +257,10 @@ def run_experiment(config: ExperimentConfig, *, n_jobs: int = 1) -> ExperimentRe
     smooth truths are redrawn for every replication.  Failed replications
     are recorded with their error message and counted; they do not abort
     the run.  Output is deterministic for a given config regardless of
-    n_jobs.
+    n_jobs, which must be at least 1.
     """
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be at least 1")
     tasks = [(config, p, n, r)
              for p, n in config.dims for r in range(config.replications)]
     if n_jobs > 1:

@@ -63,9 +63,11 @@ def exact_net(model, c, u_targets, p=100):
     """Evaluation net lying exactly on a model's spectrum-point curve.
 
     Each target u is replaced by the model's own image of the solved
-    root, so the pair satisfies the defining equation bitwise.
+    root, so the pair satisfies the defining equation bitwise.  The net's
+    spectrum has p / n equal to c, the ratio the fitters read from it.
     """
     n = max(1, round(p / c))
+    assert p / n == c, f"no n gives p / n == {c} for p = {p}"
     roots = np.array([solve_companion_real(u, model, c) for u in u_targets])
     points = np.array([mp_u_map(s, model, c) for s in roots])
     return UNet(points, roots, ("exact",) * len(roots), len(roots),

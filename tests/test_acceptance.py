@@ -182,10 +182,10 @@ def test_criterion_10_exact_transforms_are_roots():
     u_two_sided = np.concatenate([np.linspace(-9.0, -0.5, 10),
                                   np.linspace(11.0, 25.0, 10)])
     net_atomic = helpers.exact_net(THREE_ATOM, 0.2, u_two_sided)
-    phi_atomic = objective(THREE_ATOM.theta, "discrete", net_atomic, 0.2)
+    phi_atomic = objective(THREE_ATOM.theta, "discrete", net_atomic)
     net_smooth = helpers.exact_net(CUBIC_POLY, 1.0, np.linspace(-9.5, -0.4, 20))
-    phi_smooth = objective(CUBIC_POLY.theta, "laguerre", net_smooth, 1.0)
-    refit = fit_laguerre(net_smooth, 3, c=1.0)
+    phi_smooth = objective(CUBIC_POLY.theta, "laguerre", net_smooth)
+    refit = fit_laguerre(net_smooth, 3)
     coeff_err = float(np.max(np.abs(refit.theta - CUBIC_POLY.theta)))
     ok = phi_atomic < 1e-16 and phi_smooth < 1e-16 and coeff_err < 1e-6
     _check(10, ok,

@@ -100,6 +100,21 @@ def test_estimate_pads_missing_zeros(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("count, p, n", [(50, 100, 500), (10, 40, 20)])
+def test_estimate_rejects_missing_eigenvalues(tmp_path, capsys, count, p, n):
+    # only the p - n structural zeros of a tall spectrum may be left out
+    eigs = tmp_path / "eigs.csv"
+    eigs.write_text("eigenvalue\n" + "".join(f"{1.0 + i / count!r}\n"
+                                             for i in range(count)))
+    out = tmp_path / "fit.json"
+    code = main(["estimate", "--eigs", str(eigs), "--p", str(p), "--n", str(n),
+                 "--family", "inverse_cubic", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"expected {p} eigenvalues, got {count}" in err
+    assert not out.exists()
+
+
 def test_simulate_writes_report_and_csv(tmp_path, capsys):
     cfg = {"case": "cli", "model": {"kind": "discrete", "atoms": [1.0, 2.0],
                                     "weights": [0.5, 0.5]},
@@ -116,6 +131,24 @@ def test_simulate_writes_report_and_csv(tmp_path, capsys):
     assert len(report["records"]) == 2
     lines = (tmp_path / "report.csv").read_text().strip().splitlines()
     assert lines[0] == "case,p,n,mean_W,sd_W,failures"
+
+
+@pytest.mark.parametrize("patch, jobs", [
+    ({"spacing": 0}, "1"), ({"seed": -1}, "1"), ({}, "0"),
+])
+def test_simulate_rejects_bad_settings(tmp_path, capsys, patch, jobs):
+    cfg = {"case": "cli", "model": {"kind": "point_mass", "at": 1.0},
+           "dims": [[30, 60]], "replications": 2, "family": "discrete",
+           "order": 1, "seed": 11, **patch}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    code = main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                 "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_analyze_emits_three_curves(tmp_path, capsys):

@@ -11,8 +11,7 @@ from psdfit import (Discrete, InverseCubic, IterationError, Laguerre,
                     estimator, fit_discrete, fit_inverse_cubic, fit_laguerre,
                     objective, params_to_model, population_from_model,
                     sample_spectrum, wasserstein)
-from psdfit.estimator import (FitOptions, UNet, _discrete_jacobian,
-                              _discrete_residual)
+from psdfit.estimator import UNet, _discrete_jacobian, _discrete_residual
 
 
 @pytest.fixture(scope="module")
@@ -118,12 +117,12 @@ class TestObjective:
         u = np.concatenate([np.linspace(-9.0, -0.5, 10),
                             np.linspace(9.0, 20.0, 10)])
         net = helpers.exact_net(truth, 0.2, u)
-        assert objective(truth.theta, "discrete", net, 0.2) < 1e-16
+        assert objective(truth.theta, "discrete", net) < 1e-16
 
     def test_positive_away_from_truth(self):
         truth = Discrete([1.0, 2.0], [0.5, 0.5])
         net = helpers.exact_net(truth, 0.2, np.linspace(-8.0, -0.5, 9))
-        off = objective([1.0, 2.5, 0.5], "discrete", net, 0.2)
+        off = objective([1.0, 2.5, 0.5], "discrete", net)
         assert off > 1e-4
 
     def test_near_pole_scores_penalty(self, case1_spectrum):
@@ -134,19 +133,12 @@ class TestObjective:
         assert val >= 1e12
 
     def test_default_ratio_comes_from_spectrum(self, case1_spectrum):
+        from psdfit import mp_u_map
         net = build_unet(case1_spectrum, "discrete")
         theta = [1.0, 2.0, 0.5]
-        assert objective(theta, "discrete", net) == objective(
-            theta, "discrete", net, 0.2)
-
-    def test_degenerate_ratio_ignores_parameters(self, case1_spectrum):
-        # at c=0 the model term drops out entirely
-        net = build_unet(case1_spectrum, "discrete")
-        base = float(np.sum((net.points + 1.0 / net.companion_values) ** 2))
-        first = objective([1.0, 2.0, 0.5], "discrete", net, 0.0)
-        second = objective([0.3, 9.0, 0.1], "discrete", net, 0.0)
-        assert first == second
-        assert first == pytest.approx(base, rel=1e-12)
+        res = net.points - mp_u_map(net.companion_values,
+                                    params_to_model("discrete", theta), 0.2)
+        assert objective(theta, "discrete", net) == float(res @ res)
 
     def test_constant_shift_changes_objective_quadratically(self):
         from psdfit import mp_u_map
@@ -155,7 +147,7 @@ class TestObjective:
         theta = [1.0, 2.5, 0.5]
         model = params_to_model("discrete", theta)
         res = net.points - mp_u_map(net.companion_values, model, 0.2)
-        phi = objective(theta, "discrete", net, 0.2)
+        phi = objective(theta, "discrete", net)
         eps = 0.37
         assert float(np.sum((res - eps) ** 2)) == pytest.approx(
             phi - 2.0 * eps * res.sum() + net.m * eps**2, rel=1e-12)
@@ -167,7 +159,7 @@ class TestFitDiscrete:
         u = np.concatenate([np.linspace(-9.0, -0.5, 10),
                             np.linspace(11.0, 25.0, 10)])
         net = helpers.exact_net(truth, 0.2, u)
-        fit = fit_discrete(net, 2, c=0.2)
+        fit = fit_discrete(net, 2)
         assert fit.objective_value < 1e-10
         assert np.allclose(fit.theta, truth.theta, atol=1e-3)
         assert wasserstein(fit.model, truth) < 1e-3
@@ -185,10 +177,11 @@ class TestFitDiscrete:
         assert np.array_equal(a.theta, b.theta)
         assert a.objective_value == b.objective_value
 
-    def test_seed_changes_starts_not_quality(self, case1_spectrum):
+    def test_seed_changes_starts_not_quality(self, case1_spectrum, monkeypatch):
         net = build_unet(case1_spectrum, "discrete")
         a = fit_discrete(net, 2)
-        b = fit_discrete(net, 2, options=FitOptions(seed=99))
+        monkeypatch.setattr(estimator, "_SEED", 99)
+        b = fit_discrete(net, 2)
         assert abs(a.objective_value - b.objective_value) < 1e-6
 
     def test_preconditions(self, case1_spectrum):
@@ -255,7 +248,7 @@ class TestAtomicResidual:
         rng = np.random.default_rng(20 * k + int(c))
         for raw in rng.normal(0.5, 1.0, size=(10, 2 * k - 1)):
             res = _discrete_residual(raw, k, net, c)
-            phi = objective(_raw_to_theta(raw, k), "discrete", net, c)
+            phi = objective(_raw_to_theta(raw, k), "discrete", net)
             assert phi < 1e12               # off the guard
             assert float(res @ res) == pytest.approx(phi, rel=1e-12)
 
@@ -280,8 +273,8 @@ class TestPoleGuard:
         clean = fit_discrete(net, 2)
         starts = estimator._start_points
 
-        def with_pole_start(net, k, options):
-            return [_pole_raw(net)] + starts(net, k, options)[1:]
+        def with_pole_start(net, k):
+            return [_pole_raw(net)] + starts(net, k)[1:]
         monkeypatch.setattr(estimator, "_start_points", with_pole_start)
         fit = fit_discrete(net, 2)
         assert isinstance(fit.model, Discrete)
@@ -292,7 +285,7 @@ class TestPoleGuard:
     def test_every_start_on_the_pole_raises(self, case1_spectrum, monkeypatch):
         net = build_unet(case1_spectrum, "discrete")
         monkeypatch.setattr(estimator, "_start_points",
-                            lambda net, k, options: [_pole_raw(net)] * 3)
+                            lambda net, k: [_pole_raw(net)] * 3)
         with pytest.raises(IterationError):
             fit_discrete(net, 2)
 
@@ -330,7 +323,7 @@ class TestFitLaguerre:
     def test_recovers_exact_truth(self):
         truth = Laguerre([1 / 9, 1 / 9, 1 / 9])
         net = helpers.exact_net(truth, 1.0, np.linspace(-9.5, -0.4, 20))
-        fit = fit_laguerre(net, 3, c=1.0)
+        fit = fit_laguerre(net, 3)
         assert np.max(np.abs(fit.theta - truth.theta)) < 1e-6
         assert fit.objective_value < 1e-16
 
@@ -387,20 +380,20 @@ class TestFitInverseCubic:
     def test_recovers_exact_truth(self):
         truth = InverseCubic(0.5)
         net = helpers.exact_net(truth, 0.5, np.linspace(-9.0, -0.3, 20))
-        fit = fit_inverse_cubic(net, c=0.5)
+        fit = fit_inverse_cubic(net)
         assert abs(float(fit.theta[0]) - 0.5) < 1e-5
         assert fit.converged
 
     def test_interval_endpoint_truth(self):
         truth = InverseCubic(0.0)
         net = helpers.exact_net(truth, 0.5, np.linspace(-6.0, -0.5, 12))
-        fit = fit_inverse_cubic(net, c=0.5)
+        fit = fit_inverse_cubic(net)
         assert float(fit.theta[0]) < 0.01
 
     def test_result_invariant(self):
         truth = InverseCubic(0.3)
         net = helpers.exact_net(truth, 0.5, np.linspace(-6.0, -0.5, 12))
-        fit = fit_inverse_cubic(net, c=0.5)
+        fit = fit_inverse_cubic(net)
         assert fit.objective_value == pytest.approx(
             float(fit.residuals @ fit.residuals), abs=1e-12)
 

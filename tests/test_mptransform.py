@@ -65,6 +65,13 @@ class TestCompanionStieltjes:
         with pytest.raises(PoleError):
             companion_stieltjes(s, 0.0)
 
+    @pytest.mark.parametrize("u, where", [([0.5, 1.0], 1.0), ([2.0, 0.5], 2.0)])
+    def test_pole_report_names_the_eigenvalue_for_array_u(self, u, where):
+        s = SampleSpectrum([3.0, 2.0, 1.0], 3, 10)
+        with pytest.raises(PoleError) as info:
+            companion_stieltjes(s, np.array(u))
+        assert info.value.where == where
+
     def test_structural_zeros_cancel_ratio_term(self):
         # with p > n the explicit zeros cancel -(1 - p/n)/u exactly,
         # leaving the average over the positive eigenvalues only

@@ -156,7 +156,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("patch", [
         {"dims": ()}, {"dims": ((0, 5),)}, {"replications": 0},
-        {"family": "gaussian"}, {"order": 0},
+        {"family": "gaussian"}, {"order": 0}, {"spacing": 0}, {"seed": -1},
     ])
     def test_validation(self, patch):
         data = {**CONFIG.to_dict(), **patch}
@@ -183,6 +183,11 @@ class TestRunExperiment:
         a = run_experiment(CONFIG)
         b = run_experiment(CONFIG, n_jobs=2)
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_rejects_fewer_than_one_job(self, n_jobs):
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_experiment(CONFIG, n_jobs=n_jobs)
 
     def test_summary_recomputable_from_records(self):
         report = run_experiment(CONFIG)
