@@ -29,7 +29,6 @@ __all__ = [
     "run_analysis",
     "read_eigenvalues_csv",
     "write_curve_csv",
-    "read_curve_csv",
     "save_model_json",
     "load_model_json",
     "load_experiment_config",
@@ -231,15 +230,6 @@ def write_curve_csv(path, curve: DensityCurve) -> None:
         writer.writerow(["x", "f"])
         for x, f in zip(curve.x, curve.f):
             writer.writerow([repr(float(x)), repr(float(f))])
-
-
-def read_curve_csv(path) -> DensityCurve:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
-    if len(rows) < 2 or [c.strip() for c in rows[0]] != ["x", "f"]:
-        raise ValueError(f"{path}: expected an 'x,f' curve file")
-    data = np.array([[float(row[0]), float(row[1])] for row in rows[1:]])
-    return DensityCurve(data[:, 0], data[:, 1])
 
 
 def save_model_json(path, model: PSDModel) -> None:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize, stats
 
 from psdfit import (Discrete, InverseCubic, Laguerre, PointMass,
                     model_from_dict, wasserstein)
@@ -147,6 +147,98 @@ class TestInverseCubic:
                 InverseCubic(alpha)
 
 
+def _random_discrete(draw_atoms, draw_weights):
+    atoms = np.cumsum(np.asarray(draw_atoms))
+    w = np.asarray(draw_weights)
+    return Discrete(atoms, w / w.sum())
+
+
+_SMOOTH_OR_ATOMIC = (
+    st.floats(0.2, 1.15).map(lambda a1: Laguerre([a1])),
+    st.lists(st.floats(0.85 / 9, 1.1 / 9), min_size=3, max_size=3).map(Laguerre),
+    st.floats(0.0, 0.99).map(InverseCubic),
+    st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 1.0)),
+             min_size=1, max_size=3).map(lambda steps: _random_discrete(*zip(*steps))),
+)
+
+
+def _reference_survival(model, x):
+    """1 - F written out per family, so that far tails keep their digits;
+    a Laguerre CDF is clipped to [0, 1] as the model's is."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(model, Discrete):
+        return (model.weights * (model.atoms > x[..., None])).sum(-1)
+    if isinstance(model, InverseCubic):
+        inside = x >= model.alpha
+        gap = np.where(inside, x - model.shift, 1.0)
+        return np.where(inside, (1.0 - model.alpha) ** 2 / gap**2, 1.0)
+    raw = sum(c * math.factorial(j) * stats.gamma.sf(x, j + 1)
+              for j, c in enumerate(model.full_coeffs))
+    return np.where(x >= 0.0, np.clip(raw, 0.0, 1.0), 1.0)
+
+
+def _reference_w1(a, b):
+    """int |F_a - F_b| dx by adaptive quadrature, split at 0, every atom
+    and left edge, every crossing of the CDFs and every point where a
+    Laguerre model's unclipped CDF leaves [0, 1]."""
+    diff = lambda x: _reference_survival(b, x) - _reference_survival(a, x)
+    splits = {0.0}
+    signed = [diff]
+    grid = [np.linspace(0.0, 80.0, 16001), np.geomspace(1e-6, 1e4, 4001)]
+    for m in (a, b):
+        if isinstance(m, Discrete):
+            splits.update(m.atoms.tolist())
+        elif isinstance(m, InverseCubic):
+            splits.add(m.alpha)
+            grid.append(m.alpha + np.geomspace(1e-8, 1e3, 2001))
+        else:
+            raw = lambda x, m=m: sum(c * math.factorial(j) * stats.gamma.cdf(x, j + 1)
+                                     for j, c in enumerate(m.full_coeffs))
+            signed += [raw, lambda x, raw=raw: raw(x) - 1.0]
+    grid = np.unique(np.concatenate(grid))
+    jumps = np.sort(np.concatenate(
+        [[]] + [m.atoms for m in (a, b) if isinstance(m, Discrete)]))
+    for f in signed:
+        vals = f(grid)
+        for k in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+            if np.ptp(np.searchsorted(jumps, grid[k:k + 2], side="right")):
+                continue        # a step at an atom, not a crossing
+            splits.add(optimize.brentq(lambda x: float(f(x)), grid[k], grid[k + 1],
+                                       xtol=1e-15))
+    edges = sorted(splits) + [math.inf]
+    return sum(integrate.quad(lambda x: abs(float(diff(x))), lo, hi,
+                              epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+_W_FAMILIES = [
+    Discrete([1.0, 3.0, 5.0], [0.3, 0.4, 0.3]),
+    PointMass(2.5),
+    Laguerre([1.0]),
+    Laguerre([1 / 9, 1 / 9, 1 / 9]),
+    InverseCubic(0.0),
+    InverseCubic(0.3),
+    InverseCubic(0.99),
+]
+
+
+@pytest.mark.parametrize("a, b", [
+    *[(a, b) for i, a in enumerate(_W_FAMILIES) for b in _W_FAMILIES[i + 1:]],
+    (Laguerre([0.6, 0.1]), Laguerre([1.0])),      # CDFs cross once near x = 2
+    (Laguerre([-1.0]), Laguerre([1.0])),          # raw CDF above 1 for x > 1
+], ids=lambda m: f"{m.kind}{np.round(m.theta, 3).tolist()}")
+def test_wasserstein_matches_adaptive_quadrature(a, b):
+    assert abs(wasserstein(a, b) - _reference_w1(a, b)) <= 1e-9
+
+
+def test_wasserstein_splits_at_the_clip_kink():
+    # a0 = 1 - a1 < 0, so the raw CDF is negative below x ~ 0.02624 and the
+    # model's CDF is clipped there; quad split at that kink gives the value
+    a, b = Laguerre([1.01323577]), Laguerre([1.0])
+    assert abs(wasserstein(a, b) - 0.0132342642762919) <= 1e-9
+    assert abs(_reference_w1(a, b) - 0.0132342642762919) <= 1e-12
+
+
 class TestWasserstein:
     def test_atomic_oracle(self):
         a = Discrete([1.0, 2.0], [0.5, 0.5])
@@ -160,17 +252,17 @@ class TestWasserstein:
     def test_near_degenerate_smooth_oracle(self):
         # InverseCubic{0.99} concentrates near 1; hand integral gives 0.01
         d = wasserstein(InverseCubic(0.99), PointMass(1.0))
-        assert d == pytest.approx(0.01, abs=1e-3)
+        assert d == pytest.approx(0.01, abs=1e-9)
+
+    def test_inverse_cubic_pair_oracle(self):
+        # Q_a - Q_b = (alpha_b - alpha_a)(1/sqrt(1 - p) - 2), whose absolute
+        # value integrates to |alpha_b - alpha_a| over (0, 1)
+        d = wasserstein(InverseCubic(0.3), InverseCubic(0.5))
+        assert d == pytest.approx(0.2, abs=1e-9)
 
     def test_smooth_vs_atomic_runs(self):
         d = wasserstein(Laguerre([1.0]), Discrete([1.0, 2.0], [0.5, 0.5]))
         assert 0.0 < d < 10.0
-
-    @staticmethod
-    def _random_discrete(draw_atoms, draw_weights):
-        atoms = np.cumsum(np.asarray(draw_atoms))
-        w = np.asarray(draw_weights)
-        return Discrete(atoms, w / w.sum())
 
     @given(st.lists(st.floats(0.1, 3.0), min_size=2, max_size=4),
            st.lists(st.floats(0.1, 1.0), min_size=2, max_size=4),
@@ -182,15 +274,26 @@ class TestWasserstein:
     def test_metric_axioms(self, ga, wa, gb, wb, gc, wc):
         na, nb, nc = len(ga), len(gb), len(gc)
         ka, kb, kc = min(na, len(wa)), min(nb, len(wb)), min(nc, len(wc))
-        a = self._random_discrete(ga[:ka], wa[:ka])
-        b = self._random_discrete(gb[:kb], wb[:kb])
-        c = self._random_discrete(gc[:kc], wc[:kc])
+        a = _random_discrete(ga[:ka], wa[:ka])
+        b = _random_discrete(gb[:kb], wb[:kb])
+        c = _random_discrete(gc[:kc], wc[:kc])
         dab, dba = wasserstein(a, b), wasserstein(b, a)
         dac, dcb = wasserstein(a, c), wasserstein(c, b)
         assert dab >= 0.0
         assert dab == pytest.approx(dba, abs=1e-12)
         assert wasserstein(a, a) == 0.0
         assert dab <= dac + dcb + 1e-9
+
+    @given(st.lists(st.one_of(_SMOOTH_OR_ATOMIC), min_size=3, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_metric_axioms_smooth_and_mixed(self, models):
+        a, b, c = models
+        for m in models:
+            assert wasserstein(m, m) == 0.0
+        dab, dba = wasserstein(a, b), wasserstein(b, a)
+        assert dab >= 0.0
+        assert dab == pytest.approx(dba, abs=1e-14)
+        assert dab <= wasserstein(a, c) + wasserstein(c, b) + 1e-9
 
     def test_identity_iff_equal(self):
         a = Discrete([1.0, 2.0], [0.4, 0.6])
