@@ -3,9 +3,11 @@
 The estimation recipe: pick spectrum points u_j outside the sample bulk,
 cache the companion Stieltjes transform there, and choose the model
 parameters that make the model-side spectrum point map reproduce the
-u_j best in the least-squares sense.  Atomic models go through a
-multi-start trust-region least-squares search with an analytic Jacobian
-over an unconstrained reparameterization; the polynomial-exponential
+u_j best in the least-squares sense.  Atomic models go through one
+trust-region least-squares search with an analytic Jacobian over an
+unconstrained reparameterization, started from a nonnegative
+least-squares fit of the weights on a fixed grid of atoms, so no random
+numbers are drawn; the polynomial-exponential
 family is linear in its coefficients and solves in one orthogonal
 factorization; the inverse-cubic family is a coarse grid followed by a
 bounded one-dimensional search.
@@ -43,12 +45,18 @@ FAMILIES = ("discrete", "laguerre", "inverse_cubic")
 _ATOMIC_FAMILIES = ("discrete",)
 
 _PENALTY = 1e12
-# stopping tolerance of the atomic least-squares search, used for the
-# relative change of the cost, the relative step and the scaled gradient
+# stopping tolerances of the atomic least-squares search: the relative
+# change of the cost and the relative step, and the scaled gradient
 _LSQ_TOL = 1e-12
-_STARTS = 8          # starts of the atomic search; those past the third
-_SEED = 0            # are jittered by a generator seeded with this
-_MAX_NFEV = 2000     # residual evaluations allowed per start
+_LSQ_GTOL = 1e-15
+_MAX_NFEV = 2000     # residual evaluations allowed for the search
+# start of the atomic search: grid atoms, the least |1 + a s_j| a grid atom
+# may have, the scale of the total-mass row, and the share of the mass
+# under which a grid weight is pruned before merging
+_GRID_ATOMS = 120
+_GRID_POLE_GAP = 1e-3
+_GRID_MASS_ROW = 1e3
+_GRID_PRUNE = 0.02
 _MIN_EIG_GAP = 1e-9
 # Dips this deep on the density scale mean the unconstrained solution left
 # the family; shallower ones are estimation noise around a density that
@@ -191,8 +199,8 @@ def objective(theta, family: str, net: UNet) -> float:
 class FitResult:
     """Outcome of a family fit against an evaluation net.
 
-    ``iterations`` counts residual evaluations over all starts for the
-    atomic family, constrained-projection steps for the
+    ``iterations`` counts the residual evaluations of the least-squares
+    search for the atomic family, constrained-projection steps for the
     polynomial-exponential family and objective evaluations for the
     inverse-cubic family.
     """
@@ -292,35 +300,66 @@ def _discrete_jacobian(raw: NDArray, k: int, net: UNet, c: float) -> NDArray:
     return jac
 
 
-def _start_points(net: UNet, k: int) -> list:
-    pos = net.spectrum.eigenvalues[net.spectrum.eigenvalues > 0.0]
-    if pos.size == 0:
-        raise ValueError("spectrum is degenerate: no positive eigenvalues")
-    base = np.quantile(pos, (np.arange(k) + 0.5) / k)
-    rng = np.random.default_rng(_SEED)
-    scales = (1.0, 0.5, 2.0)
-    starts = []
-    for i in range(_STARTS):
-        atoms0 = np.sort(base * scales[i % 3])
-        if i >= 3:
-            atoms0 = np.sort(atoms0 * np.exp(0.25 * rng.standard_normal(k)))
-        gaps0 = np.maximum(np.diff(np.concatenate([[0.0], atoms0])),
-                           1e-4 * atoms0[-1] / k)
-        logits0 = 0.2 * rng.standard_normal(k - 1) if i >= 3 else np.zeros(k - 1)
-        starts.append(np.concatenate([np.log(gaps0), logits0]))
-    return starts
+def _grid_fit(net: UNet, k: int):
+    """Atoms and weights of k groups of a nonnegative fit on a grid.
+
+    With the atoms fixed, u_j + 1/s_j = c sum_i w_i a_i / (1 + a_i s_j) is
+    linear in the weights, so ``scipy.optimize.nnls`` fits the weights of
+    120 geometric atoms on [lambda_min/2, 1.2 lambda_max], less those
+    within 1e-3 of a pole, with total mass one as a heavily weighted extra
+    row.  Weights under 2% of the mass are pruned, the rest are split into
+    k groups at the k - 1 widest log gaps, and each group becomes one atom
+    at its weighted mean.  The pruning is skipped when the atoms it keeps
+    form fewer than k runs of neighbouring grid atoms: the split would then
+    cut a run in two, and a search started from two halves of one cluster
+    stalls as they merge.  None when fewer than k grid atoms carry weight.
+    """
+    spec = net.spectrum
+    s = net.companion_values
+    grid = np.geomspace(spec.smallest_positive() / 2.0, 1.2 * spec.largest(), _GRID_ATOMS)
+    denom = 1.0 + np.outer(s, grid)
+    clear = np.abs(denom).min(axis=0) >= _GRID_POLE_GAP
+    if clear.sum() < k:
+        return None
+    grid, denom = grid[clear], denom[:, clear]
+    design = np.vstack([net.ratio() * grid / denom, np.full(grid.size, _GRID_MASS_ROW)])
+    target = np.append(net.points + 1.0 / s, _GRID_MASS_ROW)
+    mass, _ = optimize.nnls(design, target)
+    keep = mass >= _GRID_PRUNE * mass.sum()
+    if 1 + np.count_nonzero(np.diff(np.flatnonzero(keep)) > 1) < k:
+        keep = mass > 0.0
+    if keep.sum() < k:
+        return None
+    atoms, mass = grid[keep], mass[keep]
+    widest = np.argsort(np.diff(np.log(atoms)))[atoms.size - k:]
+    firsts = np.concatenate([[0], np.sort(widest) + 1])
+    weights = np.add.reduceat(mass, firsts)
+    return np.add.reduceat(mass * atoms, firsts) / weights, weights
+
+
+def _nnls_start(net: UNet, k: int) -> NDArray:
+    """Raw start of the atomic search: the merged grid fit of ``_grid_fit``,
+    or sample-spectrum quantiles with equal weights when it has none."""
+    start = _grid_fit(net, k)
+    if start is None:
+        pos = net.spectrum.eigenvalues[net.spectrum.eigenvalues > 0.0]
+        start = np.quantile(pos, (np.arange(k) + 0.5) / k), np.ones(k)
+    atoms0, weights = start
+    gaps0 = np.maximum(np.diff(np.concatenate([[0.0], atoms0])), 1e-4 * atoms0[-1] / k)
+    return np.concatenate([np.log(gaps0), np.log(weights[:-1] / weights[-1])])
 
 
 def fit_discrete(net: UNet, k: int) -> FitResult:
-    """Fit a k-atom spectrum by multi-start trust-region least squares.
+    """Fit a k-atom spectrum by trust-region least squares.
 
-    The ratio c is the net's p/n.  Each of 8 starts runs
-    ``scipy.optimize.least_squares`` on the residual vector with its
-    analytic Jacobian, for at most 2000 residual evaluations.  Starts
-    place atoms at sample-spectrum quantiles scaled by {1, 1/2, 2}, with
-    multiplicative jitter (from a generator seeded with 0) beyond the
-    first three, and equal weights.  The best start wins; exact objective
-    ties break toward the lexicographically smallest parameter vector.
+    The ratio c is the net's p/n.  One ``scipy.optimize.least_squares``
+    run minimizes the residual vector with its analytic Jacobian, for at
+    most 2000 residual evaluations.  It starts from a nonnegative
+    least-squares fit of the weights of a fixed grid of atoms, merged into
+    k atoms (see ``_grid_fit``), or from sample-spectrum quantiles with
+    equal weights when fewer than k grid atoms carry weight.  The start is
+    deterministic.  A search that ends inside the pole guard raises
+    IterationError.
     """
     k = int(k)
     if k < 1:
@@ -328,26 +367,14 @@ def fit_discrete(net: UNet, k: int) -> FitResult:
     if net.m < 2 * k - 1:
         raise ValueError(f"net has {net.m} points but {2 * k - 1} are required")
     c = net.ratio()
-
-    candidates = []
-    iterations = 0
-    for raw0 in _start_points(net, k):
-        res = optimize.least_squares(
-            _discrete_residual, raw0, jac=_discrete_jacobian, args=(k, net, c),
-            method="trf", ftol=_LSQ_TOL, xtol=_LSQ_TOL, gtol=_LSQ_TOL,
-            max_nfev=_MAX_NFEV)
-        iterations += int(res.nfev)
-        candidates.append((float(res.fun @ res.fun), _raw_to_theta(res.x, k),
-                           bool(res.success)))
-
-    best_val = min(fun for fun, _, _ in candidates)
-    if best_val >= _PENALTY:
-        raise IterationError("every least-squares start ended inside the pole guard")
-    near = [cand for cand in candidates
-            if cand[0] <= best_val * (1.0 + 1e-12) + 1e-300]
-    _, theta, converged = min(near, key=lambda cand: tuple(cand[1]))
-    model = params_to_model("discrete", theta)
-    return _finish(model, "discrete", net, c, iterations, converged)
+    res = optimize.least_squares(
+        _discrete_residual, _nnls_start(net, k), jac=_discrete_jacobian,
+        args=(k, net, c), method="trf", ftol=_LSQ_TOL, xtol=_LSQ_TOL,
+        gtol=_LSQ_GTOL, max_nfev=_MAX_NFEV)
+    if float(res.fun @ res.fun) >= _PENALTY:
+        raise IterationError("the least-squares search ended inside the pole guard")
+    model = params_to_model("discrete", _raw_to_theta(res.x, k))
+    return _finish(model, "discrete", net, c, int(res.nfev), bool(res.success))
 
 
 def _project_nonneg_density(design, target, degree, grid=_POSITIVITY_GRID):

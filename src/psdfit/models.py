@@ -166,6 +166,11 @@ class PSDModel:
     def cdf(self, x):
         raise NotImplementedError
 
+    def _sf(self, x):
+        """Survival function 1 - F at an array x, without the cancellation
+        of forming it from the CDF in the upper tail."""
+        raise NotImplementedError
+
     def quantile(self, prob):
         raise NotImplementedError
 
@@ -249,6 +254,10 @@ class Discrete(PSDModel):
         cum = np.concatenate([[0.0], np.cumsum(self.weights)])
         out = cum[np.searchsorted(self.atoms, x, side="right")]
         return out if out.ndim else float(out)
+
+    def _sf(self, x):
+        above = np.append(np.cumsum(self.weights[::-1])[::-1], 0.0)
+        return above[np.searchsorted(self.atoms, x, side="right")]
 
     def quantile(self, prob):
         p = _as_prob_array(prob)
@@ -371,6 +380,10 @@ class Laguerre(PSDModel):
         out = np.clip(np.where(x < 0.0, 0.0, out), 0.0, 1.0)
         return out if out.ndim else float(out)
 
+    def _sf(self, x):
+        out = self._raw_cdf(np.clip(x, 0.0, None), upper=True)
+        return np.clip(np.where(x < 0.0, 1.0, out), 0.0, 1.0)
+
     def quantile(self, prob):
         p = _as_prob_array(prob)
         scalar = p.ndim == 0
@@ -483,6 +496,11 @@ class InverseCubic(PSDModel):
             0.0,
         )
         return out if out.ndim else float(out)
+
+    def _sf(self, x):
+        inside = x >= self.alpha
+        tail = (1.0 - self.alpha) ** 2 / np.where(inside, x - self.shift, 1.0) ** 2
+        return np.where(inside, tail, 1.0)
 
     def quantile(self, prob):
         p = _as_prob_array(prob)
@@ -604,7 +622,11 @@ def _w_panels(a, b, edges, heavy):
     x[:, 0] = lo
     # just below hi, where a step CDF has not yet jumped at an atom there
     x[:, -1] = np.where(finite, np.nextafter(hi, -np.inf), np.inf)
-    return x, weights, a.cdf(x) - b.cdf(x)
+    diff = a.cdf(x) - b.cdf(x)
+    if not finite[-1]:
+        # both CDFs are near one out there; their survival functions are not
+        diff[-1] = b._sf(x[-1]) - a._sf(x[-1])
+    return x, weights, diff
 
 
 def _w_crossings(a, b, x, diff):

@@ -12,6 +12,7 @@ from psdfit import (Discrete, InverseCubic, IterationError, Laguerre,
                     objective, params_to_model, population_from_model,
                     sample_spectrum, wasserstein)
 from psdfit.estimator import UNet, _discrete_jacobian, _discrete_residual
+from psdfit.mptransform import POLE_GUARD
 
 
 @pytest.fixture(scope="module")
@@ -177,12 +178,15 @@ class TestFitDiscrete:
         assert np.array_equal(a.theta, b.theta)
         assert a.objective_value == b.objective_value
 
-    def test_seed_changes_starts_not_quality(self, case1_spectrum, monkeypatch):
+    def test_draws_no_random_numbers(self, case1_spectrum, monkeypatch):
         net = build_unet(case1_spectrum, "discrete")
         a = fit_discrete(net, 2)
-        monkeypatch.setattr(estimator, "_SEED", 99)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("the atomic fit asked for a random generator")
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
         b = fit_discrete(net, 2)
-        assert abs(a.objective_value - b.objective_value) < 1e-6
+        assert np.array_equal(a.theta, b.theta)
 
     def test_preconditions(self, case1_spectrum):
         net = build_unet(case1_spectrum, "discrete")
@@ -214,17 +218,18 @@ def _pole_raw(net):
     return np.array([np.log(-1.0 / s_neg), np.log(-1.0 / s_neg), 0.0])
 
 
-class TestAtomicResidual:
-    @pytest.fixture(scope="class")
-    def nets(self, case1_spectrum):
-        wide = population_from_model(Discrete([1.0, 5.0, 15.0], [0.3, 0.4, 0.3]), 200)
-        return {0.2: build_unet(case1_spectrum, "discrete"),
-                2.0: build_unet(sample_spectrum(wide, 100, seed=4), "discrete")}
+@pytest.fixture(scope="module")
+def atomic_nets(case1_spectrum):
+    wide = population_from_model(Discrete([1.0, 5.0, 15.0], [0.3, 0.4, 0.3]), 200)
+    return {0.2: build_unet(case1_spectrum, "discrete"),
+            2.0: build_unet(sample_spectrum(wide, 100, seed=4), "discrete")}
 
+
+class TestAtomicResidual:
     @pytest.mark.parametrize("c", [0.2, 2.0])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_jacobian_matches_central_differences(self, nets, c, k):
-        net = nets[c]
+    def test_jacobian_matches_central_differences(self, atomic_nets, c, k):
+        net = atomic_nets[c]
         assert net.ratio() == pytest.approx(c)
         rng = np.random.default_rng(10 * k + int(c))
         for _ in range(5):
@@ -242,9 +247,9 @@ class TestAtomicResidual:
 
     @pytest.mark.parametrize("c", [0.2, 2.0])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_squared_norm_is_the_objective(self, nets, c, k):
+    def test_squared_norm_is_the_objective(self, atomic_nets, c, k):
         from psdfit.estimator import _raw_to_theta
-        net = nets[c]
+        net = atomic_nets[c]
         rng = np.random.default_rng(20 * k + int(c))
         for raw in rng.normal(0.5, 1.0, size=(10, 2 * k - 1)):
             res = _discrete_residual(raw, k, net, c)
@@ -252,9 +257,9 @@ class TestAtomicResidual:
             assert phi < 1e12               # off the guard
             assert float(res @ res) == pytest.approx(phi, rel=1e-12)
 
-    def test_jacobian_vanishes_where_raw_is_clipped(self, nets):
+    def test_jacobian_vanishes_where_raw_is_clipped(self, atomic_nets):
         raw = np.array([0.0, 45.0, -41.0])
-        jac = _discrete_jacobian(raw, 2, nets[0.2], 0.2)
+        jac = _discrete_jacobian(raw, 2, atomic_nets[0.2], 0.2)
         assert np.all(jac[:, 1:] == 0.0)
         assert np.any(jac[:, 0] != 0.0)
 
@@ -268,26 +273,67 @@ class TestPoleGuard:
         assert float(res @ res) >= 1e12
         assert np.all(np.isfinite(_discrete_jacobian(raw, 2, net, 0.2)))
 
-    def test_fit_survives_a_start_on_the_pole(self, case1_spectrum, monkeypatch):
+    def test_start_on_the_pole_raises(self, case1_spectrum, monkeypatch):
         net = build_unet(case1_spectrum, "discrete")
-        clean = fit_discrete(net, 2)
-        starts = estimator._start_points
-
-        def with_pole_start(net, k):
-            return [_pole_raw(net)] + starts(net, k)[1:]
-        monkeypatch.setattr(estimator, "_start_points", with_pole_start)
-        fit = fit_discrete(net, 2)
-        assert isinstance(fit.model, Discrete)
-        assert fit.model.atoms.size == 2
-        assert np.all(np.isfinite(fit.residuals))
-        assert fit.objective_value <= clean.objective_value * (1.0 + 1e-9)
-
-    def test_every_start_on_the_pole_raises(self, case1_spectrum, monkeypatch):
-        net = build_unet(case1_spectrum, "discrete")
-        monkeypatch.setattr(estimator, "_start_points",
-                            lambda net, k: [_pole_raw(net)] * 3)
+        monkeypatch.setattr(estimator, "_nnls_start", lambda net, k: _pole_raw(net))
         with pytest.raises(IterationError):
             fit_discrete(net, 2)
+
+    def test_start_beside_the_pole_finishes(self, case1_spectrum, monkeypatch):
+        # the first atom 1e-5 outside the pole of a net point: the residual
+        # is finite but huge, and the search must step away from it
+        net = build_unet(case1_spectrum, "discrete")
+        raw = _pole_raw(net) + np.array([np.log1p(1e-5), 0.0, 0.0])
+        _, _, denom = estimator._atomic_terms(raw, 2, net.companion_values)
+        assert POLE_GUARD < np.abs(denom).min() < 2e-5
+        monkeypatch.setattr(estimator, "_nnls_start", lambda net, k: raw)
+        fit = fit_discrete(net, 2)
+        assert fit.model.atoms.size == 2
+        assert np.all(np.isfinite(fit.residuals))
+        assert fit.objective_value < 1e12
+
+    @pytest.mark.parametrize("c", [0.2, 2.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_nnls_start_clears_the_guard(self, atomic_nets, c, k):
+        net = atomic_nets[c]
+        raw = estimator._nnls_start(net, k)
+        _, weights, denom = estimator._atomic_terms(raw, k, net.companion_values)
+        assert np.abs(denom).min() > POLE_GUARD
+        assert np.all(weights > 0.0)
+        res = _discrete_residual(raw, k, net, c)
+        assert np.all(np.isfinite(res)) and float(res @ res) < 1e12
+
+    def test_grid_with_every_atom_near_a_pole_starts_at_quantiles(
+            self, case1_spectrum, monkeypatch):
+        # no grid atom clears the pole gap, so no nonnegative fit is run
+        net = build_unet(case1_spectrum, "discrete")
+        monkeypatch.setattr(estimator, "_GRID_POLE_GAP", np.inf)
+        assert estimator._grid_fit(net, 2) is None
+        pos = case1_spectrum.eigenvalues[case1_spectrum.eigenvalues > 0.0]
+        atoms = estimator._raw_to_theta(estimator._nnls_start(net, 2), 2)[:2]
+        assert np.allclose(atoms, np.quantile(pos, [0.25, 0.75]), rtol=1e-12)
+        fit = fit_discrete(net, 2)
+        assert np.all(np.isfinite(fit.residuals))
+
+
+_OVER_SPECIFIED = {"two_atom": (Discrete([1.0, 2.0], [0.5, 0.5]), 3),
+                   "wide_three_atom": (Discrete([1.0, 5.0, 15.0], [0.3, 0.4, 0.3]), 4)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", sorted(_OVER_SPECIFIED))
+def test_over_specified_order(case, seed):
+    # k above the true number of atoms: the (k - 1)-atom family lies in the
+    # closure of the k-atom one, so the larger fit can be no worse
+    truth, k = _OVER_SPECIFIED[case]
+    spec = sample_spectrum(population_from_model(truth, 100), 500, seed=seed)
+    net = build_unet(spec, "discrete")
+    smaller = fit_discrete(net, k - 1)
+    fit = fit_discrete(net, k)
+    assert fit.model.atoms.size == k
+    assert np.all(np.diff(fit.model.atoms) > 0.0)
+    assert np.all(fit.model.weights > 0.0)
+    assert fit.objective_value <= smaller.objective_value * (1.0 + 1e-9)
 
 
 # Objective values reached by the Nelder-Mead fitter that preceded the

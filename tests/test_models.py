@@ -228,7 +228,7 @@ _W_FAMILIES = [
     (Laguerre([-1.0]), Laguerre([1.0])),          # raw CDF above 1 for x > 1
 ], ids=lambda m: f"{m.kind}{np.round(m.theta, 3).tolist()}")
 def test_wasserstein_matches_adaptive_quadrature(a, b):
-    assert abs(wasserstein(a, b) - _reference_w1(a, b)) <= 1e-9
+    assert abs(wasserstein(a, b) - _reference_w1(a, b)) <= 1e-13
 
 
 def test_wasserstein_splits_at_the_clip_kink():
@@ -258,7 +258,7 @@ class TestWasserstein:
         # Q_a - Q_b = (alpha_b - alpha_a)(1/sqrt(1 - p) - 2), whose absolute
         # value integrates to |alpha_b - alpha_a| over (0, 1)
         d = wasserstein(InverseCubic(0.3), InverseCubic(0.5))
-        assert d == pytest.approx(0.2, abs=1e-9)
+        assert d == pytest.approx(0.2, abs=1e-13)
 
     def test_smooth_vs_atomic_runs(self):
         d = wasserstein(Laguerre([1.0]), Discrete([1.0, 2.0], [0.5, 0.5]))
