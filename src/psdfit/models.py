@@ -488,13 +488,7 @@ class InverseCubic(PSDModel):
         return out if out.ndim else float(out)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(
-            x >= self.alpha,
-            1.0 - (1.0 - self.alpha) ** 2 / np.where(x >= self.alpha,
-                                                     x - self.shift, 1.0) ** 2,
-            0.0,
-        )
+        out = 1.0 - self._sf(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
     def _sf(self, x):
@@ -557,8 +551,9 @@ def wasserstein(a: PSDModel, b: PSDModel) -> float:
     Any other pair uses a 64-node Gauss-Legendre rule on each panel;
     above an inverse-cubic left edge the panels are graded so that each
     spans at most a factor 4 in distance from the law's pole 2 alpha - 1,
-    and its heavy tail is integrated in the variable
-    w = (1 - alpha) / (x - 2 alpha + 1), in which 1 - F = w^2.  The panels
+    and its heavy tail is integrated from the survival functions 1 - F,
+    in the variable w = (1 - alpha) / (x - 2 alpha + 1), in which
+    1 - F = w^2.  The panels
     depend only on the unordered pair, and W(a, a) is exactly 0.
     """
     edges = np.unique(np.concatenate([[0.0], a._distance_breaks(),
