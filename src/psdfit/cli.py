@@ -90,8 +90,6 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_forward(args) -> int:
     model = load_model_json(args.model)
-    if not args.c > 0.0:
-        raise ValueError("c must be positive")
     curve = lsd_density_curve(model, args.c, _parse_grid(args.grid))
     write_curve_csv(args.out, curve)
     print(f"wrote {curve.x.size} density points, mass {curve.mass():.4f}")
@@ -120,8 +118,6 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_support(args) -> int:
     model = load_model_json(args.model)
-    if not args.c > 0.0:
-        raise ValueError("c must be positive")
     report = support_bounds(model, args.c)
     text = json.dumps(report.to_dict(), indent=2)
     print(text)

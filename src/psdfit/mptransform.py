@@ -143,6 +143,14 @@ def companion_stieltjes(spectrum: SampleSpectrum, u):
     return out if out.ndim else float(out)
 
 
+def _positive_ratio(c) -> float:
+    """The aspect ratio as a float; ValueError unless it is positive."""
+    c = float(c)
+    if not c > 0.0:
+        raise ValueError("aspect ratio must be positive")
+    return c
+
+
 def _eval_kernels(model, s, guard, squared):
     """``model.kernel`` at a scalar or array s, returning the same shape."""
     s_arr = np.asarray(s)
@@ -169,13 +177,17 @@ def mp_u_map(s, model: PSDModel, c, *, guard=POLE_GUARD):
     return out if out.ndim else float(out)
 
 
-def mp_u_derivative(s, model: PSDModel, c, *, guard=POLE_GUARD):
-    """Derivative du/ds = 1/s^2 - c * K2(s) of the spectrum-point map."""
+def mp_u_derivative(s, model: PSDModel, c):
+    """Derivative du/ds = 1/s^2 - c * K2(s) of the spectrum-point map.
+
+    Arguments whose implied pole -1/s comes within 1e-6 of the model
+    support raise NearPoleError, as in ``mp_u_map``.
+    """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr == 0.0):
         raise ValueError("companion value must be nonzero")
     c = float(c)
-    k2 = _eval_kernels(model, s_arr, guard, squared=True) if c != 0.0 else 0.0
+    k2 = _eval_kernels(model, s_arr, POLE_GUARD, squared=True) if c != 0.0 else 0.0
     out = 1.0 / s_arr**2 - c * k2
     return out if out.ndim else float(out)
 
@@ -283,7 +295,7 @@ def solve_companion_fixed_point(z: complex, model: PSDModel, c) -> complex:
     z = complex(z)
     if not (z.imag > 0.0):
         raise ValueError("z must have positive imaginary part")
-    s = _solve_companion(np.array([z]), model, float(c))
+    s = _solve_companion(np.array([z]), model, _positive_ratio(c))
     return complex(s[0])
 
 
@@ -304,9 +316,7 @@ def lsd_density_curve(model: PSDModel, c, grid) -> DensityCurve:
         raise ValueError("grid must be nonempty with positive entries")
     if np.any(np.diff(x) <= 0.0):
         raise ValueError("grid must be strictly increasing")
-    c = float(c)
-    if c == 0.0:
-        raise ValueError("aspect ratio must be nonzero")
+    c = _positive_ratio(c)
     z = x + 1j * _DENSITY_EPS
     s = _solve_companion(z, model, c)
     stieltjes = (s + (1.0 - c) / z) / c
@@ -319,10 +329,6 @@ def lsd_density_curve(model: PSDModel, c, grid) -> DensityCurve:
 
 def _encode_endpoint(v):
     return None if math.isinf(v) else float(v)
-
-
-def _decode_endpoint(v, sign):
-    return sign * math.inf if v is None else float(v)
 
 
 @dataclass(frozen=True)
@@ -350,17 +356,6 @@ class SupportReport:
             "complement": pack(self.complement),
             "mass_at_zero": self.mass_at_zero,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SupportReport":
-        unpack = lambda ivs: tuple(
-            (_decode_endpoint(a, -1), _decode_endpoint(b, +1)) for a, b in ivs)
-        return cls(
-            support=unpack(data["support"]),
-            branches=unpack(data["branches"]),
-            complement=unpack(data["complement"]),
-            mass_at_zero=float(data["mass_at_zero"]),
-        )
 
 
 def _support_gaps(model: PSDModel):
@@ -434,9 +429,7 @@ def support_bounds(model: PSDModel, c) -> SupportReport:
     Branch images are complement intervals of the support; the support is
     what they leave uncovered on (0, inf).
     """
-    c = float(c)
-    if c <= 0.0:
-        raise ValueError("aspect ratio must be positive")
+    c = _positive_ratio(c)
     u_at = lambda s: float(mp_u_map(s, model, c, guard=None))
     k2 = lambda s_arr: model.kernel(s_arr, squared=True)
 

@@ -168,12 +168,11 @@ class ExperimentReport:
 
     config: ExperimentConfig
     records: tuple
-    summaries: tuple = field(default=())
+    summaries: tuple = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(dict(r) for r in self.records))
-        summaries = self.summaries or summarize_records(self.records)
-        object.__setattr__(self, "summaries", tuple(dict(s) for s in summaries))
+        object.__setattr__(self, "summaries", tuple(summarize_records(self.records)))
 
     def distances(self, p: int, n: int) -> NDArray:
         vals = [r["distance"] for r in self.records
@@ -186,14 +185,6 @@ class ExperimentReport:
             "summaries": list(self.summaries),
             "records": list(self.records),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentReport":
-        return cls(
-            config=ExperimentConfig.from_dict(data["config"]),
-            records=tuple(data["records"]),
-            summaries=tuple(data.get("summaries", ())),
-        )
 
 
 def summarize_records(records) -> list:

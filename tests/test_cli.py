@@ -54,6 +54,13 @@ def test_forward_rejects_bad_grid(model_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_forward_rejects_negative_ratio(model_file, tmp_path, capsys):
+    code = main(["forward", "--model", model_file, "--c", "-0.5",
+                 "--out", str(tmp_path / "c.csv")])
+    assert code == 1
+    assert "aspect ratio must be positive" in capsys.readouterr().err
+
+
 def test_missing_model_file_is_input_error(tmp_path, capsys):
     code = main(["support", "--model", str(tmp_path / "none.json"),
                  "--c", "0.5"])

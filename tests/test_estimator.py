@@ -395,13 +395,36 @@ class TestFitLaguerre:
 
     def test_negative_density_falls_back_to_constrained(self):
         # a two-atom population far from any polynomial-exponential shape
-        # drives the unconstrained coefficients negative
+        # drives the unconstrained coefficients negative; the projected fit
+        # must be the constrained minimizer, checked against SLSQP with the
+        # same grid constraints 1 + sum_r a_r (t^r - r!) >= 0
+        import math
+        from scipy import optimize
+        from psdfit.models import laguerre_moment_integrals
+        grid = np.arange(0.0, 50.0 + 1e-9, 0.01)
         pop = population_from_model(Discrete([1.0, 20.0], [0.5, 0.5]), 100)
-        spec = sample_spectrum(pop, 200, seed=0)
-        fit = fit_laguerre(build_unet(spec, "laguerre"), 3)
-        assert fit.iterations > 0          # constrained sweeps engaged
-        grid = np.arange(0.0, 50.0, 0.01)
-        assert fit.model.density(grid).min() >= -1e-6
+        for degree in (3, 4):
+            facts = np.array([math.factorial(r) for r in range(1, degree + 1)])
+            gmat = np.stack([grid**r for r in range(1, degree + 1)], axis=1) - facts
+            for seed in range(4):
+                net = build_unet(sample_spectrum(pop, 200, seed=seed), "laguerre")
+                fit = fit_laguerre(net, degree)
+                assert fit.iterations > 0          # projection engaged
+                assert fit.model.density(grid).min() >= -1e-10
+                moments = laguerre_moment_integrals(net.companion_values, degree)
+                design = (fit.c * (moments[1:] - facts[:, None] * moments[0])).T
+                target = (net.points + 1.0 / net.companion_values
+                          - fit.c * moments[0])
+                ref = optimize.minimize(
+                    lambda a: float(np.sum((design @ a - target) ** 2)),
+                    np.zeros(degree),
+                    jac=lambda a: 2.0 * design.T @ (design @ a - target),
+                    method="SLSQP",
+                    constraints=[{"type": "ineq", "fun": lambda a: 1.0 + gmat @ a,
+                                  "jac": lambda a: gmat}],
+                    options={"ftol": 1e-14, "maxiter": 500})
+                assert ref.success
+                assert fit.objective_value == pytest.approx(ref.fun, rel=1e-9)
 
     def test_residuals_orthogonal_to_design_columns(self):
         import math
