@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +78,36 @@ def load_returns_csv(path) -> ReturnsMatrix:
     """Read a returns panel, dropping any asset with a missing cell.
 
     Expects a header row of asset labels over a numeric body; empty cells
-    mark missing data.  Dropped labels are reported on the result.
+    mark missing data.  Dropped labels are reported on the result.  A
+    clean body is parsed by one ``np.loadtxt`` call; a body it rejects
+    (blank, quoted or non-numeric cells, ragged rows) is read row by row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
+        header = next((row for row in csv.reader(fh) if any(c.strip() for c in row)), [])
+        header = [c.strip() for c in header]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # an empty body is reported below
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            values = None
+        if values is None or values.shape[1] != len(header) or len(values) < 2:
+            fh.seek(0)
+            header, values, missing = _read_rows(path, fh)
+        else:
+            missing = np.zeros(len(header), dtype=bool)
+    keep = ~missing
+    if keep.sum() < 2:
+        raise ValueError(f"{path}: fewer than 2 complete columns survive")
+    dropped = tuple(lab for lab, gone in zip(header, missing) if gone)
+    labels = tuple(lab for lab, ok in zip(header, keep) if ok)
+    return ReturnsMatrix(values[:, keep], labels, dropped)
+
+
+def _read_rows(path, fh):
+    """Header, values and missing-column mask of a panel, row by row, with
+    a message naming the first malformed row or cell."""
+    rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
     if len(rows) < 3:
         raise ValueError(f"{path}: need a header and at least 2 data rows")
     header = [c.strip() for c in rows[0]]
@@ -108,12 +135,7 @@ def load_returns_csv(path) -> ReturnsMatrix:
             except ValueError:
                 raise ValueError(f"{path}: non-numeric value {cell!r} in row "
                                  f"{i + 2}, column {header[j]!r}") from None
-    keep = ~missing
-    if keep.sum() < 2:
-        raise ValueError(f"{path}: fewer than 2 complete columns survive")
-    dropped = tuple(lab for lab, gone in zip(header, missing) if gone)
-    labels = tuple(lab for lab, ok in zip(header, keep) if ok)
-    return ReturnsMatrix(values[:, keep], labels, dropped)
+    return header, values, missing
 
 
 def correlation_spectrum(returns: ReturnsMatrix, spikes: int = 0) -> SampleSpectrum:

@@ -206,16 +206,22 @@ _DENSITY_EPS = 1e-6       # curves read the transform at x + i*_DENSITY_EPS
 def _solve_block(z, model, c):
     """Companion values for a 1-d block of z, with each lane's residual.
 
-    Every lane runs the iteration of ``solve_companion_fixed_point`` on its
-    own; the kernel is evaluated only at the lanes still iterating.  Lanes
-    that converge have residual < _SOLVE_TOL; ``degenerate`` marks the
-    lanes whose fixed-point update broke down.
+    A model with a closed-form root (``companion_root``) starts every lane
+    at it and skips the fixed point.  Otherwise every lane runs the
+    iteration of ``solve_companion_fixed_point`` on its own; the kernel is
+    evaluated only at the lanes still iterating.  Either way the Newton
+    stage checks the residual, so lanes that converge have residual
+    < _SOLVE_TOL; ``degenerate`` marks the lanes whose fixed-point update
+    broke down.
     """
-    s = -1.0 / z
     residual = np.full(z.size, np.inf)
     done = np.zeros(z.size, dtype=bool)
     degenerate = np.zeros(z.size, dtype=bool)
-    live = np.arange(z.size)
+    s = model.companion_root(z, c)
+    if s is None:
+        s, live = -1.0 / z, np.arange(z.size)
+    else:
+        live = np.arange(0)
     for k in range(_FIXED_POINT_STEPS):
         if live.size == 0:
             break
@@ -283,14 +289,16 @@ def _solve_companion(z, model, c):
 def solve_companion_fixed_point(z: complex, model: PSDModel, c) -> complex:
     """Solve z = -1/s + c*K1(s) for the companion transform value at z.
 
-    ``z`` must lie in the open upper half plane.  A fixed-point iteration
-    damped by 1/2 (which cannot leave the upper half plane) brings the
-    residual down to 1e-6; close to the support edges its linear rate
-    degrades, so a Newton stage finishes the remaining digits.  At most
-    600 fixed-point and 60 Newton steps are taken.  The returned value
-    satisfies |u(s) - z| < 1e-10, else IterationError.  This is the
-    one-point case of the solve ``lsd_density_curve`` runs on a whole grid
-    at once.
+    ``z`` must lie in the open upper half plane.  An atomic model gives
+    the root exactly, as an eigenvalue of its arrowhead matrix
+    (``Discrete.companion_root``).  For other models a fixed-point
+    iteration damped by 1/2 (which cannot leave the upper half plane)
+    brings the residual down to 1e-6; close to the support edges its
+    linear rate degrades, so a Newton stage finishes the remaining
+    digits.  At most 600 fixed-point and 60 Newton steps are taken.  The
+    returned value satisfies |u(s) - z| < 1e-10, else IterationError.
+    This is the one-point case of the solve ``lsd_density_curve`` runs on
+    a whole grid at once.
     """
     z = complex(z)
     if not (z.imag > 0.0):
@@ -303,13 +311,15 @@ def lsd_density_curve(model: PSDModel, c, grid) -> DensityCurve:
     """Limiting sample spectral density on a positive grid.
 
     Solves the companion equation at x + 1e-6 i for every grid point in
-    one batched solve: each point runs the iteration of
-    ``solve_companion_fixed_point`` and must reach |u(s) - z| < 1e-10,
-    else IterationError names the first failing point.  The companion
-    transform is converted back to the spectrum's Stieltjes transform,
-    whose imaginary part over pi is the density.  The curve integrates to
-    min(1, 1/c); for c > 1 the remaining 1 - 1/c sits in a point mass at
-    zero that a density grid cannot show.
+    one batched solve, as ``solve_companion_fixed_point`` does for one
+    point: atomic models by one eigenvalue call on a stack of arrowhead
+    matrices, other models by the fixed point and then Newton.  Each
+    point must reach |u(s) - z| < 1e-10, else IterationError names the
+    first failing point.  The companion transform is converted back to
+    the spectrum's Stieltjes transform, whose imaginary part over pi is
+    the density.  The curve integrates to min(1, 1/c); for c > 1 the
+    remaining 1 - 1/c sits in a point mass at zero that a density grid
+    cannot show.
     """
     x = np.asarray(grid, dtype=float).ravel()
     if x.size == 0 or np.any(x <= 0.0):

@@ -11,6 +11,7 @@ from scipy import integrate
 from psdfit import (Discrete, ExperimentConfig, InverseCubic, PointMass,
                     ReturnsMatrix, correlated_returns, correlation_spectrum,
                     kde_curve, load_returns_csv, run_analysis, run_experiment)
+from psdfit import dataio
 from psdfit.dataio import (load_experiment_config, load_model_json,
                            read_eigenvalues_csv, save_model_json,
                            write_curve_csv, write_report_csv, write_report_json)
@@ -66,6 +67,52 @@ class TestLoadReturnsCsv:
         f = write(tmp_path / "r.csv", "a,b\n1,2\n3,4,5\n")
         with pytest.raises(ValueError):
             load_returns_csv(f)
+
+
+    def test_whole_body_parse_matches_row_by_row(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((60, 9)) * 0.01
+        f = tmp_path / "r.csv"
+        with open(f, "w", encoding="utf-8") as fh:
+            fh.write(",".join(f"a{i}" for i in range(9)) + "\n")
+            np.savetxt(fh, x, fmt="%.17g", delimiter=",")
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dataio, "_read_rows", refuse)
+            whole = load_returns_csv(f)
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        by_row = load_returns_csv(f)
+        assert np.array_equal(whole.values, by_row.values)
+        assert np.array_equal(whole.values, x)
+        assert whole.labels == by_row.labels and whole.dropped == by_row.dropped == ()
+
+    @pytest.mark.parametrize("text, values, labels", [
+        ("a,b,c\n1,,3\n4,5,6\n", [[1.0, 3.0], [4.0, 6.0]], ("a", "c")),
+        ('a,b\n"1.5",2\n3," 4"\n', [[1.5, 2.0], [3.0, 4.0]], ("a", "b")),
+        ("a,b\r\n1,2\r\n\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]], ("a", "b")),
+        ("\na,b\n1,2\n  ,  \n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]], ("a", "b")),
+        ("a,b\n1_0,2\n3,4\n", [[10.0, 2.0], [3.0, 4.0]], ("a", "b")),
+    ])
+    def test_cells_the_whole_body_parse_rejects(self, tmp_path, text, values, labels):
+        rm = load_returns_csv(write(tmp_path / "r.csv", text))
+        assert rm.values.tolist() == values
+        assert rm.labels == labels
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n3,4,5\n", "row 3 has 3 cells, expected 2"),
+        ("a,b,c\n1,2,3\n4,5\n", "row 3 has 2 cells, expected 3"),
+        ("a,b\n1,2\n3,x\n", "non-numeric value 'x' in row 3, column 'b'"),
+        ('a,b\n1,2\n"3,5",4\n', "non-numeric value '3,5' in row 3, column 'a'"),
+        ("a,b\n1,2\n", "need a header and at least 2 data rows"),
+        ("a,b\n1,\n3,\n", "fewer than 2 complete columns survive"),
+    ])
+    def test_messages_of_malformed_bodies(self, tmp_path, text, message):
+        f = write(tmp_path / "r.csv", text)
+        with pytest.raises(ValueError) as err:
+            load_returns_csv(f)
+        assert str(err.value) == f"{f}: {message}"
 
 
 class TestReturnsMatrix:

@@ -302,10 +302,14 @@ class TestBatchedSolve:
 
     @pytest.mark.parametrize("model, c, grid", FORWARD_CASES)
     def test_matches_scalar_reference_solver(self, model, c, grid):
+        # atomic curves are exact roots: check every point, against a
+        # reference held to 1e-13 (at 1e-10 it can sit 3e-10 off the root)
+        atomic = isinstance(model, Discrete)
+        step, tol = (1, 1e-13) if atomic else (8, 1e-10)
         curve = lsd_density_curve(model, c, grid)
-        for x, f in zip(grid[::8], curve.f[::8]):
+        for x, f in zip(grid[::step], curve.f[::step]):
             z = complex(x, 1e-6)
-            s = helpers.scalar_companion_solve(z, model, c)
+            s = helpers.scalar_companion_solve(z, model, c, tol=tol)
             want = max(((s + (1.0 - c) / z) / c).imag, 0.0) / math.pi
             assert abs(f - want) < 1e-10
 
@@ -327,7 +331,54 @@ class TestBatchedSolve:
         blocked = lsd_density_curve(model, 0.5, grid)
         assert np.max(np.abs(blocked.f - whole.f)) < 1e-14
 
-    @pytest.mark.parametrize("name", ["identity", "two-atom", "cubic-poly"])
+    def test_atomic_solve_makes_one_kernel_call(self, monkeypatch):
+        # the arrowhead roots start Newton, whose residual check accepts them
+        calls = []
+        kernel = Discrete.kernel
+
+        def counted(self, s, **kw):
+            calls.append(s.size)
+            return kernel(self, s, **kw)
+
+        monkeypatch.setattr(Discrete, "kernel", counted)
+        for model, c, grid in (case.values for case in ATOMIC_CASES):
+            calls.clear()
+            lsd_density_curve(model, c, grid)
+            assert calls == [grid.size]
+
+    def test_many_atoms_match_scalar_reference(self):
+        # twelve atoms: above the size where the fixed point is the faster path
+        model = Discrete(np.geomspace(0.5, 20.0, 12), np.full(12, 1 / 12))
+        c = 0.5
+        grid = np.linspace(0.05, 40.0, 200)
+        curve = lsd_density_curve(model, c, grid)
+        for x, f in zip(grid, curve.f):
+            z = complex(x, 1e-6)
+            s = helpers.scalar_companion_solve(z, model, c, tol=1e-13)
+            want = max(((s + (1.0 - c) / z) / c).imag, 0.0) / math.pi
+            assert abs(f - want) < 1e-10
+
+    @pytest.mark.parametrize("name", ["identity", "two-atom", "split-bulk"])
+    def test_atomic_curve_at_unit_ratio_near_zero(self, name):
+        # the fixed point stalls here (its helper copy cannot solve x = 0.001
+        # for the identity or two-atom model); the exact root does not
+        model = FORWARD_FAMILIES[name]
+        grid = np.array([0.001, 0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = lsd_density_curve(model, 1.0, grid)
+        z = grid + 1e-6j
+        if name == "identity":
+            want = helpers.identity_density(grid, 1.0)
+            assert curve.f[0] == pytest.approx(10.0646, abs=1e-4)
+            assert np.allclose(curve.f, want, rtol=1e-6, atol=0.0)
+        s = np.array([helpers.companion_root(model, 1.0, zi) for zi in z[:1]]
+                     + [helpers.scalar_companion_solve(zi, model, 1.0, tol=1e-13)
+                        for zi in z[1:]])
+        want = s.imag / math.pi
+        assert np.max(np.abs(curve.f - want)) < 1e-9
+
+    @pytest.mark.parametrize("name", ["cubic-poly"])
     def test_failure_is_a_typed_whole_curve_error(self, name):
         # at c = 1 the fixed point and Newton both stall near zero
         with warnings.catch_warnings(), pytest.raises(IterationError) as err:
@@ -337,20 +388,27 @@ class TestBatchedSolve:
         assert math.isfinite(err.value.residual)
 
     def test_failure_names_first_failing_point(self):
+        cubic = FORWARD_FAMILIES["cubic-poly"]
         with pytest.raises(IterationError) as err:
-            lsd_density_curve(PointMass(1.0), 1.0, [0.001, 0.002, 0.5])
+            lsd_density_curve(cubic, 1.0, [0.001, 0.002, 0.5])
         assert str(err.value) == "no convergence to residual 1e-10 at z=(0.001+1e-06j)"
         with pytest.raises(IterationError) as one:
-            solve_companion_fixed_point(0.001 + 1e-6j, PointMass(1.0), 1.0)
+            solve_companion_fixed_point(0.001 + 1e-6j, cubic, 1.0)
         assert str(one.value) == str(err.value)
         assert one.value.residual == err.value.residual
 
     def test_failure_in_a_later_block(self, monkeypatch):
-        class BrokenAbove2(PSDModel):
+        class IdentityKernel(PSDModel):
+            """The identity kernel without its closed-form root: it iterates."""
+
+            def kernel(self, s, *, squared=False, guard=None):
+                return PointMass(1.0).kernel(s, squared=squared)
+
+        class BrokenAbove2(IdentityKernel):
             """The identity kernel, made NaN where -1/s lies right of 2."""
 
             def kernel(self, s, *, squared=False, guard=None):
-                k = PointMass(1.0).kernel(s, squared=squared)
+                k = super().kernel(s, squared=squared)
                 return np.where((-1.0 / s).real > 2.0, np.nan, k)
 
         monkeypatch.setattr(mptransform, "_SOLVE_BLOCK", 2)
@@ -359,7 +417,9 @@ class TestBatchedSolve:
             lsd_density_curve(BrokenAbove2(), 0.5, grid)
         assert str(err.value) == "fixed-point update degenerated at z=(2.5+1e-06j)"
         ok = lsd_density_curve(BrokenAbove2(), 0.5, grid[:3])
-        assert np.array_equal(ok.f, lsd_density_curve(PointMass(1.0), 0.5, grid[:3]).f)
+        assert np.array_equal(ok.f, lsd_density_curve(IdentityKernel(), 0.5, grid[:3]).f)
+        exact = lsd_density_curve(PointMass(1.0), 0.5, grid[:3])
+        assert np.max(np.abs(ok.f - exact.f)) < 1e-9
 
 
 class TestSupportBounds:
