@@ -68,7 +68,6 @@ class TestLoadReturnsCsv:
         with pytest.raises(ValueError):
             load_returns_csv(f)
 
-
     def test_whole_body_parse_matches_row_by_row(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((60, 9)) * 0.01
@@ -76,6 +75,7 @@ class TestLoadReturnsCsv:
         with open(f, "w", encoding="utf-8") as fh:
             fh.write(",".join(f"a{i}" for i in range(9)) + "\n")
             np.savetxt(fh, x, fmt="%.17g", delimiter=",")
+
         def refuse(*args, **kwargs):
             raise ValueError("refused")
 

@@ -347,7 +347,8 @@ class TestBatchedSolve:
             assert calls == [grid.size]
 
     def test_many_atoms_match_scalar_reference(self):
-        # twelve atoms: above the size where the fixed point is the faster path
+        # twelve atoms: past about ten the eigenproblem is slower than the
+        # fixed point, but it must stay as accurate
         model = Discrete(np.geomspace(0.5, 20.0, 12), np.full(12, 1 / 12))
         c = 0.5
         grid = np.linspace(0.05, 40.0, 200)
@@ -360,8 +361,9 @@ class TestBatchedSolve:
 
     @pytest.mark.parametrize("name", ["identity", "two-atom", "split-bulk"])
     def test_atomic_curve_at_unit_ratio_near_zero(self, name):
-        # the fixed point stalls here (its helper copy cannot solve x = 0.001
-        # for the identity or two-atom model); the exact root does not
+        # the fixed point stalls here, and so does the scalar reference at
+        # x = 0.001 for the identity and two-atom models, so that point is
+        # checked against the polynomial root; at c = 1 the density is Im s/pi
         model = FORWARD_FAMILIES[name]
         grid = np.array([0.001, 0.5, 1.0])
         with warnings.catch_warnings():
