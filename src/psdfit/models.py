@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -150,13 +151,6 @@ def _guard_atoms(atoms, s_arr, guard):
                 margin=float(closeness.min()),
             )
     return denom
-
-
-def _ic_nodes(model: InverseCubic):
-    # quantile substitution w = (1-alpha)/(t - shift): dH becomes 2 w dw on (0, 1)
-    t = model.shift + (1.0 - model.alpha) / _UNIT_NODES
-    w = 2.0 * _UNIT_NODES * _UNIT_WEIGHTS
-    return t, w
 
 
 class PSDModel:
@@ -457,16 +451,22 @@ class Laguerre(PSDModel):
     def support(self):
         return ((0.0, math.inf),)
 
+    @cached_property
+    def _folded_weights(self):
+        """Gauss-Laguerre weights of K1 and K2 at complex s, with the
+        polynomial folded in: one matrix-vector product per kernel instead
+        of one per moment."""
+        x, w = _GL_LAGUERRE
+        wp = w * x * np.polynomial.polynomial.polyval(x, self.full_coeffs)
+        return wp, wp * x
+
     def kernel(self, s, *, squared=False, guard=None):
         if np.iscomplexobj(s):
-            # fold the polynomial into the Gauss-Laguerre weights: one
-            # matrix-vector product instead of one per moment
-            x, w = _GL_LAGUERRE
-            wp = w * x * np.polynomial.polynomial.polyval(x, self.full_coeffs)
-            denom = 1.0 + np.outer(x, s)
+            x = _GL_LAGUERRE[0]
+            inv = 1.0 / (1.0 + np.outer(x, s))
             if squared:
-                return (wp * x) @ (1.0 / denom**2)
-            return wp @ (1.0 / denom)
+                return self._folded_weights[1] @ (inv * inv)
+            return self._folded_weights[0] @ inv
         if np.any(s < 0.0):
             bad = float(s[s < 0.0][0])
             if guard is not None:
@@ -537,6 +537,15 @@ class InverseCubic(PSDModel):
     def support(self):
         return ((self.alpha, math.inf),)
 
+    @cached_property
+    def _nodes(self):
+        """Gauss-Legendre nodes t with the weights of K1 and K2: under the
+        quantile substitution w = (1-alpha)/(t - shift), dH becomes 2 w dw
+        on (0, 1)."""
+        t = self.shift + (1.0 - self.alpha) / _UNIT_NODES
+        w = 2.0 * _UNIT_NODES * _UNIT_WEIGHTS
+        return t, w * t, w * t**2
+
     def kernel(self, s, *, squared=False, guard=None):
         if not np.iscomplexobj(s) and guard is not None:
             neg = s < 0.0
@@ -548,11 +557,11 @@ class InverseCubic(PSDModel):
                         f"companion value puts -1/s within the guard of the "
                         f"support edge {self.alpha!r}",
                         where=self.alpha, margin=float(margin))
-        t, w = _ic_nodes(self)
-        denom = 1.0 + np.outer(t, s)
+        t, w1, w2 = self._nodes
+        inv = 1.0 / (1.0 + np.outer(t, s))
         if squared:
-            return (w * t**2) @ (1.0 / denom**2)
-        return (w * t) @ (1.0 / denom)
+            return w2 @ (inv * inv)
+        return w1 @ inv
 
     @property
     def theta(self) -> NDArray:

@@ -193,43 +193,61 @@ def mp_u_derivative(s, model: PSDModel, c):
 
 
 # Grid points solved together: bounds the (quadrature nodes x points)
-# kernel matrices on large grids without changing any point's iteration.
+# kernel matrices on large grids.
 _SOLVE_BLOCK = 2048
 _FIXED_POINT_STEPS = 600
 _NEWTON_STEPS = 60
 _SOLVE_TOL = 1e-10        # every point must reach |u(s) - z| below this
 _NEWTON_HANDOVER = 1e-6   # fixed-point residual that hands a lane to Newton
 _DAMPING = 0.5
+_SEED_STRIDE = 8          # smooth models: every 8th point (and the last) is a seed
+_SEED_STEPS = 30          # fixed-point budget of a seed
+_CONTINUE_STEPS = 12      # Newton budget of a seed and of a continued point
+_KEEP_IM = 0.1            # share of Im s a shortened Newton step keeps
 _DENSITY_EPS = 1e-6       # curves read the transform at x + i*_DENSITY_EPS
 
 
-def _solve_block(z, model, c):
-    """Companion values for a 1-d block of z, with each lane's residual.
+def _newton_step(s, r, model, c):
+    """One Newton step on u(s) - z = r at every lane of s.
 
-    A model with a closed-form root (``companion_root``) starts every lane
-    at it and skips the fixed point.  Otherwise every lane runs the
-    iteration of ``solve_companion_fixed_point`` on its own; the kernel is
-    evaluated only at the lanes still iterating.  Either way the Newton
-    stage checks the residual, so lanes that converge have residual
-    < _SOLVE_TOL; ``degenerate`` marks the lanes whose fixed-point update
+    A step that would leave the upper half plane is shortened so that the
+    lane keeps the share _KEEP_IM of its Im s.  Far from the root the
+    slope or the step can overflow; such lanes come back non-finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slope = 1.0 / s**2 - c * model.kernel(s, squared=True)
+        step = -r / slope
+        inside = s.imag + step.imag > 0.0
+        scale = np.where(inside, 1.0, (1.0 - _KEEP_IM) * s.imag / -step.imag)
+        return s + scale * step
+
+
+def _iterate(z, s, model, c, fp_steps, newton_steps):
+    """Run every lane of a 1-d block of z from its start value s.
+
+    At most ``fp_steps`` damped fixed-point steps, which cannot leave the
+    upper half plane, bring the residual down to _NEWTON_HANDOVER (a lane
+    takes at least 5); at most ``newton_steps`` Newton steps finish the
+    remaining digits.  The kernel is evaluated only at the lanes still
+    iterating.  A lane is accepted when |u(s) - z| < _SOLVE_TOL with
+    Im s > 0.  Returns s, the complex residual u(s) - z there, the
+    accepted lanes and the ``degenerate`` lanes, whose fixed-point update
     broke down.
     """
-    residual = np.full(z.size, np.inf)
+    s = s.copy()
+    r = np.full(z.size, np.inf, dtype=complex)
     done = np.zeros(z.size, dtype=bool)
     degenerate = np.zeros(z.size, dtype=bool)
-    s = model.companion_root(z, c)
-    if s is None:
-        s, live = -1.0 / z, np.arange(z.size)
-    else:
-        live = np.arange(0)
-    for k in range(_FIXED_POINT_STEPS):
+    live = np.arange(z.size)
+    for k in range(fp_steps):
         if live.size == 0:
             break
         s_l, z_l = s[live], z[live]
         k1 = model.kernel(s_l)
-        res = np.abs(-1.0 / s_l + c * k1 - z_l)
-        residual[live] = res
-        converged = res < _SOLVE_TOL
+        r_l = -1.0 / s_l + c * k1 - z_l
+        r[live] = r_l
+        res = np.abs(r_l)
+        converged = (res < _SOLVE_TOL) & (s_l.imag > 0.0)
         done[live[converged]] = True
         # lanes under the hand-over residual (after 5 steps) go to Newton
         stay = ~converged & ~((res < _NEWTON_HANDOVER) & (k >= 5))
@@ -240,28 +258,104 @@ def _solve_block(z, model, c):
         live, s_l, step_to = live[~bad], s_l[~bad], step_to[~bad]
         s[live] = (1.0 - _DAMPING) * s_l + _DAMPING * (-1.0 / step_to)
     live = np.flatnonzero(~done & ~degenerate)
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(newton_steps):
         if live.size == 0:
             break
         s_l = s[live]
-        r = -1.0 / s_l + c * model.kernel(s_l) - z[live]
-        res = np.abs(r)
-        residual[live] = res
-        converged = res < _SOLVE_TOL
+        r_l = -1.0 / s_l + c * model.kernel(s_l) - z[live]
+        r[live] = r_l
+        converged = (np.abs(r_l) < _SOLVE_TOL) & (s_l.imag > 0.0)
         done[live[converged]] = True
-        live, s_l, r = live[~converged], s_l[~converged], r[~converged]
+        live, s_l, r_l = live[~converged], s_l[~converged], r_l[~converged]
         if live.size == 0:
             break
-        # far from the root the slope or the step can overflow; such a
-        # lane ends here as a failure (only the residual test accepts one)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            slope = 1.0 / s_l**2 - c * model.kernel(s_l, squared=True)
-            s_new = s_l - r / slope
-        ok = ((slope != 0.0) & np.isfinite(slope)
-              & np.isfinite(s_new) & (s_new != 0.0))
+        # only the residual test accepts a lane; one whose step overflows
+        # ends here as a failure
+        s_new = _newton_step(s_l, r_l, model, c)
+        ok = np.isfinite(s_new) & (s_new != 0.0)
         live = live[ok]
         s[live] = s_new[ok]
-    return s, residual, done, degenerate
+    return s, r, done, degenerate
+
+
+def _continuation_starts(x, s, done, fresh):
+    """Unsolved lanes with a freshly solved anchor, and their start values.
+
+    A lane beside a solved lane starts on the line through it and the
+    next solved lane out (through both neighbours when both are solved;
+    at the neighbour's value when the next lane is unsolved).  Any other
+    lane whose nearest solved lanes lie at most _SEED_STRIDE apart starts
+    on the line through them.  Only lanes whose anchor is ``fresh`` are
+    returned, so no lane repeats a start it has already failed from.
+    """
+    n = x.size
+    idx = np.arange(n)
+    left = np.maximum.accumulate(np.where(done, idx, -1))
+    right = np.minimum.accumulate(np.where(done, idx, n)[::-1])[::-1]
+    fresh = np.append(fresh, False)       # read at left = -1 and right = n
+    by_l, by_r = np.append(False, done[:-1]), np.append(done[1:], False)
+    gap = ~by_l & ~by_r & (left >= 0) & (right < n) & (right - left <= _SEED_STRIDE)
+    lanes = np.flatnonzero(~done & (by_l & fresh[left] | by_r & fresh[right]
+                                    | gap & (fresh[left] | fresh[right])))
+    by_l, by_r, gap, i = by_l[lanes], by_r[lanes], gap[lanes], lanes
+    near = np.where(by_l | gap, left[i], right[i])
+    far = np.where(gap | by_l & by_r, right[i], np.where(by_l, i - 2, i + 2))
+    far = np.where((far >= 0) & (far < n), far, near)
+    far = np.where(done[far], far, near)
+    weight = (x[i] - x[near]) / np.where(far == near, np.inf, x[far] - x[near])
+    start = s[near] + weight * (s[far] - s[near])
+    # a start the line puts on or below the real axis keeps Re and takes
+    # Im from the anchor
+    return lanes, np.where(start.imag > 0.0, start, start.real + 1j * s[near].imag)
+
+
+def _solve_block(z, model, c):
+    """Companion values for a 1-d block of z, with each lane's residual.
+
+    A model with a closed-form root (``companion_root``) starts every lane
+    at it, and Newton checks the residual.  Otherwise the solve continues
+    along the grid.  Every _SEED_STRIDE-th point and the last (the seeds)
+    run _SEED_STEPS damped fixed-point steps from -1/z and then Newton.
+    The points between two solved seeds start Newton from the line
+    through them, all in one batch; then, wave by wave, unsolved points
+    beside newly solved ones start from the line through their solved
+    neighbours, which carries the solve into the stretches near the
+    support edges where the fixed point is slow.  Points still unsolved
+    run the fixed point from -1/z with the full 600 + 60 step budget.  The
+    equation has one root with Im s > 0 (Silverstein and Bai 1995), so
+    every path that is accepted found the same root; one more Newton step
+    polishes it, so the value does not depend on the path either.
+    Converged lanes have residual < _SOLVE_TOL and Im s > 0;
+    ``degenerate`` marks the lanes whose last fixed-point update broke
+    down.
+    """
+    s = model.companion_root(z, c)
+    if s is not None:
+        s, r, done, degenerate = _iterate(z, s, model, c, 0, _NEWTON_STEPS)
+        return s, np.abs(r), done, degenerate
+    s = -1.0 / z
+    r = np.full(z.size, np.inf, dtype=complex)
+    done = np.zeros(z.size, dtype=bool)
+    lanes = np.unique(np.append(np.arange(0, z.size, _SEED_STRIDE), z.size - 1))
+    fp_steps = _SEED_STEPS
+    while lanes.size:
+        s[lanes], r[lanes], done[lanes], _ = _iterate(
+            z[lanes], s[lanes], model, c, fp_steps, _CONTINUE_STEPS)
+        fresh = np.zeros(z.size, dtype=bool)
+        fresh[lanes] = done[lanes]
+        lanes, s_start = _continuation_starts(z.real, s, done, fresh)
+        s[lanes] = s_start
+        fp_steps = 0
+    degenerate = np.zeros(z.size, dtype=bool)
+    lanes = np.flatnonzero(~done)
+    if lanes.size:
+        s[lanes], r[lanes], done[lanes], degenerate[lanes] = _iterate(
+            z[lanes], -1.0 / z[lanes], model, c, _FIXED_POINT_STEPS, _NEWTON_STEPS)
+    lanes = np.flatnonzero(done)
+    if lanes.size:
+        polished = _newton_step(s[lanes], r[lanes], model, c)
+        s[lanes] = np.where(np.isfinite(polished), polished, s[lanes])
+    return s, np.abs(r), done, degenerate
 
 
 def _solve_companion(z, model, c):
@@ -294,11 +388,14 @@ def solve_companion_fixed_point(z: complex, model: PSDModel, c) -> complex:
     (``Discrete.companion_root``).  For other models a fixed-point
     iteration damped by 1/2 (which cannot leave the upper half plane)
     brings the residual down to 1e-6; close to the support edges its
-    linear rate degrades, so a Newton stage finishes the remaining
-    digits.  At most 600 fixed-point and 60 Newton steps are taken.  The
-    returned value satisfies |u(s) - z| < 1e-10, else IterationError.
-    This is the one-point case of the solve ``lsd_density_curve`` runs on
-    a whole grid at once.
+    linear rate degrades, so Newton steps, shortened where they would
+    leave the upper half plane, finish the remaining digits: first 30
+    fixed-point and 12 Newton steps, then, if those fail, 600 and 60
+    from the start again.  One more Newton step polishes the root.  The
+    returned value satisfies |u(s) - z| < 1e-10 and Im s > 0, else
+    IterationError.  This is the one-point case of the solve
+    ``lsd_density_curve`` runs on a whole grid at once, where most
+    points start Newton from their solved neighbours instead.
     """
     z = complex(z)
     if not (z.imag > 0.0):
@@ -313,13 +410,15 @@ def lsd_density_curve(model: PSDModel, c, grid) -> DensityCurve:
     Solves the companion equation at x + 1e-6 i for every grid point in
     one batched solve, as ``solve_companion_fixed_point`` does for one
     point: atomic models by one eigenvalue call on a stack of arrowhead
-    matrices, other models by the fixed point and then Newton.  Each
-    point must reach |u(s) - z| < 1e-10, else IterationError names the
-    first failing point.  The companion transform is converted back to
-    the spectrum's Stieltjes transform, whose imaginary part over pi is
-    the density.  The curve integrates to min(1, 1/c); for c > 1 the
-    remaining 1 - 1/c sits in a point mass at zero that a density grid
-    cannot show.
+    matrices; other models by the fixed point and then Newton at every
+    8th point, and by Newton from the line through solved neighbours at
+    the others (continuation along the grid), with the one-point solve
+    as the fallback.  Each point must reach |u(s) - z| < 1e-10 with
+    Im s > 0, else IterationError names the first failing point.  The
+    companion transform is converted back to the spectrum's Stieltjes
+    transform, whose imaginary part over pi is the density.  The curve
+    integrates to min(1, 1/c); for c > 1 the remaining 1 - 1/c sits in a
+    point mass at zero that a density grid cannot show.
     """
     x = np.asarray(grid, dtype=float).ravel()
     if x.size == 0 or np.any(x <= 0.0):

@@ -78,23 +78,33 @@ def scalar_companion_solve(z, model, c, damping=0.5, tol=1e-10, max_iter=2000):
     """One-point damped fixed point plus Newton, one complex scalar at a time.
 
     The solver the batched ``lsd_density_curve`` replaced, kept as the
-    reference for its per-point iteration.
+    reference for its per-point iteration.  Raises AssertionError when it
+    does not converge, when a Newton slope vanishes, or when the root it
+    reaches lies off the upper half plane, where the companion transform
+    cannot be.
     """
     s = -1.0 / z
     k1_at = lambda s: complex(model.kernel(np.array([s]))[0])
+
+    def accept(s):
+        assert s.imag > 0.0, f"reference root {s!r} at z={z!r} has Im s <= 0"
+        return s
+
     for k in range(min(600, max_iter)):
         k1 = k1_at(s)
         residual = abs(-1.0 / s + c * k1 - z)
         if residual < tol:
-            return s
+            return accept(s)
         if residual < max(tol, 1e-6) and k >= 5:
             break
         s = (1.0 - damping) * s + damping * (-1.0 / (z - c * k1))
     for _ in range(60):
         r = -1.0 / s + c * k1_at(s) - z
         if abs(r) < tol:
-            return s
-        s = s - r / (1.0 / s**2 - c * complex(model.kernel(np.array([s]), squared=True)[0]))
+            return accept(s)
+        slope = 1.0 / s**2 - c * complex(model.kernel(np.array([s]), squared=True)[0])
+        assert slope != 0.0, f"reference Newton slope vanished at z={z!r}"
+        s = s - r / slope
     raise AssertionError(f"reference solve failed at z={z!r}")
 
 

@@ -222,6 +222,27 @@ class TestFixedPointSolver:
             with pytest.raises(ValueError):
                 solve_companion_fixed_point(z, PointMass(1.0), 0.5)
 
+    def test_newton_stays_in_the_upper_half_plane(self):
+        # at c = 1 near zero the fixed point stalls, and unshortened Newton
+        # steps from its last iterate reach the root -1.55 - 30.96i, whose
+        # density reads 0; the closed-form-kernel density there is 9.8572
+        model, z = Laguerre([1.0]), 0.001 + 1e-6j
+        s = solve_companion_fixed_point(z, model, 1.0)
+        assert s.imag > 0.0
+        assert abs(mp_complex_u(s, model, 1.0) - z) < 1e-10
+        assert s.imag / math.pi == pytest.approx(9.8572, rel=1e-3)
+
+    def test_root_below_the_real_axis_is_not_accepted(self):
+        class LowerRoot(Discrete):
+            """The identity model, handing out its other root, Im s < 0."""
+
+            def companion_root(self, z, c):
+                return 1.0 / (z * super().companion_root(z, c))
+
+        # its residual is 0 but its density would read 0: the solve fails
+        with pytest.raises(IterationError):
+            lsd_density_curve(LowerRoot([1.0], [1.0]), 0.5, np.linspace(0.3, 2.5, 5))
+
 
 def mp_complex_u(s, model, c):
     from psdfit.mptransform import _eval_kernels
@@ -289,6 +310,15 @@ FORWARD_CASES = [pytest.param(FORWARD_FAMILIES[name], c, np.linspace(lo, hi, 400
                  for (name, c), (lo, hi) in FORWARD_GRIDS.items()]
 ATOMIC_CASES = [case for case in FORWARD_CASES
                 if isinstance(case.values[0], Discrete)]
+# kernel calls of the smooth families' curves when every point ran the
+# fixed point from -1/z (600 + 60 steps), with their cases
+FIXED_POINT_CALLS = {("gamma-shape", 0.5): 62, ("gamma-shape", 2.0): 607,
+                     ("cubic-poly", 0.5): 85, ("cubic-poly", 2.0): 607,
+                     ("inverse-cubic", 0.5): 609, ("inverse-cubic", 2.0): 607}
+SMOOTH_CASES = [pytest.param(FORWARD_FAMILIES[name], c,
+                             np.linspace(*FORWARD_GRIDS[name, c], 400), calls,
+                             id=f"{name}-c={c}")
+                for (name, c), calls in FIXED_POINT_CALLS.items()]
 
 
 class TestBatchedSolve:
@@ -330,6 +360,37 @@ class TestBatchedSolve:
         monkeypatch.setattr(mptransform, "_SOLVE_BLOCK", 7)
         blocked = lsd_density_curve(model, 0.5, grid)
         assert np.max(np.abs(blocked.f - whole.f)) < 1e-14
+
+    def test_smooth_blocks_match_one_block(self, monkeypatch):
+        # the continuation runs inside each block, from that block's seeds
+        model = InverseCubic(0.5)
+        grid = np.linspace(0.05, 9.5, 50)
+        whole = lsd_density_curve(model, 2.0, grid)
+        monkeypatch.setattr(mptransform, "_SOLVE_BLOCK", 7)
+        blocked = lsd_density_curve(model, 2.0, grid)
+        assert np.max(np.abs(blocked.f - whole.f)) < 1e-10
+
+    @pytest.mark.parametrize("model, c, grid, fixed_point_calls", SMOOTH_CASES)
+    def test_smooth_solve_work(self, model, c, grid, fixed_point_calls, monkeypatch):
+        # the fixed point alone took 27-51 lane evaluations per point
+        calls = []
+        kernel = type(model).kernel
+
+        def counted(self, s, **kw):
+            calls.append(s.size)
+            return kernel(self, s, **kw)
+
+        monkeypatch.setattr(type(model), "kernel", counted)
+        lsd_density_curve(model, c, grid)
+        assert sum(calls) <= 20 * grid.size
+        assert len(calls) <= fixed_point_calls
+
+    @pytest.mark.parametrize("model, c, grid", FORWARD_CASES)
+    def test_roots_lie_in_the_upper_half_plane(self, model, c, grid):
+        z = grid + 1e-6j
+        s = mptransform._solve_companion(z, model, c)
+        assert np.all(s.imag > 0.0)
+        assert np.max(np.abs(-1.0 / s + c * model.kernel(s) - z)) < 1e-10
 
     def test_atomic_solve_makes_one_kernel_call(self, monkeypatch):
         # the arrowhead roots start Newton, whose residual check accepts them
@@ -380,22 +441,46 @@ class TestBatchedSolve:
         want = s.imag / math.pi
         assert np.max(np.abs(curve.f - want)) < 1e-9
 
+    @pytest.mark.parametrize("name", ["gamma-shape", "cubic-poly", "inverse-cubic"])
+    @pytest.mark.parametrize("grid", [[0.001, 0.002, 0.5], [0.001, 0.5, 1.0]])
+    def test_smooth_curve_at_unit_ratio_near_zero(self, name, grid):
+        # at c = 1 the fixed point stalls near zero, and Newton used to
+        # leave the upper half plane there (Gamma(2) read 0.0 at 0.001);
+        # the roots now come from the grid continuation.  Closed-form-kernel
+        # densities from the benchmark's reference module:
+        want = {"gamma-shape": {0.001: 9.85720015, 0.002: 6.91620965, 0.5: 0.3233283,
+                                1.0: 0.20089},
+                "cubic-poly": {0.001: 6.6536791, 0.002: 4.68926426, 0.5: 0.25465533,
+                               1.0: 0.16772},
+                "inverse-cubic": {0.001: 11.61992372, 0.002: 8.21433307,
+                                  0.5: 0.44962526, 1.0: 0.26775}}[name]
+        model = FORWARD_FAMILIES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = lsd_density_curve(model, 1.0, grid)
+        z = np.array(grid) + 1e-6j
+        s = mptransform._solve_companion(z, model, 1.0)
+        assert np.all(s.imag > 0.0)
+        assert np.max(np.abs(-1.0 / s + model.kernel(s) - z)) < 1e-10
+        assert np.array_equal(curve.f, s.imag / math.pi)
+        assert np.allclose(curve.f, [want[x] for x in grid], rtol=1e-3, atol=0.0)
+
     @pytest.mark.parametrize("name", ["cubic-poly"])
     def test_failure_is_a_typed_whole_curve_error(self, name):
-        # at c = 1 the fixed point and Newton both stall near zero
+        # at c = 1 the solve still stalls this close to zero
         with warnings.catch_warnings(), pytest.raises(IterationError) as err:
             warnings.simplefilter("error")
-            lsd_density_curve(FORWARD_FAMILIES[name], 1.0, [0.001, 0.5, 1.0])
-        assert "at z=(0.001+1e-06j)" in str(err.value)
+            lsd_density_curve(FORWARD_FAMILIES[name], 1.0, [1e-4, 0.5, 1.0])
+        assert "at z=(0.0001+1e-06j)" in str(err.value)
         assert math.isfinite(err.value.residual)
 
     def test_failure_names_first_failing_point(self):
         cubic = FORWARD_FAMILIES["cubic-poly"]
         with pytest.raises(IterationError) as err:
-            lsd_density_curve(cubic, 1.0, [0.001, 0.002, 0.5])
-        assert str(err.value) == "no convergence to residual 1e-10 at z=(0.001+1e-06j)"
+            lsd_density_curve(cubic, 1.0, [1e-4, 2e-4, 0.5])
+        assert str(err.value) == "no convergence to residual 1e-10 at z=(0.0001+1e-06j)"
         with pytest.raises(IterationError) as one:
-            solve_companion_fixed_point(0.001 + 1e-6j, cubic, 1.0)
+            solve_companion_fixed_point(1e-4 + 1e-6j, cubic, 1.0)
         assert str(one.value) == str(err.value)
         assert one.value.residual == err.value.residual
 
@@ -417,10 +502,14 @@ class TestBatchedSolve:
         grid = [0.5, 1.0, 1.5, 2.5, 3.0]
         with pytest.raises(IterationError) as err:
             lsd_density_curve(BrokenAbove2(), 0.5, grid)
-        assert str(err.value) == "fixed-point update degenerated at z=(2.5+1e-06j)"
+        # 2.5, whose fixed point starts in the broken region, continues from
+        # 1.5 to its root, where the kernel is whole; 3.0's root is not
+        assert str(err.value) == "fixed-point update degenerated at z=(3+1e-06j)"
         ok = lsd_density_curve(BrokenAbove2(), 0.5, grid[:3])
         assert np.array_equal(ok.f, lsd_density_curve(IdentityKernel(), 0.5, grid[:3]).f)
-        exact = lsd_density_curve(PointMass(1.0), 0.5, grid[:3])
+        exact = lsd_density_curve(PointMass(1.0), 0.5, grid[:4])
+        assert np.max(np.abs(ok.f - exact.f[:3])) < 1e-9
+        ok = lsd_density_curve(BrokenAbove2(), 0.5, grid[:4])
         assert np.max(np.abs(ok.f - exact.f)) < 1e-9
 
 
