@@ -348,9 +348,8 @@ def _solve_block(z, model, c):
         fp_steps = 0
     degenerate = np.zeros(z.size, dtype=bool)
     lanes = np.flatnonzero(~done)
-    if lanes.size:
-        s[lanes], r[lanes], done[lanes], degenerate[lanes] = _iterate(
-            z[lanes], -1.0 / z[lanes], model, c, _FIXED_POINT_STEPS, _NEWTON_STEPS)
+    s[lanes], r[lanes], done[lanes], degenerate[lanes] = _iterate(
+        z[lanes], -1.0 / z[lanes], model, c, _FIXED_POINT_STEPS, _NEWTON_STEPS)
     lanes = np.flatnonzero(done)
     if lanes.size:
         polished = _newton_step(s[lanes], r[lanes], model, c)

@@ -446,7 +446,8 @@ class TestBatchedSolve:
     def test_smooth_curve_at_unit_ratio_near_zero(self, name, grid):
         # at c = 1 the fixed point stalls near zero, and Newton used to
         # leave the upper half plane there (Gamma(2) read 0.0 at 0.001);
-        # the roots now come from the grid continuation.  Closed-form-kernel
+        # the cubic points at 0.001 and 0.002 and the inverse-cubic point at
+        # 0.002 solve only by continuation from their neighbours.  Closed-form-kernel
         # densities from the benchmark's reference module:
         want = {"gamma-shape": {0.001: 9.85720015, 0.002: 6.91620965, 0.5: 0.3233283,
                                 1.0: 0.20089},
