@@ -558,10 +558,10 @@ class InverseCubic(PSDModel):
                         f"support edge {self.alpha!r}",
                         where=self.alpha, margin=float(margin))
         t, w1, w2 = self._nodes
-        inv = 1.0 / (1.0 + np.outer(t, s))
+        denom = 1.0 + np.outer(t, s)
         if squared:
-            return w2 @ (inv * inv)
-        return w1 @ inv
+            return w2 @ (1.0 / denom**2)
+        return w1 @ (1.0 / denom)
 
     @property
     def theta(self) -> NDArray:

@@ -281,12 +281,12 @@ def _iterate(z, s, model, c, fp_steps, newton_steps):
 def _continuation_starts(x, s, done, fresh):
     """Unsolved lanes with a freshly solved anchor, and their start values.
 
-    A lane beside a solved lane starts on the line through it and the
-    next solved lane out (through both neighbours when both are solved;
-    at the neighbour's value when the next lane is unsolved).  Any other
-    lane whose nearest solved lanes lie at most _SEED_STRIDE apart starts
-    on the line through them.  Only lanes whose anchor is ``fresh`` are
-    returned, so no lane repeats a start it has already failed from.
+    A lane whose nearest solved lanes lie at most _SEED_STRIDE apart
+    starts on the line through them.  Any other lane beside a solved lane
+    (an edge stretch) starts on the line through it and the next solved
+    lane out, or at its value when that lane is unsolved.  Only lanes
+    whose anchor is ``fresh`` are returned, so no lane repeats a start it
+    has already failed from.
     """
     n = x.size
     idx = np.arange(n)
@@ -294,12 +294,12 @@ def _continuation_starts(x, s, done, fresh):
     right = np.minimum.accumulate(np.where(done, idx, n)[::-1])[::-1]
     fresh = np.append(fresh, False)       # read at left = -1 and right = n
     by_l, by_r = np.append(False, done[:-1]), np.append(done[1:], False)
-    gap = ~by_l & ~by_r & (left >= 0) & (right < n) & (right - left <= _SEED_STRIDE)
-    lanes = np.flatnonzero(~done & (by_l & fresh[left] | by_r & fresh[right]
-                                    | gap & (fresh[left] | fresh[right])))
-    by_l, by_r, gap, i = by_l[lanes], by_r[lanes], gap[lanes], lanes
-    near = np.where(by_l | gap, left[i], right[i])
-    far = np.where(gap | by_l & by_r, right[i], np.where(by_l, i - 2, i + 2))
+    gap = (left >= 0) & (right < n) & (right - left <= _SEED_STRIDE)
+    lanes = np.flatnonzero(~done & np.where(gap, fresh[left] | fresh[right],
+                                            by_l & fresh[left] | by_r & fresh[right]))
+    by_l, gap, i = by_l[lanes], gap[lanes], lanes
+    near = np.where(gap | by_l, left[i], right[i])
+    far = np.where(gap, right[i], np.where(by_l, i - 2, i + 2))
     far = np.where((far >= 0) & (far < n), far, near)
     far = np.where(done[far], far, near)
     weight = (x[i] - x[near]) / np.where(far == near, np.inf, x[far] - x[near])
@@ -317,17 +317,19 @@ def _solve_block(z, model, c):
     along the grid.  Every _SEED_STRIDE-th point and the last (the seeds)
     run _SEED_STEPS damped fixed-point steps from -1/z and then Newton.
     The points between two solved seeds start Newton from the line
-    through them, all in one batch; then, wave by wave, unsolved points
-    beside newly solved ones start from the line through their solved
-    neighbours, which carries the solve into the stretches near the
+    through them, all in one batch; then, wave by wave, the same is done
+    for unsolved points between newly solved ones, and unsolved points
+    beside a newly solved one with no solved point within _SEED_STRIDE
+    on their other side start from the line through it and the next
+    solved point out, which carries the solve into the stretches near the
     support edges where the fixed point is slow.  Points still unsolved
     run the fixed point from -1/z with the full 600 + 60 step budget.  The
     equation has one root with Im s > 0 (Silverstein and Bai 1995), so
     every path that is accepted found the same root; one more Newton step
-    polishes it, so the value does not depend on the path either.
-    Converged lanes have residual < _SOLVE_TOL and Im s > 0;
-    ``degenerate`` marks the lanes whose last fixed-point update broke
-    down.
+    polishes it, so the value does not depend on the path either, and is
+    kept where it still passes the acceptance test.  Converged lanes
+    return s with residual < _SOLVE_TOL and Im s > 0; ``degenerate``
+    marks the lanes whose last fixed-point update broke down.
     """
     s = model.companion_root(z, c)
     if s is not None:
@@ -350,10 +352,14 @@ def _solve_block(z, model, c):
     lanes = np.flatnonzero(~done)
     s[lanes], r[lanes], done[lanes], degenerate[lanes] = _iterate(
         z[lanes], -1.0 / z[lanes], model, c, _FIXED_POINT_STEPS, _NEWTON_STEPS)
+    # a polished value is kept where it still passes the acceptance test
     lanes = np.flatnonzero(done)
     if lanes.size:
         polished = _newton_step(s[lanes], r[lanes], model, c)
-        s[lanes] = np.where(np.isfinite(polished), polished, s[lanes])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r_p = -1.0 / polished + c * model.kernel(polished) - z[lanes]
+        keep = (np.abs(r_p) < _SOLVE_TOL) & (polished.imag > 0.0)
+        s[lanes[keep]], r[lanes[keep]] = polished[keep], r_p[keep]
     return s, np.abs(r), done, degenerate
 
 
