@@ -462,11 +462,11 @@ class Laguerre(PSDModel):
 
     def kernel(self, s, *, squared=False, guard=None):
         if np.iscomplexobj(s):
-            x = _GL_LAGUERRE[0]
-            inv = 1.0 / (1.0 + np.outer(x, s))
+            w1, w2 = self._folded_weights
+            denom = 1.0 + np.outer(_GL_LAGUERRE[0], s)
             if squared:
-                return self._folded_weights[1] @ (inv * inv)
-            return self._folded_weights[0] @ inv
+                return w2 @ (1.0 / denom**2)
+            return w1 @ (1.0 / denom)
         if np.any(s < 0.0):
             bad = float(s[s < 0.0][0])
             if guard is not None:
