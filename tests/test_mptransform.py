@@ -243,6 +243,23 @@ class TestFixedPointSolver:
         with pytest.raises(IterationError):
             lsd_density_curve(LowerRoot([1.0], [1.0]), 0.5, np.linspace(0.3, 2.5, 5))
 
+    def test_polish_that_fails_the_residual_test_is_dropped(self):
+        class WrongSlope(PSDModel):
+            """A point mass at 1e-12 whose K2 makes Newton's slope at c = 0.5
+            a millionth of the true one."""
+
+            def kernel(self, s, *, squared=False, guard=None):
+                if squared:
+                    return (1.0 - 1e-6) / (0.5 * s**2)
+                return PointMass(1e-12).kernel(s)
+
+        # -1/z is accepted at once (residual 5e-13); the polishing step from
+        # it lands 5e-7 away, so the solve must return the accepted value
+        z = 1.0 + 1e-6j
+        s = solve_companion_fixed_point(z, WrongSlope(), 0.5)
+        assert s == -1.0 / z
+        assert abs(mp_complex_u(s, WrongSlope(), 0.5) - z) < 1e-10
+
 
 def mp_complex_u(s, model, c):
     from psdfit.mptransform import _eval_kernels
