@@ -15,8 +15,7 @@ from .errors import (IterationError, NearPoleError, NumericsError, PoleError,
 from .models import (Discrete, InverseCubic, Laguerre, PointMass, PSDModel,
                      model_from_dict, wasserstein)
 from .mptransform import (DensityCurve, SampleSpectrum, SupportReport,
-                          companion_stieltjes, lsd_density_curve,
-                          mp_u_derivative, mp_u_map,
+                          companion_stieltjes, lsd_density_curve, mp_u_map,
                           solve_companion_fixed_point, solve_companion_real,
                           support_bounds)
 from .estimator import (FitResult, UNet, build_unet, fit_discrete,
@@ -62,7 +61,6 @@ __all__ = [
     "load_returns_csv",
     "lsd_density_curve",
     "model_from_dict",
-    "mp_u_derivative",
     "mp_u_map",
     "objective",
     "params_to_model",

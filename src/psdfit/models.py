@@ -9,8 +9,12 @@ the estimation pipeline needs (CDF, quantile function for population
 draws, density where one exists), the kernel integrals
 K1(s) = int t/(1+ts) dH and K2(s) = int t^2/(1+ts)^2 dH of the spectrum
 point map (atomic models also solve its forward equation in closed
-form), and JSON serialization; the module provides the first-order
-transport distance between models, integrated from their CDFs.
+form), and JSON serialization.  ``kernel`` returns K1 and K2 from one
+call, each family by its own rule: finite sums over the atoms, the
+moment recursion or Gauss-Laguerre quadrature for the
+polynomial-exponential densities, and a closed form for the inverse
+cubic.  The module provides the first-order transport distance between
+models, integrated from their CDFs.
 """
 
 from __future__ import annotations
@@ -65,14 +69,13 @@ def _as_prob_array(prob):
 # kernel integrals K1(s) = int t/(1+ts) dH, K2(s) = int t^2/(1+ts)^2 dH
 
 _GL_LAGUERRE = special.roots_laguerre(128)
+_IC_SERIES = 0.5        # inverse cubic: below this |beta/sigma| the series
+_IC_TERMS = 60          # in beta/sigma replaces the log form, with this many
+                        # terms (0.5**60 is below rounding)
 
-_leg_x, _leg_w = np.polynomial.legendre.leggauss(200)
-_UNIT_NODES = 0.5 * (_leg_x + 1.0)        # Gauss-Legendre on (0, 1)
-_UNIT_WEIGHTS = 0.5 * _leg_w
 
-
-def _laguerre_I_recursion(s: float, degree: int, derivative: bool = False):
-    """I_j(s) and optionally I_j'(s) for j = 0..degree at real s >= 1.
+def _laguerre_I_recursion(s: float, degree: int):
+    """I_j(s) and I_j'(s) for j = 0..degree at real s >= 1.
 
     Uses J_0 = b e^b E1(b) with b = 1/s and the upward recursion
     J_{r+1} = (r! - J_r)/s for the moments J_r = int t^r e^-t/(1+ts) dt;
@@ -92,47 +95,35 @@ def _laguerre_I_recursion(s: float, degree: int, derivative: bool = False):
         vals[r], ders[r] = J_next, dJ_next
         J, dJ = J_next, dJ_next
         fact *= r + 1
-    return (vals, ders) if derivative else vals
+    return vals, ders
 
 
 def laguerre_moment_integrals(s, degree: int, derivative: bool = False):
     """Moment integrals I_j(s) = int t^{j+1} e^-t / (1 + t s) dt, j = 0..degree.
 
-    Real arguments must be positive (for s <= 0 the integrand has a pole
-    inside the integration range); complex arguments with nonzero
-    imaginary part are evaluated by Gauss-Laguerre quadrature.  Returns
-    an array of shape (degree + 1,) + shape(s); with ``derivative`` a
-    pair (I, dI/ds) is returned.
+    Arguments must be real and positive (for s <= 0 the integrand has a
+    pole inside the integration range).  Returns an array of shape
+    (degree + 1,) + shape(s); with ``derivative`` a pair (I, dI/ds) is
+    returned.
     """
-    s_arr = np.asarray(s)
+    s_arr = np.asarray(s, dtype=float)
     scalar = s_arr.ndim == 0
     s_arr = np.atleast_1d(s_arr)
+    if np.any(s_arr <= 0.0):
+        raise ValueError("real arguments must be positive")
     x, w = _GL_LAGUERRE
-    if np.iscomplexobj(s_arr):
-        vals = np.empty((degree + 1, s_arr.size), dtype=complex)
-        ders = np.empty_like(vals)
-        denom = 1.0 + np.outer(x, s_arr)
+    vals = np.empty((degree + 1, s_arr.size))
+    ders = np.empty_like(vals)
+    small = s_arr <= 1.0
+    if small.any():
+        inv = 1.0 / (1.0 + np.outer(x, s_arr[small]))
         for j in range(degree + 1):
             wj = w * x ** (j + 1)
-            vals[j] = wj @ (1.0 / denom)
-            ders[j] = -(wj * x) @ (1.0 / denom**2)
-    else:
-        s_arr = s_arr.astype(float)
-        if np.any(s_arr <= 0.0):
-            raise ValueError("real arguments must be positive")
-        vals = np.empty((degree + 1, s_arr.size))
-        ders = np.empty_like(vals)
-        small = s_arr <= 1.0
-        if small.any():
-            denom = 1.0 + np.outer(x, s_arr[small])
-            for j in range(degree + 1):
-                wj = w * x ** (j + 1)
-                vals[j, small] = wj @ (1.0 / denom)
-                if derivative:
-                    ders[j, small] = -(wj * x) @ (1.0 / denom**2)
-        for i in np.flatnonzero(~small):
-            vals[:, i], ders[:, i] = _laguerre_I_recursion(float(s_arr[i]), degree,
-                                                           derivative=True)
+            vals[j, small] = wj @ inv
+            if derivative:
+                ders[j, small] = -(wj * x) @ (inv * inv)
+    for i in np.flatnonzero(~small):
+        vals[:, i], ders[:, i] = _laguerre_I_recursion(float(s_arr[i]), degree)
     if scalar:
         vals, ders = vals[:, 0], ders[:, 0]
     return (vals, ders) if derivative else vals
@@ -178,14 +169,16 @@ class PSDModel:
         jumps of the CDF, and the family's fixed panel ends."""
         raise NotImplementedError
 
-    def kernel(self, s, *, squared=False, guard=None):
-        """Kernel integral K1(s) = int t/(1+ts) dH, or K2 when ``squared``.
+    def kernel(self, s, *, guard=None):
+        """Kernel integrals (K1(s), K2(s)) from one evaluation.
 
-        K2(s) = int t^2/(1+ts)^2 dH.  ``s`` is a 1-d array of real or
-        complex arguments and the result has its shape.  For real s whose
-        pole -1/s comes within ``guard`` of the support, NearPoleError is
-        raised with the offending support point and margin; None disables
-        the check.
+        K1(s) = int t/(1+ts) dH and K2(s) = int t^2/(1+ts)^2 dH, so that
+        the spectrum point map is u = -1/s + c K1 and its slope
+        du/ds = 1/s^2 - c K2.  ``s`` is a 1-d array of real or complex
+        arguments and each half has its shape.  For real s whose pole -1/s
+        comes within ``guard`` of the support, NearPoleError is raised
+        with the offending support point and margin; None disables the
+        check.
         """
         raise NotImplementedError
 
@@ -276,11 +269,10 @@ class Discrete(PSDModel):
     def support(self):
         return tuple((a, a) for a in self.atoms)
 
-    def kernel(self, s, *, squared=False, guard=None):
-        denom = _guard_atoms(self.atoms, s, guard)
-        if squared:
-            return (self.weights * self.atoms**2) @ (1.0 / denom**2)
-        return (self.weights * self.atoms) @ (1.0 / denom)
+    def kernel(self, s, *, guard=None):
+        inv = 1.0 / _guard_atoms(self.atoms, s, guard)
+        wa = self.weights * self.atoms
+        return wa @ inv, (wa * self.atoms) @ (inv * inv)
 
     def companion_root(self, z, c):
         """Upper-half-plane roots by one batched arrowhead eigenproblem.
@@ -460,23 +452,19 @@ class Laguerre(PSDModel):
         wp = w * x * np.polynomial.polynomial.polyval(x, self.full_coeffs)
         return wp, wp * x
 
-    def kernel(self, s, *, squared=False, guard=None):
+    def kernel(self, s, *, guard=None):
         if np.iscomplexobj(s):
             w1, w2 = self._folded_weights
-            denom = 1.0 + np.outer(_GL_LAGUERRE[0], s)
-            if squared:
-                return w2 @ (1.0 / denom**2)
-            return w1 @ (1.0 / denom)
+            inv = 1.0 / (1.0 + np.outer(_GL_LAGUERRE[0], s))
+            return w1 @ inv, w2 @ (inv * inv)
         if np.any(s < 0.0):
             bad = float(s[s < 0.0][0])
             if guard is not None:
                 raise NearPoleError(
                     f"companion value {bad!r} puts -1/s inside the model support",
                     where=-1.0 / bad, margin=0.0)
-        moments = laguerre_moment_integrals(s, self.degree, derivative=squared)
-        if squared:
-            return -(self.full_coeffs @ moments[1])
-        return self.full_coeffs @ moments
+        vals, ders = laguerre_moment_integrals(s, self.degree, derivative=True)
+        return self.full_coeffs @ vals, -(self.full_coeffs @ ders)
 
     @property
     def theta(self) -> NDArray:
@@ -538,15 +526,30 @@ class InverseCubic(PSDModel):
         return ((self.alpha, math.inf),)
 
     @cached_property
-    def _nodes(self):
-        """Gauss-Legendre nodes t with the weights of K1 and K2: under the
-        quantile substitution w = (1-alpha)/(t - shift), dH becomes 2 w dw
-        on (0, 1)."""
-        t = self.shift + (1.0 - self.alpha) / _UNIT_NODES
-        w = 2.0 * _UNIT_NODES * _UNIT_WEIGHTS
-        return t, w * t, w * t**2
+    def _series(self):
+        """Coefficients of the series of K1 and K2 in r = beta/sigma:
+        int w^(k+1) (a w + b) dw and (k + 1) int w^(k+1) (a w + b)^2 dw."""
+        a, b = self.shift, 1.0 - self.alpha
+        k = np.arange(_IC_TERMS)
+        return (a / (k + 3) + b / (k + 2),
+                (k + 1) * (a * a / (k + 4) + 2.0 * a * b / (k + 3) + b * b / (k + 2)))
 
-    def kernel(self, s, *, squared=False, guard=None):
+    def kernel(self, s, *, guard=None):
+        """K1 and K2 in closed form.
+
+        In w = (1-alpha)/(t - a), with a = 2 alpha - 1, dH becomes 2 w dw
+        on (0, 1); with b = 1 - alpha, beta = 1 + a s and sigma = b s,
+        K1 = 2 int w (a w + b)/(beta w + sigma) dw and
+        K2 = 2 int w (a w + b)^2/(beta w + sigma)^2 dw.  As
+        a w + b = (a (beta w + sigma) + b)/beta, K1 = (a + 2 b m_1)/beta and
+        K2 = (a^2 + 4 a b m_1 + 2 b^2 n_1)/beta^2, where
+        m_j = int w^j/(beta w + sigma) dw and n_j = int w^j/(beta w + sigma)^2 dw:
+        m_0 = log((1 + alpha s)/sigma)/beta, n_0 = 1/(sigma (1 + alpha s)),
+        m_1 = (1 - sigma m_0)/beta and n_1 = (m_0 - sigma n_0)/beta.  These
+        cancel as r = beta/sigma -> 0, so where |r| < 0.5 the geometric
+        series of 1/(beta w + sigma) in r is summed instead:
+        K1 = (2/sigma) sum_k (-r)^k int w^(k+1) (a w + b) dw, and K2 alike.
+        """
         if not np.iscomplexobj(s) and guard is not None:
             neg = s < 0.0
             if np.any(neg):
@@ -557,11 +560,21 @@ class InverseCubic(PSDModel):
                         f"companion value puts -1/s within the guard of the "
                         f"support edge {self.alpha!r}",
                         where=self.alpha, margin=float(margin))
-        t, w1, w2 = self._nodes
-        denom = 1.0 + np.outer(t, s)
-        if squared:
-            return w2 @ (1.0 / denom**2)
-        return w1 @ (1.0 / denom)
+        a, b = self.shift, 1.0 - self.alpha
+        beta, sigma = 1.0 + a * s, b * s
+        k1, k2 = np.empty_like(sigma), np.empty_like(sigma)
+        near = np.abs(beta) < _IC_SERIES * np.abs(sigma)
+        sg = sigma[near]
+        powers = np.vander(-beta[near] / sg, _IC_TERMS, increasing=True)
+        k1[near] = 2.0 * (powers @ self._series[0]) / sg
+        k2[near] = 2.0 * (powers @ self._series[1]) / sg / sg
+        far = ~near
+        be, sg, edge = beta[far], sigma[far], 1.0 + self.alpha * s[far]
+        m0, n0 = np.log(edge / sg) / be, 1.0 / sg / edge
+        m1, n1 = (1.0 - sg * m0) / be, (m0 - sg * n0) / be
+        k1[far] = (a + 2.0 * b * m1) / be
+        k2[far] = (a * a + 4.0 * a * b * m1 + 2.0 * b * b * n1) / be / be
+        return k1, k2
 
     @property
     def theta(self) -> NDArray:

@@ -7,12 +7,14 @@ to the spectrum point
     u(s) = -1/s + c * integral t / (1 + t s) dH(t),
 
 where H is the population model, whose ``kernel`` method supplies the
-integral, and c the dimension-to-sample aspect ratio.  Restricted to the set where du/ds > 0 (and -1/s avoids the model
-support), this map is a monotone bijection onto the complement of the
-limiting sample spectrum support, which is what the whole estimation
-strategy rests on.  This module evaluates the map and its derivative,
-solves the defining equation in the upper half plane and on the real
-line, recovers the limiting spectral density, and locates the support.
+integral together with the K2(s) = integral t^2 / (1 + t s)^2 dH(t) of
+the slope du/ds = 1/s^2 - c * K2(s), and c the dimension-to-sample
+aspect ratio.  Restricted to the set where du/ds > 0 (and -1/s avoids the
+model support), this map is a monotone bijection onto the complement of
+the limiting sample spectrum support, which is what the whole estimation
+strategy rests on.  This module evaluates the map, solves the defining
+equation in the upper half plane and on the real line, recovers the
+limiting spectral density, and locates the support.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "SupportReport",
     "companion_stieltjes",
     "mp_u_map",
-    "mp_u_derivative",
     "solve_companion_fixed_point",
     "solve_companion_real",
     "lsd_density_curve",
@@ -151,16 +152,6 @@ def _positive_ratio(c) -> float:
     return c
 
 
-def _eval_kernels(model, s, guard, squared):
-    """``model.kernel`` at a scalar or array s, returning the same shape."""
-    s_arr = np.asarray(s)
-    scalar = s_arr.ndim == 0
-    out = model.kernel(np.atleast_1d(s_arr), squared=squared, guard=guard)
-    if scalar:
-        return complex(out[0]) if np.iscomplexobj(out) else float(out[0])
-    return out
-
-
 def mp_u_map(s, model: PSDModel, c, *, guard=POLE_GUARD):
     """Spectrum point u(s) = -1/s + c * K1(s) for real companion values s.
 
@@ -172,23 +163,10 @@ def mp_u_map(s, model: PSDModel, c, *, guard=POLE_GUARD):
     if np.any(s_arr == 0.0):
         raise ValueError("companion value must be nonzero")
     c = float(c)
-    k1 = _eval_kernels(model, s_arr, guard, squared=False) if c != 0.0 else 0.0
+    k1 = 0.0
+    if c != 0.0:
+        k1 = model.kernel(np.atleast_1d(s_arr), guard=guard)[0].reshape(s_arr.shape)
     out = -1.0 / s_arr + c * k1
-    return out if out.ndim else float(out)
-
-
-def mp_u_derivative(s, model: PSDModel, c):
-    """Derivative du/ds = 1/s^2 - c * K2(s) of the spectrum-point map.
-
-    Arguments whose implied pole -1/s comes within 1e-6 of the model
-    support raise NearPoleError, as in ``mp_u_map``.
-    """
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr == 0.0):
-        raise ValueError("companion value must be nonzero")
-    c = float(c)
-    k2 = _eval_kernels(model, s_arr, POLE_GUARD, squared=True) if c != 0.0 else 0.0
-    out = 1.0 / s_arr**2 - c * k2
     return out if out.ndim else float(out)
 
 
@@ -207,15 +185,15 @@ _KEEP_IM = 0.1            # share of Im s a shortened Newton step keeps
 _DENSITY_EPS = 1e-6       # curves read the transform at x + i*_DENSITY_EPS
 
 
-def _newton_step(s, r, model, c):
-    """One Newton step on u(s) - z = r at every lane of s.
+def _newton_step(s, r, k2, c):
+    """One Newton step on u(s) - z = r at every lane of s, where K2 = k2.
 
     A step that would leave the upper half plane is shortened so that the
     lane keeps the share _KEEP_IM of its Im s.  Far from the root the
     slope or the step can overflow; such lanes come back non-finite.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slope = 1.0 / s**2 - c * model.kernel(s, squared=True)
+        slope = 1.0 / s**2 - c * k2
         step = -r / slope
         inside = s.imag + step.imag > 0.0
         scale = np.where(inside, 1.0, (1.0 - _KEEP_IM) * s.imag / -step.imag)
@@ -228,14 +206,15 @@ def _iterate(z, s, model, c, fp_steps, newton_steps):
     At most ``fp_steps`` damped fixed-point steps, which cannot leave the
     upper half plane, bring the residual down to _NEWTON_HANDOVER (a lane
     takes at least 5); at most ``newton_steps`` Newton steps finish the
-    remaining digits.  The kernel is evaluated only at the lanes still
-    iterating.  A lane is accepted when |u(s) - z| < _SOLVE_TOL with
-    Im s > 0.  Returns s, the complex residual u(s) - z there, the
-    accepted lanes and the ``degenerate`` lanes, whose fixed-point update
-    broke down.
+    remaining digits.  The kernel is evaluated once per step, only at the
+    lanes still iterating, and its K2 serves the Newton step.  A lane is
+    accepted when |u(s) - z| < _SOLVE_TOL with Im s > 0.  Returns s, the
+    complex residual u(s) - z and K2 there, the accepted lanes and the
+    ``degenerate`` lanes, whose fixed-point update broke down.
     """
     s = s.copy()
     r = np.full(z.size, np.inf, dtype=complex)
+    k2 = np.zeros(z.size, dtype=complex)
     done = np.zeros(z.size, dtype=bool)
     degenerate = np.zeros(z.size, dtype=bool)
     live = np.arange(z.size)
@@ -243,7 +222,7 @@ def _iterate(z, s, model, c, fp_steps, newton_steps):
         if live.size == 0:
             break
         s_l, z_l = s[live], z[live]
-        k1 = model.kernel(s_l)
+        k1, k2[live] = model.kernel(s_l)
         r_l = -1.0 / s_l + c * k1 - z_l
         r[live] = r_l
         res = np.abs(r_l)
@@ -262,7 +241,8 @@ def _iterate(z, s, model, c, fp_steps, newton_steps):
         if live.size == 0:
             break
         s_l = s[live]
-        r_l = -1.0 / s_l + c * model.kernel(s_l) - z[live]
+        k1, k2[live] = model.kernel(s_l)
+        r_l = -1.0 / s_l + c * k1 - z[live]
         r[live] = r_l
         converged = (np.abs(r_l) < _SOLVE_TOL) & (s_l.imag > 0.0)
         done[live[converged]] = True
@@ -271,11 +251,11 @@ def _iterate(z, s, model, c, fp_steps, newton_steps):
             break
         # only the residual test accepts a lane; one whose step overflows
         # ends here as a failure
-        s_new = _newton_step(s_l, r_l, model, c)
+        s_new = _newton_step(s_l, r_l, k2[live], c)
         ok = np.isfinite(s_new) & (s_new != 0.0)
         live = live[ok]
         s[live] = s_new[ok]
-    return s, r, done, degenerate
+    return s, r, k2, done, degenerate
 
 
 def _continuation_starts(x, s, done, fresh):
@@ -326,22 +306,24 @@ def _solve_block(z, model, c):
     run the fixed point from -1/z with the full 600 + 60 step budget.  The
     equation has one root with Im s > 0 (Silverstein and Bai 1995), so
     every path that is accepted found the same root; one more Newton step
-    polishes it, so the value does not depend on the path either, and is
-    kept where it still passes the acceptance test.  Converged lanes
-    return s with residual < _SOLVE_TOL and Im s > 0; ``degenerate``
-    marks the lanes whose last fixed-point update broke down.
+    polishes it, from the K2 of the call that accepted it, so the value
+    does not depend on the path either, and is kept where it still passes
+    the acceptance test.  Converged lanes return s with residual
+    < _SOLVE_TOL and Im s > 0; ``degenerate`` marks the lanes whose last
+    fixed-point update broke down.
     """
     s = model.companion_root(z, c)
     if s is not None:
-        s, r, done, degenerate = _iterate(z, s, model, c, 0, _NEWTON_STEPS)
+        s, r, _, done, degenerate = _iterate(z, s, model, c, 0, _NEWTON_STEPS)
         return s, np.abs(r), done, degenerate
     s = -1.0 / z
     r = np.full(z.size, np.inf, dtype=complex)
+    k2 = np.zeros(z.size, dtype=complex)
     done = np.zeros(z.size, dtype=bool)
     lanes = np.unique(np.append(np.arange(0, z.size, _SEED_STRIDE), z.size - 1))
     fp_steps = _SEED_STEPS
     while lanes.size:
-        s[lanes], r[lanes], done[lanes], _ = _iterate(
+        s[lanes], r[lanes], k2[lanes], done[lanes], _ = _iterate(
             z[lanes], s[lanes], model, c, fp_steps, _CONTINUE_STEPS)
         fresh = np.zeros(z.size, dtype=bool)
         fresh[lanes] = done[lanes]
@@ -350,14 +332,14 @@ def _solve_block(z, model, c):
         fp_steps = 0
     degenerate = np.zeros(z.size, dtype=bool)
     lanes = np.flatnonzero(~done)
-    s[lanes], r[lanes], done[lanes], degenerate[lanes] = _iterate(
+    s[lanes], r[lanes], k2[lanes], done[lanes], degenerate[lanes] = _iterate(
         z[lanes], -1.0 / z[lanes], model, c, _FIXED_POINT_STEPS, _NEWTON_STEPS)
     # a polished value is kept where it still passes the acceptance test
     lanes = np.flatnonzero(done)
     if lanes.size:
-        polished = _newton_step(s[lanes], r[lanes], model, c)
+        polished = _newton_step(s[lanes], r[lanes], k2[lanes], c)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r_p = -1.0 / polished + c * model.kernel(polished) - z[lanes]
+            r_p = -1.0 / polished + c * model.kernel(polished)[0] - z[lanes]
         keep = (np.abs(r_p) < _SOLVE_TOL) & (polished.imag > 0.0)
         s[lanes[keep]], r[lanes[keep]] = polished[keep], r_p[keep]
     return s, np.abs(r), done, degenerate
@@ -545,7 +527,7 @@ def support_bounds(model: PSDModel, c) -> SupportReport:
     """
     c = _positive_ratio(c)
     u_at = lambda s: float(mp_u_map(s, model, c, guard=None))
-    k2 = lambda s_arr: model.kernel(s_arr, squared=True)
+    k2 = lambda s_arr: model.kernel(s_arr)[1]
 
     branches, images = [], []
 

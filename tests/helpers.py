@@ -84,14 +84,14 @@ def scalar_companion_solve(z, model, c, damping=0.5, tol=1e-10, max_iter=2000):
     cannot be.
     """
     s = -1.0 / z
-    k1_at = lambda s: complex(model.kernel(np.array([s]))[0])
+    kernel_at = lambda s: [complex(k[0]) for k in model.kernel(np.array([s]))]
 
     def accept(s):
         assert s.imag > 0.0, f"reference root {s!r} at z={z!r} has Im s <= 0"
         return s
 
     for k in range(min(600, max_iter)):
-        k1 = k1_at(s)
+        k1, _ = kernel_at(s)
         residual = abs(-1.0 / s + c * k1 - z)
         if residual < tol:
             return accept(s)
@@ -99,10 +99,11 @@ def scalar_companion_solve(z, model, c, damping=0.5, tol=1e-10, max_iter=2000):
             break
         s = (1.0 - damping) * s + damping * (-1.0 / (z - c * k1))
     for _ in range(60):
-        r = -1.0 / s + c * k1_at(s) - z
+        k1, k2 = kernel_at(s)
+        r = -1.0 / s + c * k1 - z
         if abs(r) < tol:
             return accept(s)
-        slope = 1.0 / s**2 - c * complex(model.kernel(np.array([s]), squared=True)[0])
+        slope = 1.0 / s**2 - c * k2
         assert slope != 0.0, f"reference Newton slope vanished at z={z!r}"
         s = s - r / slope
     raise AssertionError(f"reference solve failed at z={z!r}")

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from scipy import integrate, optimize, stats
 
 from psdfit import (Discrete, InverseCubic, Laguerre, PointMass,
                     model_from_dict, wasserstein)
-from psdfit.models import laguerre_moment_integrals
 
 
 class TestDiscrete:
@@ -327,53 +327,82 @@ class TestSerialization:
         assert PointMass(1.0) != Discrete([1.0], [1.0])
 
 
-def _reference_kernel(model, s, squared):
-    """K1 or K2 written out from the definition: a finite sum over the
-    atoms, or adaptive quadrature of the density (real and imaginary
-    parts separately) for the smooth families."""
-    f = (lambda t: t * t / (1.0 + t * s) ** 2) if squared else (lambda t: t / (1.0 + t * s))
-    if isinstance(model, Discrete):
-        return sum(w * f(a) for a, w in zip(model.atoms.tolist(), model.weights.tolist()))
-    lo = model.support()[0][0]
-    parts = [integrate.quad(lambda t: part(f(t)) * model.density(t), lo, math.inf,
-                            epsabs=0.0, epsrel=1e-13, limit=500)[0]
+def _quad_complex(g, a, b):
+    parts = [integrate.quad(lambda x: part(g(x)), a, b, epsabs=0.0, epsrel=1e-13,
+                            limit=500)[0]
              for part in (np.real, np.imag)]
-    return complex(*parts) if isinstance(s, complex) else parts[0]
+    return complex(*parts)
 
 
-_FIT_RANGE = [0.1, 0.7, 5.0]
+def _reference_kernel(model, s):
+    """K1 and K2 written out from the definition: a finite sum over the
+    atoms, or adaptive quadrature of the density (real and imaginary
+    parts separately) for the smooth families.  Where the pole's
+    p = Re(-1/s) lies inside the support, the range is split at p -+ d,
+    with d half the distance from p to the support's edge, and the stretch
+    between is replaced by the half circle below the real line through
+    those ends (Cauchy), so the integrand stays smooth however close s
+    lies to the real axis."""
+    kernels = [lambda t: t / (1.0 + t * s), lambda t: t * t / (1.0 + t * s) ** 2]
+    if isinstance(model, Discrete):
+        return [sum(w * f(a) for a, w in zip(model.atoms.tolist(), model.weights.tolist()))
+                for f in kernels]
+    lo = model.support()[0][0]
+    p = (-1.0 / s).real
+    out = []
+    for f in kernels:
+        g = lambda t: f(t) * model.density(t)
+        if p <= lo:
+            value = _quad_complex(g, lo, math.inf)
+        else:
+            # the inverse-cubic density continued off the real line
+            assert isinstance(model, InverseCubic)
+            rho = lambda t: 2.0 * (1.0 - model.alpha) ** 2 / (t - model.shift) ** 3
+            d = 0.5 * (p - lo)
+            arc = lambda th: (lambda t: f(t) * rho(t) * 1j * (t - p))(p + d * np.exp(1j * th))
+            value = (_quad_complex(g, lo, p - d) + _quad_complex(arc, -math.pi, 0.0)
+                     + _quad_complex(g, p + d, math.inf))
+        out.append(value if isinstance(s, complex) else value.real)
+    return out
+
+
+_FIT_RANGE = [0.1, 0.7, 5.0, 1e6]
 _UPPER_HALF = [0.3 + 0.4j, 1.0 + 1.0j, 0.5 + 0.1j]
+# inverse cubic: by the real axis, with the pole inside the support or not
+_IC_HARD = [-0.7 + 1e-6j, 0.02 + 1e-6j, -30.0 + 1e-3j]
 
 
-@pytest.mark.parametrize("squared", [False, True])
-@pytest.mark.parametrize("model, s", [
-    (model, s)
-    for model, gap in [
+# each model with every argument it is checked at
+_KERNEL_INPUTS = {
+    model: _FIT_RANGE + extra + _UPPER_HALF
+    for model, extra in [
         (Discrete([1.0, 3.0, 5.0], [0.3, 0.4, 0.3]), [-0.5]),   # pole at 2
         (PointMass(2.5), [-1.0]),                               # pole at 1
         (Laguerre([1.0]), []),
         (Laguerre([1 / 9, 1 / 9, 1 / 9]), []),
-        (InverseCubic(0.0), []),
-        (InverseCubic(0.3), [-5.0]),                            # pole at 0.2
-        (InverseCubic(0.5), [-3.0]),                            # pole at 1/3
+        (InverseCubic(0.0), _IC_HARD),
+        # pole at 0.2; 1 + (2 alpha - 1) s vanishes at s = 2.5
+        (InverseCubic(0.3), [-5.0, 2.5, 2.5 * (1 + 1e-6), 2.5 * (1 - 1e-6),
+                             2.5 * (1 + 1e-3), 2.5 * (1 - 1e-3), 3.0, 2.5 + 1e-6j]
+         + _IC_HARD),
+        (InverseCubic(0.5), [-3.0] + _IC_HARD),                 # pole at 1/3
     ]
-    for s in _FIT_RANGE + gap + _UPPER_HALF
+}
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("model, s", [
+    (model, s) for model, inputs in _KERNEL_INPUTS.items() for s in inputs
 ], ids=lambda v: f"{v.kind}{np.round(v.theta, 3).tolist()}" if hasattr(v, "kind") else None)
-def test_kernel_matches_reference(model, s, squared):
-    got = model.kernel(np.array([s]), squared=squared)
-    assert got.shape == (1,)
-    want = _reference_kernel(model, s, squared)
-    assert abs(got[0] - want) <= 1e-10 * abs(want)
-
-
-@pytest.mark.parametrize("coeffs", [[1.0], [1 / 9, 1 / 9, 1 / 9], [0.3, -0.05]])
-def test_laguerre_complex_kernel_equals_moment_sum(coeffs):
-    # the complex-s kernel folds the polynomial into the quadrature weights;
-    # the sum over the moment integrals is the same quadrature term by term
-    model = Laguerre(coeffs)
-    s = np.array([0.3 + 0.4j, 2.0 + 1e-6j, 0.05 + 3.0j, -0.7 + 0.01j, 40.0 + 5.0j])
-    vals, ders = laguerre_moment_integrals(s, model.degree, derivative=True)
-    k1 = model.full_coeffs @ vals
-    k2 = -(model.full_coeffs @ ders)
-    assert np.max(np.abs(model.kernel(s) - k1) / np.abs(k1)) < 1e-13
-    assert np.max(np.abs(model.kernel(s, squared=True) - k2) / np.abs(k2)) < 1e-13
+def test_kernel_matches_reference(model, s, batched):
+    # batched: s sits among the model's other arguments of its type, so a
+    # kernel that splits its lanes between two rules must put each back
+    args = [x for x in _KERNEL_INPUTS[model]
+            if isinstance(x, complex) == isinstance(s, complex)] if batched else [s]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.kernel(np.array(args))
+    i = args.index(s)
+    for half, want in zip(got, _reference_kernel(model, s)):
+        assert half.shape == (len(args),)
+        assert abs(half[i] - want) <= 1e-10 * abs(want)
