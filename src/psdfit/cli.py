@@ -15,8 +15,7 @@ import numpy as np
 
 from .dataio import (load_experiment_config, load_model_json,
                      load_returns_csv, read_eigenvalues_csv, run_analysis,
-                     save_model_json, write_curve_csv, write_report_csv,
-                     write_report_json)
+                     write_curve_csv, write_report_csv, write_report_json)
 from .errors import NumericsError
 from .estimator import FAMILIES, build_unet, fit_discrete, fit_inverse_cubic, fit_laguerre
 from .mptransform import SampleSpectrum, lsd_density_curve, support_bounds

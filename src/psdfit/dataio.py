@@ -30,7 +30,6 @@ __all__ = [
     "run_analysis",
     "read_eigenvalues_csv",
     "write_curve_csv",
-    "save_model_json",
     "load_model_json",
     "load_experiment_config",
     "write_report_json",
@@ -252,12 +251,6 @@ def write_curve_csv(path, curve: DensityCurve) -> None:
         writer.writerow(["x", "f"])
         for x, f in zip(curve.x, curve.f):
             writer.writerow([repr(float(x)), repr(float(f))])
-
-
-def save_model_json(path, model: PSDModel) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2)
-        fh.write("\n")
 
 
 def load_model_json(path) -> PSDModel:

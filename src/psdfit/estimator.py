@@ -4,10 +4,10 @@ The estimation recipe: pick spectrum points u_j outside the sample bulk,
 cache the companion Stieltjes transform there, and choose the model
 parameters that make the model-side spectrum point map reproduce the
 u_j best in the least-squares sense.  Atomic models go through one
-trust-region least-squares search with an analytic Jacobian over an
-unconstrained reparameterization, started from a nonnegative
-least-squares fit of the weights on a fixed grid of atoms, so no random
-numbers are drawn; the polynomial-exponential family is linear in its
+trust-region least-squares search over the atoms alone, started from the
+sample quantiles, with the weights of any atoms given by one nonnegative
+least-squares solve (variable projection), so no random numbers are
+drawn; the polynomial-exponential family is linear in its
 coefficients and solves in one orthogonal factorization, plus one
 nonnegative least-squares solve when its density has to be projected
 back onto the positive cone; the inverse-cubic family is a coarse grid
@@ -17,7 +17,7 @@ followed by a bounded one-dimensional search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -51,13 +51,7 @@ _PENALTY = 1e12
 _LSQ_TOL = 1e-12
 _LSQ_GTOL = 1e-15
 _MAX_NFEV = 2000     # residual evaluations allowed for the search
-# start of the atomic search: grid atoms, the least |1 + a s_j| a grid atom
-# may have, the scale of the total-mass row, and the share of the mass
-# under which a grid weight is pruned before merging
-_GRID_ATOMS = 120
-_GRID_POLE_GAP = 1e-3
-_GRID_MASS_ROW = 1e3
-_GRID_PRUNE = 0.02
+_MASS_ROW = 1e3      # scale of the total-mass row of the weight fit
 _MIN_EIG_GAP = 1e-9
 # Dips this deep on the density scale mean the unconstrained solution left
 # the family; shallower ones are estimation noise around a density that
@@ -201,9 +195,10 @@ class FitResult:
     """Outcome of a family fit against an evaluation net.
 
     ``iterations`` counts the residual evaluations of the least-squares
-    search for the atomic family, the active grid constraints of the
-    positivity projection for the polynomial-exponential family (0 when
-    the unconstrained fit is kept) and objective evaluations for the
+    search over the atoms for the atomic family (each one nonnegative
+    least-squares solve for the weights), the active grid constraints of
+    the positivity projection for the polynomial-exponential family (0
+    when the unconstrained fit is kept) and objective evaluations for the
     inverse-cubic family.
     """
 
@@ -247,121 +242,84 @@ def _finish(model, family, net, c, iterations, converged) -> FitResult:
     )
 
 
-def _raw_to_theta(raw: NDArray, k: int) -> NDArray:
-    # atoms as cumulative sums of exponentials, weights as a softmax with
-    # the last logit pinned to zero; any raw vector maps inside the family
-    gaps = np.exp(np.clip(raw[:k], -40.0, 40.0))
-    atoms = np.cumsum(gaps)
-    logits = np.append(np.clip(raw[k:], -40.0, 40.0), 0.0)
-    w = np.exp(logits - logits.max())
-    w /= w.sum()
-    return np.concatenate([atoms, w[:-1]])
+def _projection(raw: NDArray, net: UNet, c: float):
+    """Atoms, table 1 + a_i s_j, weights and weight design of a raw vector.
+
+    The atoms are cumulative sums of exp(raw), so any raw vector gives
+    positive increasing atoms.  For fixed atoms, u_j + 1/s_j = c sum_i w_i a_i / (1 + a_i s_j) is
+    linear in the weights, so one ``scipy.optimize.nnls`` solve, with
+    total mass one as an extra row scaled by 1e3, gives them; they are
+    then rescaled to sum to one.  Inside the pole guard the weights and
+    the design are None.
+    """
+    s = net.companion_values
+    atoms = np.cumsum(np.exp(np.clip(raw, -40.0, 40.0)))
+    denom = 1.0 + np.outer(atoms, s)
+    if np.abs(denom).min() < POLE_GUARD:
+        return atoms, denom, None, None
+    design = np.vstack([c * atoms / denom.T, np.full(atoms.size, _MASS_ROW)])
+    weights, _ = optimize.nnls(design, np.append(net.points + 1.0 / s, _MASS_ROW))
+    return atoms, denom, weights / weights.sum(), design
 
 
-def _atomic_terms(raw: NDArray, k: int, s: NDArray):
-    # atoms, weights and the table 1 + a_i s_j of a raw vector, with the
-    # last weight closed the way params_to_model closes it
-    theta = _raw_to_theta(raw, k)
-    atoms = theta[:k]
-    weights = np.append(theta[k:], 1.0 - theta[k:].sum())
-    return atoms, weights, 1.0 + np.outer(atoms, s)
-
-
-def _discrete_residual(raw: NDArray, k: int, net: UNet, c: float) -> NDArray:
-    """Residual net.points - u_hat of the k-atom model a raw vector encodes.
+def _discrete_residual(raw: NDArray, net: UNet, c: float) -> NDArray:
+    """Residual net.points - u_hat of the atoms a raw vector encodes, with
+    their projected weights.
 
     Inside the pole guard it is a finite penalty vector whose squared norm
     is the objective's penalty, so a step into the guard is rejected.
     """
     s = net.companion_values
-    atoms, weights, denom = _atomic_terms(raw, k, s)
-    closeness = np.abs(denom).min()
-    if closeness < POLE_GUARD:
+    atoms, denom, weights, _ = _projection(raw, net, c)
+    if weights is None:
         out = np.zeros(net.m)
-        out[0] = math.sqrt(_PENALTY + (POLE_GUARD - closeness))
+        out[0] = math.sqrt(_PENALTY + (POLE_GUARD - np.abs(denom).min()))
         return out
-    uhat = -1.0 / s + c * ((weights * atoms) @ (1.0 / denom))
-    return net.points - uhat
+    # mp_u_map's order of operations, so that the search minimizes the
+    # objective the fit reports, rounding included
+    return net.points - (-1.0 / s + c * ((weights * atoms) @ (1.0 / denom)))
 
 
-def _discrete_jacobian(raw: NDArray, k: int, net: UNet, c: float) -> NDArray:
-    """Jacobian of ``_discrete_residual`` in the raw parameters (m by 2k-1)."""
-    atoms, weights, denom = _atomic_terms(raw, k, net.companion_values)
-    if np.abs(denom).min() < POLE_GUARD:
+def _discrete_jacobian(raw: NDArray, net: UNet, c: float) -> NDArray:
+    """Kaufman's Jacobian of ``_discrete_residual`` in the raw parameters.
+
+    J = -(I - QQ')D on the data rows, with D_ji = c w_i / (1 + a_i s_j)^2
+    (zero in the mass row) and Q an orthonormal basis of the design
+    columns whose weight is positive; it drops the term of the exact
+    variable-projection Jacobian that scales with the residual.
+    """
+    atoms, denom, weights, design = _projection(raw, net, c)
+    if weights is None:
         return np.zeros((net.m, raw.size))
-    # u_hat = -1/s + c sum_i w_i a_i / (1 + a_i s): one row per atom
-    d_atom = c * weights[:, None] / denom**2
-    d_weight = c * atoms[:, None] / denom
+    d_atom = np.zeros(design.shape)
+    d_atom[:-1] = c * weights / denom.T**2
+    q, _ = np.linalg.qr(design[:, weights > 0.0])
+    jac = -(d_atom - q @ (q.T @ d_atom))[:-1]
     # a_i sums exp(raw_l) over l <= i
-    gaps = np.exp(np.clip(raw[:k], -40.0, 40.0))
-    d_gaps = gaps[:, None] * np.cumsum(d_atom[::-1], axis=0)[::-1]
-    # softmax with the last logit pinned: dw_i/dz_l = w_i (delta_il - w_l)
-    d_logits = weights[:-1, None] * (d_weight[:-1] - weights @ d_weight)
-    jac = -np.concatenate([d_gaps, d_logits]).T
+    jac = np.cumsum(jac[:, ::-1], axis=1)[:, ::-1] * np.exp(np.clip(raw, -40.0, 40.0))
     jac[:, np.abs(raw) > 40.0] = 0.0
     return jac
 
 
-def _grid_fit(net: UNet, k: int):
-    """Atoms and weights of k groups of a nonnegative fit on a grid.
-
-    With the atoms fixed, u_j + 1/s_j = c sum_i w_i a_i / (1 + a_i s_j) is
-    linear in the weights, so ``scipy.optimize.nnls`` fits the weights of
-    120 geometric atoms on [lambda_min/2, 1.2 lambda_max], less those
-    within 1e-3 of a pole, with total mass one as a heavily weighted extra
-    row.  Weights under 2% of the mass are pruned, the rest are split into
-    k groups at the k - 1 widest log gaps, and each group becomes one atom
-    at its weighted mean.  The pruning is skipped when the atoms it keeps
-    form fewer than k runs of neighbouring grid atoms: the split would then
-    cut a run in two, and a search started from two halves of one cluster
-    stalls as they merge.  None when fewer than k grid atoms carry weight.
-    """
-    spec = net.spectrum
-    s = net.companion_values
-    grid = np.geomspace(spec.smallest_positive() / 2.0, 1.2 * spec.largest(), _GRID_ATOMS)
-    denom = 1.0 + np.outer(s, grid)
-    clear = np.abs(denom).min(axis=0) >= _GRID_POLE_GAP
-    if clear.sum() < k:
-        return None
-    grid, denom = grid[clear], denom[:, clear]
-    design = np.vstack([net.ratio() * grid / denom, np.full(grid.size, _GRID_MASS_ROW)])
-    target = np.append(net.points + 1.0 / s, _GRID_MASS_ROW)
-    mass, _ = optimize.nnls(design, target)
-    keep = mass >= _GRID_PRUNE * mass.sum()
-    if 1 + np.count_nonzero(np.diff(np.flatnonzero(keep)) > 1) < k:
-        keep = mass > 0.0
-    if keep.sum() < k:
-        return None
-    atoms, mass = grid[keep], mass[keep]
-    widest = np.argsort(np.diff(np.log(atoms)))[atoms.size - k:]
-    firsts = np.concatenate([[0], np.sort(widest) + 1])
-    weights = np.add.reduceat(mass, firsts)
-    return np.add.reduceat(mass * atoms, firsts) / weights, weights
-
-
-def _nnls_start(net: UNet, k: int) -> NDArray:
-    """Raw start of the atomic search: the merged grid fit of ``_grid_fit``,
-    or sample-spectrum quantiles with equal weights when it has none."""
-    start = _grid_fit(net, k)
-    if start is None:
-        pos = net.spectrum.eigenvalues[net.spectrum.eigenvalues > 0.0]
-        start = np.quantile(pos, (np.arange(k) + 0.5) / k), np.ones(k)
-    atoms0, weights = start
-    gaps0 = np.maximum(np.diff(np.concatenate([[0.0], atoms0])), 1e-4 * atoms0[-1] / k)
-    return np.concatenate([np.log(gaps0), np.log(weights[:-1] / weights[-1])])
+def _quantile_start(net: UNet, k: int) -> NDArray:
+    """Raw start of the atomic search: the (i + 1/2)/k quantiles of the
+    positive sample eigenvalues, i = 0..k-1."""
+    pos = net.spectrum.eigenvalues[net.spectrum.eigenvalues > 0.0]
+    atoms0 = np.quantile(pos, (np.arange(k) + 0.5) / k)
+    return np.log(np.maximum(np.diff(atoms0, prepend=0.0), 1e-4 * atoms0[-1] / k))
 
 
 def fit_discrete(net: UNet, k: int) -> FitResult:
-    """Fit a k-atom spectrum by trust-region least squares.
+    """Fit a spectrum of at most k atoms by variable projection.
 
     The ratio c is the net's p/n.  One ``scipy.optimize.least_squares``
-    run minimizes the residual vector with its analytic Jacobian, for at
-    most 2000 residual evaluations.  It starts from a nonnegative
-    least-squares fit of the weights of a fixed grid of atoms, merged into
-    k atoms (see ``_grid_fit``), or from sample-spectrum quantiles with
-    equal weights when fewer than k grid atoms carry weight.  The start is
-    deterministic.  A search that ends inside the pole guard raises
-    IterationError.
+    trust-region run searches over the k atoms only, from the sample
+    quantiles (see ``_quantile_start``), with Kaufman's Jacobian, for at
+    most 2000 residual evaluations; for any atoms the weights are the
+    nonnegative least-squares solution (see ``_projection``).  The start
+    is deterministic.  Atoms whose weight ends exactly 0 are dropped, so
+    the model may have fewer than k atoms.  A search that ends inside the
+    pole guard raises IterationError.
     """
     k = int(k)
     if k < 1:
@@ -370,12 +328,14 @@ def fit_discrete(net: UNet, k: int) -> FitResult:
         raise ValueError(f"net has {net.m} points but {2 * k - 1} are required")
     c = net.ratio()
     res = optimize.least_squares(
-        _discrete_residual, _nnls_start(net, k), jac=_discrete_jacobian,
-        args=(k, net, c), method="trf", ftol=_LSQ_TOL, xtol=_LSQ_TOL,
+        _discrete_residual, _quantile_start(net, k), jac=_discrete_jacobian,
+        args=(net, c), method="trf", ftol=_LSQ_TOL, xtol=_LSQ_TOL,
         gtol=_LSQ_GTOL, max_nfev=_MAX_NFEV)
-    if float(res.fun @ res.fun) >= _PENALTY:
+    atoms, _, weights, _ = _projection(res.x, net, c)
+    if weights is None:
         raise IterationError("the least-squares search ended inside the pole guard")
-    model = params_to_model("discrete", _raw_to_theta(res.x, k))
+    keep = weights > 0.0
+    model = Discrete(atoms[keep], weights[keep])
     return _finish(model, "discrete", net, c, int(res.nfev), bool(res.success))
 
 

@@ -700,9 +700,11 @@ def model_from_dict(data: dict) -> PSDModel:
         raise ValueError("model dict needs a 'kind' entry") from None
     try:
         builder = _KINDS[kind]
-    except KeyError:
+    except (TypeError, KeyError):
         raise ValueError(f"unknown model kind {kind!r}") from None
     try:
         return builder(data)
     except KeyError as missing:
         raise ValueError(f"model dict for {kind!r} is missing {missing}") from None
+    except TypeError as err:
+        raise ValueError(f"model dict for {kind!r} has a wrongly typed value: {err}") from None

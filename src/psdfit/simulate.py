@@ -160,6 +160,8 @@ class ExperimentConfig:
             )
         except KeyError as err:
             raise ValueError(f"experiment config is missing {err.args[0]!r}") from None
+        except TypeError as err:
+            raise ValueError(f"experiment config has a wrongly typed value: {err}") from None
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,24 @@ def test_forward_rejects_negative_ratio(model_file, tmp_path, capsys):
     assert "aspect ratio must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, text", [
+    ("support", "--model", '{"kind": "point_mass", "at": null}'),
+    ("support", "--model", '{"kind": "inverse_cubic", "alpha": [1]}'),
+    ("support", "--model", '[{"kind": "point_mass", "at": 1}]'),
+    ("simulate", "--config", '[{"case": "cli"}]'),
+    ("simulate", "--config", json.dumps(
+        {"case": "cli", "model": {"kind": "point_mass", "at": 1.0}, "dims": 5,
+         "replications": 2, "family": "discrete"})),
+])
+def test_wrongly_typed_json_is_input_error(tmp_path, capsys, command, flag, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    args = [command, flag, str(path)]
+    args += ["--c", "0.5"] if command == "support" else ["--out", str(tmp_path / "r.json")]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_model_file_is_input_error(tmp_path, capsys):
     code = main(["support", "--model", str(tmp_path / "none.json"),
                  "--c", "0.5"])

@@ -13,8 +13,8 @@ from psdfit import (Discrete, ExperimentConfig, InverseCubic, PointMass,
                     kde_curve, load_returns_csv, run_analysis, run_experiment)
 from psdfit import dataio
 from psdfit.dataio import (load_experiment_config, load_model_json,
-                           read_eigenvalues_csv, save_model_json,
-                           write_curve_csv, write_report_csv, write_report_json)
+                           read_eigenvalues_csv, write_curve_csv,
+                           write_report_csv, write_report_json)
 from psdfit.mptransform import DensityCurve
 
 
@@ -258,14 +258,16 @@ class TestFileFormats:
 
     def test_model_json_round_trip(self, tmp_path):
         model = Discrete([1.0, 3.0], [0.25, 0.75])
-        path = tmp_path / "m.json"
-        save_model_json(path, model)
+        path = write(tmp_path / "m.json", json.dumps(model.to_dict()))
         assert load_model_json(path) == model
 
     def test_model_json_rejects_garbage(self, tmp_path):
-        f = write(tmp_path / "m.json", "not json")
-        with pytest.raises(ValueError):
-            load_model_json(f)
+        for text in ("not json", '{"kind": "point_mass", "at": null}',
+                     '{"kind": "inverse_cubic", "alpha": [1]}',
+                     '{"kind": ["discrete"]}', '[{"kind": "point_mass", "at": 1}]'):
+            f = write(tmp_path / "m.json", text)
+            with pytest.raises(ValueError):
+                load_model_json(f)
 
     def test_config_from_file(self, tmp_path):
         cfg = {"case": "t", "model": {"kind": "point_mass", "at": 1.0},

@@ -10,8 +10,9 @@ from psdfit import (Discrete, InverseCubic, IterationError, Laguerre,
                     PointMass, RankError, SampleSpectrum, build_unet,
                     estimator, fit_discrete, fit_inverse_cubic, fit_laguerre,
                     objective, params_to_model, population_from_model,
-                    sample_spectrum, wasserstein)
-from psdfit.estimator import UNet, _discrete_jacobian, _discrete_residual
+                    sample_spectrum, support_bounds, wasserstein)
+from psdfit.estimator import (UNet, _discrete_jacobian, _discrete_residual,
+                              _projection)
 from psdfit.mptransform import POLE_GUARD
 
 
@@ -101,15 +102,21 @@ class TestParamsToModel:
         with pytest.raises(ValueError):
             params_to_model("spike", [1.0])
 
-    def test_random_raw_vectors_land_in_family(self):
-        from psdfit.estimator import _raw_to_theta
+    def test_random_raw_vectors_land_in_family(self, case1_spectrum):
+        # raw log gaps give increasing positive atoms, and their projected
+        # weights, less the zeros, give a model of the family
+        net = build_unet(case1_spectrum, "discrete")
         rng = np.random.default_rng(7)
-        for raw in rng.normal(scale=5.0, size=(25, 7)):
-            model = params_to_model("discrete", _raw_to_theta(raw, 4))
-            assert np.all(model.atoms > 0.0)
-            assert np.all(np.diff(model.atoms) > 0.0)
+        for raw in rng.normal(scale=5.0, size=(25, 4)):
+            atoms, _, weights, _ = _projection(raw, net, 0.2)
+            assert np.all(atoms > 0.0)
+            assert np.all(np.diff(atoms) > 0.0)
+            assert np.all(weights >= 0.0)
+            assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+            keep = weights > 0.0
+            theta = np.concatenate([atoms[keep], weights[keep][:-1]])
+            model = params_to_model("discrete", theta)
             assert np.all(model.weights > 0.0)
-            assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestObjective:
@@ -215,7 +222,11 @@ class TestFitDiscrete:
 def _pole_raw(net):
     # two atoms, the first on the pole -1/s of a net point with s < 0
     s_neg = net.companion_values[net.companion_values < 0.0][0]
-    return np.array([np.log(-1.0 / s_neg), np.log(-1.0 / s_neg), 0.0])
+    return np.array([np.log(-1.0 / s_neg), np.log(-1.0 / s_neg)])
+
+
+def _raw_of(atoms):
+    return np.log(np.diff(atoms, prepend=0.0))
 
 
 @pytest.fixture(scope="module")
@@ -225,41 +236,61 @@ def atomic_nets(case1_spectrum):
             2.0: build_unet(sample_spectrum(wide, 100, seed=4), "discrete")}
 
 
+# k-atom truths whose exact nets the Jacobian is checked on
+_JACOBIAN_TRUTHS = {1: Discrete([2.0], [1.0]),
+                    2: Discrete([1.0, 2.0], [0.5, 0.5]),
+                    3: Discrete([1.0, 5.0, 15.0], [0.3, 0.4, 0.3])}
+
+
 class TestAtomicResidual:
     @pytest.mark.parametrize("c", [0.2, 2.0])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_jacobian_matches_central_differences(self, atomic_nets, c, k):
-        net = atomic_nets[c]
+    def test_jacobian_matches_central_differences(self, c, k):
+        # Kaufman's Jacobian drops a term that scales with the residual, so
+        # it is checked on an exact net near the truth, where that term is
+        # small; a chain-rule error would still show at full size
+        truth = _JACOBIAN_TRUTHS[k]
+        top = support_bounds(truth, c).support[-1][1]
+        u = np.concatenate([np.linspace(-9.0, -0.5, 10),
+                            np.linspace(5.0 * top, 10.0 * top, 10)])
+        net = helpers.exact_net(truth, c, u)
         assert net.ratio() == pytest.approx(c)
         rng = np.random.default_rng(10 * k + int(c))
         for _ in range(5):
-            raw = np.concatenate([rng.normal(0.5, 0.6, k), rng.normal(0.0, 1.0, k - 1)])
-            jac = _discrete_jacobian(raw, k, net, c)
-            assert jac.shape == (net.m, 2 * k - 1)
+            raw = _raw_of(truth.atoms) + rng.normal(0.0, 0.01, k)
+            jac = _discrete_jacobian(raw, net, c)
+            assert jac.shape == (net.m, k)
             fd = np.empty_like(jac)
-            for j in range(raw.size):
+            for j in range(k):
                 step = np.zeros_like(raw)
                 step[j] = 1e-6
-                fd[:, j] = (_discrete_residual(raw + step, k, net, c)
-                            - _discrete_residual(raw - step, k, net, c)) / 2e-6
-            np.testing.assert_allclose(jac, fd, rtol=1e-6,
-                                       atol=1e-6 * np.abs(jac).max())
+                fd[:, j] = (_discrete_residual(raw + step, net, c)
+                            - _discrete_residual(raw - step, net, c)) / 2e-6
+            np.testing.assert_allclose(jac, fd, rtol=1e-2,
+                                       atol=1e-2 * np.abs(fd).max())
 
     @pytest.mark.parametrize("c", [0.2, 2.0])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_squared_norm_is_the_objective(self, atomic_nets, c, k):
-        from psdfit.estimator import _raw_to_theta
         net = atomic_nets[c]
         rng = np.random.default_rng(20 * k + int(c))
-        for raw in rng.normal(0.5, 1.0, size=(10, 2 * k - 1)):
-            res = _discrete_residual(raw, k, net, c)
-            phi = objective(_raw_to_theta(raw, k), "discrete", net)
+        for raw in rng.normal(0.5, 1.0, size=(10, k)):
+            res = _discrete_residual(raw, net, c)
+            atoms, _, weights, _ = _projection(raw, net, c)
+            keep = weights > 0.0
+            model = Discrete(atoms[keep], weights[keep])
+            phi = objective(model.theta, "discrete", net)
             assert phi < 1e12               # off the guard
             assert float(res @ res) == pytest.approx(phi, rel=1e-12)
+        # the search minimizes exactly what the fit reports
+        fit = fit_discrete(net, k)
+        res = _discrete_residual(_raw_of(fit.model.atoms), net, c)
+        assert float(res @ res) == pytest.approx(
+            objective(fit.theta, "discrete", net), rel=1e-12)
 
     def test_jacobian_vanishes_where_raw_is_clipped(self, atomic_nets):
         raw = np.array([0.0, 45.0, -41.0])
-        jac = _discrete_jacobian(raw, 2, atomic_nets[0.2], 0.2)
+        jac = _discrete_jacobian(raw, atomic_nets[0.2], 0.2)
         assert np.all(jac[:, 1:] == 0.0)
         assert np.any(jac[:, 0] != 0.0)
 
@@ -268,14 +299,14 @@ class TestPoleGuard:
     def test_residual_is_finite_penalty_on_the_pole(self, case1_spectrum):
         net = build_unet(case1_spectrum, "discrete")
         raw = _pole_raw(net)
-        res = _discrete_residual(raw, 2, net, 0.2)
+        res = _discrete_residual(raw, net, 0.2)
         assert np.all(np.isfinite(res))
         assert float(res @ res) >= 1e12
-        assert np.all(np.isfinite(_discrete_jacobian(raw, 2, net, 0.2)))
+        assert np.all(np.isfinite(_discrete_jacobian(raw, net, 0.2)))
 
     def test_start_on_the_pole_raises(self, case1_spectrum, monkeypatch):
         net = build_unet(case1_spectrum, "discrete")
-        monkeypatch.setattr(estimator, "_nnls_start", lambda net, k: _pole_raw(net))
+        monkeypatch.setattr(estimator, "_quantile_start", lambda net, k: _pole_raw(net))
         with pytest.raises(IterationError):
             fit_discrete(net, 2)
 
@@ -283,10 +314,10 @@ class TestPoleGuard:
         # the first atom 1e-5 outside the pole of a net point: the residual
         # is finite but huge, and the search must step away from it
         net = build_unet(case1_spectrum, "discrete")
-        raw = _pole_raw(net) + np.array([np.log1p(1e-5), 0.0, 0.0])
-        _, _, denom = estimator._atomic_terms(raw, 2, net.companion_values)
+        raw = _pole_raw(net) + np.array([np.log1p(1e-5), 0.0])
+        _, denom, _, _ = _projection(raw, net, 0.2)
         assert POLE_GUARD < np.abs(denom).min() < 2e-5
-        monkeypatch.setattr(estimator, "_nnls_start", lambda net, k: raw)
+        monkeypatch.setattr(estimator, "_quantile_start", lambda net, k: raw)
         fit = fit_discrete(net, 2)
         assert fit.model.atoms.size == 2
         assert np.all(np.isfinite(fit.residuals))
@@ -295,42 +326,48 @@ class TestPoleGuard:
     @pytest.mark.parametrize("c", [0.2, 2.0])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_nnls_start_clears_the_guard(self, atomic_nets, c, k):
+        # the search starts at the quantile atoms with their NNLS weights
         net = atomic_nets[c]
-        raw = estimator._nnls_start(net, k)
-        _, weights, denom = estimator._atomic_terms(raw, k, net.companion_values)
+        raw = estimator._quantile_start(net, k)
+        _, denom, weights, _ = _projection(raw, net, c)
         assert np.abs(denom).min() > POLE_GUARD
-        assert np.all(weights > 0.0)
-        res = _discrete_residual(raw, k, net, c)
+        assert np.all(weights >= 0.0) and weights.sum() == pytest.approx(1.0)
+        res = _discrete_residual(raw, net, c)
         assert np.all(np.isfinite(res)) and float(res @ res) < 1e12
 
-    def test_grid_with_every_atom_near_a_pole_starts_at_quantiles(
-            self, case1_spectrum, monkeypatch):
-        # no grid atom clears the pole gap, so no nonnegative fit is run
+    def test_start_is_the_sample_quantiles(self, case1_spectrum):
         net = build_unet(case1_spectrum, "discrete")
-        monkeypatch.setattr(estimator, "_GRID_POLE_GAP", np.inf)
-        assert estimator._grid_fit(net, 2) is None
         pos = case1_spectrum.eigenvalues[case1_spectrum.eigenvalues > 0.0]
-        atoms = estimator._raw_to_theta(estimator._nnls_start(net, 2), 2)[:2]
+        atoms = _projection(estimator._quantile_start(net, 2), net, 0.2)[0]
         assert np.allclose(atoms, np.quantile(pos, [0.25, 0.75]), rtol=1e-12)
-        fit = fit_discrete(net, 2)
-        assert np.all(np.isfinite(fit.residuals))
 
 
-_OVER_SPECIFIED = {"two_atom": (Discrete([1.0, 2.0], [0.5, 0.5]), 3),
-                   "wide_three_atom": (Discrete([1.0, 5.0, 15.0], [0.3, 0.4, 0.3]), 4)}
+# truth, k, p and n of the over-specified cases, and their seeds: the
+# 100 x 500 panels, and the 100 x 100 and 200 x 100 panels where the fit
+# that searched the weights too ended above the (k - 1)-atom fit
+_OVER_SPECIFIED = {
+    "two_atom": (Discrete([1.0, 2.0], [0.5, 0.5]), 3, 100, 500),
+    "wide_three_atom": (Discrete([1.0, 5.0, 15.0], [0.3, 0.4, 0.3]), 4, 100, 500),
+    "two_atom_c1": (Discrete([1.0, 2.0], [0.5, 0.5]), 3, 100, 100),
+    "wide_three_atom_c2": (Discrete([1.0, 5.0, 15.0], [0.3, 0.4, 0.3]), 3, 200, 100),
+}
+_OVER_SPECIFIED_SEEDS = {"two_atom": range(60), "wide_three_atom": range(60),
+                         "two_atom_c1": range(20, 40),
+                         "wide_three_atom_c2": range(20, 40)}
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("case", sorted(_OVER_SPECIFIED))
+@pytest.mark.parametrize("case, seed", [(case, seed) for case in _OVER_SPECIFIED
+                                        for seed in _OVER_SPECIFIED_SEEDS[case]])
 def test_over_specified_order(case, seed):
     # k above the true number of atoms: the (k - 1)-atom family lies in the
-    # closure of the k-atom one, so the larger fit can be no worse
-    truth, k = _OVER_SPECIFIED[case]
-    spec = sample_spectrum(population_from_model(truth, 100), 500, seed=seed)
+    # closure of the k-atom one, so the larger fit can be no worse; atoms
+    # whose weight vanishes are dropped
+    truth, k, p, n = _OVER_SPECIFIED[case]
+    spec = sample_spectrum(population_from_model(truth, p), n, seed=seed)
     net = build_unet(spec, "discrete")
     smaller = fit_discrete(net, k - 1)
     fit = fit_discrete(net, k)
-    assert fit.model.atoms.size == k
+    assert fit.model.atoms.size <= k
     assert np.all(np.diff(fit.model.atoms) > 0.0)
     assert np.all(fit.model.weights > 0.0)
     assert fit.objective_value <= smaller.objective_value * (1.0 + 1e-9)

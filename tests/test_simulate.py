@@ -154,9 +154,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict(data)
 
+    def test_not_a_dict(self):
+        for data in ([CONFIG.to_dict()], "config", 5):
+            with pytest.raises(ValueError):
+                ExperimentConfig.from_dict(data)
+
     @pytest.mark.parametrize("patch", [
         {"dims": ()}, {"dims": ((0, 5),)}, {"replications": 0},
         {"family": "gaussian"}, {"order": 0}, {"spacing": 0}, {"seed": -1},
+        {"dims": 5}, {"dims": [5]}, {"replications": [1]},
+        {"model": {"kind": "point_mass", "at": None}},
     ])
     def test_validation(self, patch):
         data = {**CONFIG.to_dict(), **patch}
