@@ -28,10 +28,11 @@ class PoleError(NumericsError):
 
 
 class NearPoleError(NumericsError):
-    """An integrand pole is closer to the evaluation point than the guard allows.
+    """The pole -1/s of a real s < 0 lies too close to the model support.
 
-    ``where`` holds the offending support point, ``margin`` the achieved
-    distance that fell below the guard.
+    Raised only by ``mp_u_map``, by one rule for every model: ``where``
+    holds the support point t nearest -1/s and ``margin`` is |1 + t s|
+    there, which fell below the guard (0 up to rounding inside the support).
     """
 
     def __init__(self, message, where=None, margin=None):

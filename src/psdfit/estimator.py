@@ -25,7 +25,7 @@ from scipy import linalg, optimize
 
 from .errors import IterationError, NearPoleError, RankError
 from .models import (_POSITIVITY_GRID, Discrete, InverseCubic, Laguerre,
-                     PSDModel, laguerre_moment_integrals)
+                     PSDModel, _laguerre_moments)
 from .mptransform import POLE_GUARD, SampleSpectrum, companion_stieltjes, mp_u_map
 
 __all__ = [
@@ -184,8 +184,7 @@ def objective(theta, family: str, net: UNet) -> float:
     try:
         uhat = mp_u_map(net.companion_values, model, net.ratio())
     except NearPoleError as err:
-        short = 0.0 if err.margin is None else max(0.0, POLE_GUARD - err.margin)
-        return _PENALTY + short
+        return _PENALTY + max(0.0, POLE_GUARD - err.margin)
     diff = net.points - uhat
     return float(diff @ diff)
 
@@ -249,8 +248,9 @@ def _projection(raw: NDArray, net: UNet, c: float):
     positive increasing atoms.  For fixed atoms, u_j + 1/s_j = c sum_i w_i a_i / (1 + a_i s_j) is
     linear in the weights, so one ``scipy.optimize.nnls`` solve, with
     total mass one as an extra row scaled by 1e3, gives them; they are
-    then rescaled to sum to one.  Inside the pole guard the weights and
-    the design are None.
+    then rescaled to sum to one.  Inside the pole guard, where some
+    |1 + a_i s_j| < POLE_GUARD (``mp_u_map``'s rule at the atoms), the
+    weights and the design are None.
     """
     s = net.companion_values
     atoms = np.cumsum(np.exp(np.clip(raw, -40.0, 40.0)))
@@ -388,7 +388,7 @@ def fit_laguerre(net: UNet, degree: int) -> FitResult:
     if np.any(s <= 0.0):
         raise ValueError("net contains nonpositive companion values; "
                          "build it for a smooth family")
-    moments = laguerre_moment_integrals(s, degree)
+    moments = _laguerre_moments(s, degree)[0]
     facts = np.array([math.factorial(r) for r in range(1, degree + 1)])
     design = (c * (moments[1:] - facts[:, None] * moments[0])).T
     target = net.points + 1.0 / s - c * moments[0]

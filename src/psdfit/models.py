@@ -13,8 +13,10 @@ form), and JSON serialization.  ``kernel`` returns K1 and K2 from one
 call, each family by its own rule: finite sums over the atoms, the
 moment recursion or Gauss-Laguerre quadrature for the
 polynomial-exponential densities, and a closed form for the inverse
-cubic.  The module provides the first-order transport distance between
-models, integrated from their CDFs.
+cubic.  A kernel only integrates, at whatever s it is given: one rule in
+``mptransform.mp_u_map``, the same for every family, keeps the pole
+-1/s of a real s off the support.  The module provides the first-order
+transport distance between models, integrated from their CDFs.
 """
 
 from __future__ import annotations
@@ -27,15 +29,12 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import optimize, special
 
-from .errors import NearPoleError
-
 __all__ = [
     "PSDModel",
     "Discrete",
     "PointMass",
     "Laguerre",
     "InverseCubic",
-    "laguerre_moment_integrals",
     "wasserstein",
     "model_from_dict",
 ]
@@ -74,74 +73,40 @@ _IC_TERMS = 60          # in beta/sigma replaces the log form, with this many
                         # terms (0.5**60 is below rounding)
 
 
-def _laguerre_I_recursion(s: float, degree: int):
-    """I_j(s) and I_j'(s) for j = 0..degree at real s >= 1.
+def _laguerre_moments(s, degree: int):
+    """Moments I_j(s) = int t^{j+1} e^-t / (1 + t s) dt, j = 0..degree, and
+    their derivatives in s, at a 1-d array of real s > 0.
 
-    Uses J_0 = b e^b E1(b) with b = 1/s and the upward recursion
-    J_{r+1} = (r! - J_r)/s for the moments J_r = int t^r e^-t/(1+ts) dt;
-    I_j = J_{j+1}.  Upward differences stay order one for s >= 1, so no
+    Returns (I, dI/ds), each of shape (degree + 1, s.size).  Up to s = 1
+    they are 128-node Gauss-Laguerre sums.  Above it, all lanes at once
+    run J_0 = b e^b E1(b) with b = 1/s and the upward recursion
+    J_{r+1} = (r! - J_r)/s for J_r = int t^r e^-t/(1+ts) dt, and
+    I_j = J_{j+1}; upward differences stay order one for s >= 1, so no
     cancellation builds up.
     """
-    b = 1.0 / s
-    e_scaled = float(np.exp(b) * special.exp1(b))
-    J = b * e_scaled
-    dJ = -b * b * ((1.0 + b) * e_scaled - 1.0)
-    vals = np.empty(degree + 1)
-    ders = np.empty(degree + 1)
-    fact = 1.0
-    for r in range(degree + 1):
-        J_next = (fact - J) / s
-        dJ_next = -(J_next + dJ) / s
-        vals[r], ders[r] = J_next, dJ_next
-        J, dJ = J_next, dJ_next
-        fact *= r + 1
-    return vals, ders
-
-
-def laguerre_moment_integrals(s, degree: int, derivative: bool = False):
-    """Moment integrals I_j(s) = int t^{j+1} e^-t / (1 + t s) dt, j = 0..degree.
-
-    Arguments must be real and positive (for s <= 0 the integrand has a
-    pole inside the integration range).  Returns an array of shape
-    (degree + 1,) + shape(s); with ``derivative`` a pair (I, dI/ds) is
-    returned.
-    """
-    s_arr = np.asarray(s, dtype=float)
-    scalar = s_arr.ndim == 0
-    s_arr = np.atleast_1d(s_arr)
-    if np.any(s_arr <= 0.0):
+    if np.any(s <= 0.0):
         raise ValueError("real arguments must be positive")
     x, w = _GL_LAGUERRE
-    vals = np.empty((degree + 1, s_arr.size))
+    vals = np.empty((degree + 1, s.size))
     ders = np.empty_like(vals)
-    small = s_arr <= 1.0
-    if small.any():
-        inv = 1.0 / (1.0 + np.outer(x, s_arr[small]))
-        for j in range(degree + 1):
-            wj = w * x ** (j + 1)
-            vals[j, small] = wj @ inv
-            if derivative:
-                ders[j, small] = -(wj * x) @ (inv * inv)
-    for i in np.flatnonzero(~small):
-        vals[:, i], ders[:, i] = _laguerre_I_recursion(float(s_arr[i]), degree)
-    if scalar:
-        vals, ders = vals[:, 0], ders[:, 0]
-    return (vals, ders) if derivative else vals
-
-
-def _guard_atoms(atoms, s_arr, guard):
-    denom = 1.0 + np.outer(atoms, s_arr)
-    if guard is not None and not np.iscomplexobj(s_arr):
-        closeness = np.abs(denom)
-        if closeness.min() < guard:
-            i, j = np.unravel_index(np.argmin(closeness), closeness.shape)
-            raise NearPoleError(
-                f"companion value {s_arr[j]!r} puts -1/s within the guard of "
-                f"atom {atoms[i]!r}",
-                where=float(atoms[i]),
-                margin=float(closeness.min()),
-            )
-    return denom
+    small = s <= 1.0
+    inv = 1.0 / (1.0 + np.outer(x, s[small]))
+    for j in range(degree + 1):
+        wj = w * x ** (j + 1)
+        vals[j, small] = wj @ inv
+        ders[j, small] = -(wj * x) @ (inv * inv)
+    big = s[~small]
+    b = 1.0 / big
+    e_scaled = np.exp(b) * special.exp1(b)
+    J = b * e_scaled
+    dJ = -b * b * ((1.0 + b) * e_scaled - 1.0)
+    fact = 1.0
+    for r in range(degree + 1):
+        J = (fact - J) / big
+        dJ = -(J + dJ) / big
+        vals[r, ~small], ders[r, ~small] = J, dJ
+        fact *= r + 1
+    return vals, ders
 
 
 class PSDModel:
@@ -169,16 +134,15 @@ class PSDModel:
         jumps of the CDF, and the family's fixed panel ends."""
         raise NotImplementedError
 
-    def kernel(self, s, *, guard=None):
+    def kernel(self, s):
         """Kernel integrals (K1(s), K2(s)) from one evaluation.
 
         K1(s) = int t/(1+ts) dH and K2(s) = int t^2/(1+ts)^2 dH, so that
         the spectrum point map is u = -1/s + c K1 and its slope
         du/ds = 1/s^2 - c K2.  ``s`` is a 1-d array of real or complex
-        arguments and each half has its shape.  For real s whose pole -1/s
-        comes within ``guard`` of the support, NearPoleError is raised
-        with the offending support point and margin; None disables the
-        check.
+        arguments and each half has its shape.  The kernel only
+        integrates; whether the pole -1/s of a real s sits far enough from
+        the support is decided by the caller, ``mp_u_map``.
         """
         raise NotImplementedError
 
@@ -269,8 +233,8 @@ class Discrete(PSDModel):
     def support(self):
         return tuple((a, a) for a in self.atoms)
 
-    def kernel(self, s, *, guard=None):
-        inv = 1.0 / _guard_atoms(self.atoms, s, guard)
+    def kernel(self, s):
+        inv = 1.0 / (1.0 + np.outer(self.atoms, s))
         wa = self.weights * self.atoms
         return wa @ inv, (wa * self.atoms) @ (inv * inv)
 
@@ -452,18 +416,12 @@ class Laguerre(PSDModel):
         wp = w * x * np.polynomial.polynomial.polyval(x, self.full_coeffs)
         return wp, wp * x
 
-    def kernel(self, s, *, guard=None):
+    def kernel(self, s):
         if np.iscomplexobj(s):
             w1, w2 = self._folded_weights
             inv = 1.0 / (1.0 + np.outer(_GL_LAGUERRE[0], s))
             return w1 @ inv, w2 @ (inv * inv)
-        if np.any(s < 0.0):
-            bad = float(s[s < 0.0][0])
-            if guard is not None:
-                raise NearPoleError(
-                    f"companion value {bad!r} puts -1/s inside the model support",
-                    where=-1.0 / bad, margin=0.0)
-        vals, ders = laguerre_moment_integrals(s, self.degree, derivative=True)
+        vals, ders = _laguerre_moments(s, self.degree)
         return self.full_coeffs @ vals, -(self.full_coeffs @ ders)
 
     @property
@@ -534,7 +492,7 @@ class InverseCubic(PSDModel):
         return (a / (k + 3) + b / (k + 2),
                 (k + 1) * (a * a / (k + 4) + 2.0 * a * b / (k + 3) + b * b / (k + 2)))
 
-    def kernel(self, s, *, guard=None):
+    def kernel(self, s):
         """K1 and K2 in closed form.
 
         In w = (1-alpha)/(t - a), with a = 2 alpha - 1, dH becomes 2 w dw
@@ -550,16 +508,6 @@ class InverseCubic(PSDModel):
         series of 1/(beta w + sigma) in r is summed instead:
         K1 = (2/sigma) sum_k (-r)^k int w^(k+1) (a w + b) dw, and K2 alike.
         """
-        if not np.iscomplexobj(s) and guard is not None:
-            neg = s < 0.0
-            if np.any(neg):
-                pole = -1.0 / s[neg]
-                margin = self.alpha - pole.max()
-                if margin < guard:
-                    raise NearPoleError(
-                        f"companion value puts -1/s within the guard of the "
-                        f"support edge {self.alpha!r}",
-                        where=self.alpha, margin=float(margin))
         a, b = self.shift, 1.0 - self.alpha
         beta, sigma = 1.0 + a * s, b * s
         k1, k2 = np.empty_like(sigma), np.empty_like(sigma)

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import integrate, optimize
 
-from .errors import IterationError, PoleError, ScanResolutionError
+from .errors import IterationError, NearPoleError, PoleError, ScanResolutionError
 from .models import PSDModel
 
 __all__ = [
@@ -41,8 +41,9 @@ __all__ = [
     "support_bounds",
 ]
 
-# minimum |1 + t*s| (equivalently distance of -1/s from the model support)
-# accepted when evaluating the map at real s
+# mp_u_map rejects a real s < 0 when |1 + t s| at the support point t
+# nearest the pole p = -1/s is below this; |1 + t s| = |t - p| / p is the
+# pole's distance from the support relative to p, not the distance itself
 POLE_GUARD = 1e-6
 
 _EIG_TOL = 1e-12      # how close a transform argument may sit to an eigenvalue
@@ -155,17 +156,33 @@ def _positive_ratio(c) -> float:
 def mp_u_map(s, model: PSDModel, c, *, guard=POLE_GUARD):
     """Spectrum point u(s) = -1/s + c * K1(s) for real companion values s.
 
-    ``guard`` rejects arguments whose implied pole -1/s comes within that
-    distance of the model support (NearPoleError); pass None to disable.
-    The degenerate c = 0 reduces the map to -1/s.
+    ``guard`` applies one rule to every model: an s < 0 whose pole -1/s
+    has |1 + t s| < guard at the support point t nearest it raises
+    NearPoleError with that t and margin; pass None to disable.  The
+    degenerate c = 0 reduces the map to -1/s; c < 0 is a ValueError.
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr == 0.0):
         raise ValueError("companion value must be nonzero")
     c = float(c)
+    if not c >= 0.0:
+        raise ValueError("aspect ratio must be nonnegative")
     k1 = 0.0
     if c != 0.0:
-        k1 = model.kernel(np.atleast_1d(s_arr), guard=guard)[0].reshape(s_arr.shape)
+        flat = np.atleast_1d(s_arr)
+        # for s > 0 the pole is negative, so |1 + t s| > 1 at every t >= 0
+        neg = flat[flat < 0.0]
+        if guard is not None and neg.size:
+            lo, hi = np.array(model.support()).T
+            nearest = np.clip((-1.0 / neg)[:, None], lo, hi)
+            margin = np.abs(1.0 + nearest * neg[:, None])
+            i, j = np.unravel_index(np.argmin(margin), margin.shape)
+            if margin[i, j] < guard:
+                raise NearPoleError(
+                    f"companion value {float(neg[i])!r} puts -1/s within the "
+                    f"guard of the support point {float(nearest[i, j])!r}",
+                    where=float(nearest[i, j]), margin=float(margin[i, j]))
+        k1 = model.kernel(flat)[0].reshape(s_arr.shape)
     out = -1.0 / s_arr + c * k1
     return out if out.ndim else float(out)
 
@@ -615,7 +632,7 @@ def solve_companion_real(u: float, model: PSDModel, c, *,
     zero) have no real solution and raise ValueError.
     """
     u = float(u)
-    c = float(c)
+    c = _positive_ratio(c)
     rep = report if report is not None else support_bounds(model, c)
     for (s_lo, s_hi), (u_lo, u_hi) in zip(rep.branches, rep.complement):
         if not (u_lo < u < u_hi):

@@ -40,7 +40,8 @@ def test_forward_writes_curve(model_file, tmp_path, capsys):
                  "--grid", "0:3:100", "--out", str(out)])
     capsys.readouterr()
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["x", "f"]
     assert len(rows) == 100        # the grid point at zero is dropped
 

@@ -437,7 +437,7 @@ class TestFitLaguerre:
         # same grid constraints 1 + sum_r a_r (t^r - r!) >= 0
         import math
         from scipy import optimize
-        from psdfit.models import laguerre_moment_integrals
+        from psdfit.models import _laguerre_moments
         grid = np.arange(0.0, 50.0 + 1e-9, 0.01)
         pop = population_from_model(Discrete([1.0, 20.0], [0.5, 0.5]), 100)
         for degree in (3, 4):
@@ -448,7 +448,7 @@ class TestFitLaguerre:
                 fit = fit_laguerre(net, degree)
                 assert fit.iterations > 0          # projection engaged
                 assert fit.model.density(grid).min() >= -1e-10
-                moments = laguerre_moment_integrals(net.companion_values, degree)
+                moments = _laguerre_moments(net.companion_values, degree)[0]
                 design = (fit.c * (moments[1:] - facts[:, None] * moments[0])).T
                 target = (net.points + 1.0 / net.companion_values
                           - fit.c * moments[0])
@@ -465,13 +465,13 @@ class TestFitLaguerre:
 
     def test_residuals_orthogonal_to_design_columns(self):
         import math
-        from psdfit.models import laguerre_moment_integrals
+        from psdfit.models import _laguerre_moments
         pop = population_from_model(Laguerre([0.5]), 150)
         spec = sample_spectrum(pop, 300, seed=9)
         net = build_unet(spec, "laguerre")
         fit = fit_laguerre(net, 2)
         assert fit.iterations == 0          # unconstrained solution accepted
-        moments = laguerre_moment_integrals(net.companion_values, 2)
+        moments = _laguerre_moments(net.companion_values, 2)[0]
         facts = np.array([math.factorial(r) for r in (1, 2)])
         design = (fit.c * (moments[1:] - facts[:, None] * moments[0])).T
         assert np.all(np.abs(design.T @ fit.residuals) < 1e-8)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import helpers
 from psdfit import (DensityCurve, Discrete, InverseCubic, IterationError,
@@ -17,7 +18,30 @@ from psdfit import (DensityCurve, Discrete, InverseCubic, IterationError,
                     solve_companion_fixed_point, solve_companion_real,
                     support_bounds)
 from psdfit import mptransform
-from psdfit.models import laguerre_moment_integrals
+from psdfit.models import _laguerre_moments
+
+
+def scalar_recursion(s, degree):
+    """I_j(s) and dI_j/ds at one real s > 1 by the upward recursion
+    J_{r+1} = (r! - J_r)/s from J_0 = b e^b E1(b), b = 1/s, one lane at a
+    time: the loop the batched ``_laguerre_moments`` must reproduce."""
+    b = 1.0 / s
+    e_scaled = float(np.exp(b) * special.exp1(b))
+    J, dJ = b * e_scaled, -b * b * ((1.0 + b) * e_scaled - 1.0)
+    vals, ders, fact = [], [], 1.0
+    for r in range(degree + 1):
+        J = (fact - J) / s
+        dJ = -(J + dJ) / s
+        vals.append(J)
+        ders.append(dJ)
+        fact *= r + 1
+    return np.array(vals), np.array(ders)
+
+
+def moments(s, degree):
+    """_laguerre_moments at one real s: (I, dI/ds), each of shape (degree + 1,)."""
+    vals, ders = _laguerre_moments(np.array([s]), degree)
+    return vals[:, 0], ders[:, 0]
 
 
 class TestSampleSpectrum:
@@ -99,29 +123,41 @@ class TestMomentIntegrals:
              0.3656106420049125, 1.1268778715990184]
 
     def test_small_argument(self):
-        vals = laguerre_moment_integrals(0.7, 3)
+        vals, _ = moments(0.7, 3)
         assert np.max(np.abs(vals - self.SMALL)) < 1e-10
 
     def test_large_argument_recursion(self):
-        vals = laguerre_moment_integrals(5.0, 3)
+        vals, _ = moments(5.0, 3)
         assert np.max(np.abs(vals - self.LARGE)) < 1e-10
 
     def test_branches_agree_at_switch(self):
-        lo = laguerre_moment_integrals(1.0 - 1e-9, 4)
-        hi = laguerre_moment_integrals(1.0 + 1e-9, 4)
+        lo, _ = moments(1.0 - 1e-9, 4)
+        hi, _ = moments(1.0 + 1e-9, 4)
         assert np.max(np.abs(lo - hi)) < 1e-7
 
     def test_derivative_matches_finite_difference(self):
         for s in (0.4, 3.0, 40.0):
-            _, ders = laguerre_moment_integrals(s, 3, derivative=True)
+            _, ders = moments(s, 3)
             h = 1e-6 * max(1.0, s)
-            fd = (laguerre_moment_integrals(s + h, 3)
-                  - laguerre_moment_integrals(s - h, 3)) / (2.0 * h)
+            fd = (moments(s + h, 3)[0] - moments(s - h, 3)[0]) / (2.0 * h)
             assert np.max(np.abs(ders - fd) / np.abs(fd)) < 1e-5
+
+    def test_batched_recursion_matches_the_scalar_loop(self):
+        # above s = 1 every lane runs the same elementwise arithmetic as
+        # the scalar upward recursion, so the values match bit for bit,
+        # with quadrature lanes interleaved
+        big = np.geomspace(1.0 + 1e-9, 1e4, 200)
+        s = np.ravel(np.column_stack([big, 1.0 / big]))
+        for degree in (1, 3, 6):
+            vals, ders = _laguerre_moments(s, degree)
+            for i in np.flatnonzero(s > 1.0):
+                ref_vals, ref_ders = scalar_recursion(float(s[i]), degree)
+                assert np.array_equal(vals[:, i], ref_vals)
+                assert np.array_equal(ders[:, i], ref_ders)
 
     def test_rejects_nonpositive_real(self):
         with pytest.raises(ValueError):
-            laguerre_moment_integrals(-0.5, 2)
+            moments(-0.5, 2)
 
 
 class TestUMap:
@@ -156,20 +192,51 @@ class TestUMap:
     def test_degenerate_ratio_reduces_to_reciprocal(self):
         assert mp_u_map(2.0, PointMass(1.0), 0.0) == pytest.approx(-0.5)
 
+    def test_negative_ratio_rejected(self):
+        for c in (-0.5, math.nan):
+            with pytest.raises(ValueError):
+                mp_u_map(2.0, PointMass(1.0), c)
+
     def test_zero_argument_rejected(self):
         with pytest.raises(ValueError):
             mp_u_map(0.0, PointMass(1.0), 0.5)
 
+    # one rule for every family: ``where`` is the support point t nearest
+    # the pole -1/s and the margin is |1 + t s| there
+    NEAR_POLE = [
+        # -1/s just left of the atom at 2: the margin the atoms always had
+        (Discrete([1.0, 2.0], [0.5, 0.5]), -0.5000001, 2.0,
+         abs(1.0 + 2.0 * -0.5000001)),
+        # -1/s inside [0.5, inf): the pole itself, margin zero up to rounding
+        (InverseCubic(0.5), -1.9, 1.0 / 1.9, None),
+        # -1/s just left of the support edge 0.5
+        (InverseCubic(0.5), -2.0000001, 0.5, abs(1.0 + 0.5 * -2.0000001)),
+        # any s < 0 puts -1/s inside [0, inf)
+        (Laguerre([1.0]), -1.0, 1.0, None),
+    ]
+
     def test_near_pole_guard(self):
-        m = Discrete([1.0, 2.0], [0.5, 0.5])
-        with pytest.raises(NearPoleError):
-            mp_u_map(-0.5, m, 0.5)          # -1/s hits the atom at 2
-        with pytest.raises(NearPoleError):
-            mp_u_map(-1.0, InverseCubic(0.5), 0.5)   # -1/s inside [0.5, inf)
-        with pytest.raises(NearPoleError):
-            mp_u_map(-1.0, Laguerre([1.0]), 0.5)     # any s < 0 is inside
-        # the guard can be disabled for diagnostic evaluation near a pole
-        assert math.isfinite(mp_u_map(-0.4999999, m, 0.5, guard=None))
+        for model, s, where, margin in self.NEAR_POLE:
+            with pytest.raises(NearPoleError) as err:
+                mp_u_map(np.array([0.3, s]), model, 0.5)
+            assert err.value.where == where
+            if margin is None:
+                assert err.value.margin < 1e-15
+            else:
+                assert err.value.margin == margin
+                # the guard can be disabled for diagnostic evaluation near
+                # a pole outside the support
+                assert math.isfinite(mp_u_map(s, model, 0.5, guard=None))
+
+    def test_guard_reads_the_support_only_for_negative_arguments(self):
+        class Unsupported(Discrete):
+            def support(self):
+                raise AssertionError("support read")
+
+        m = Unsupported([1.0], [1.0])
+        assert mp_u_map(0.5, m, 0.5) == mp_u_map(0.5, PointMass(1.0), 0.5)
+        with pytest.raises(AssertionError):
+            mp_u_map(-0.5, m, 0.5)
 
     @pytest.mark.parametrize("model,points", [
         (Discrete([1.0, 2.0], [0.5, 0.5]), (0.3, -0.8, 2.0)),
@@ -242,7 +309,7 @@ class TestFixedPointSolver:
             """A point mass at 1e-12 whose K2 makes Newton's slope at c = 0.5
             a millionth of the true one."""
 
-            def kernel(self, s, *, guard=None):
+            def kernel(self, s):
                 return PointMass(1e-12).kernel(s)[0], (1.0 - 1e-6) / (0.5 * s**2)
 
         # -1/z is accepted at once (residual 5e-13); the polishing step from
@@ -517,13 +584,13 @@ class TestBatchedSolve:
         class IdentityKernel(PSDModel):
             """The identity kernel without its closed-form root: it iterates."""
 
-            def kernel(self, s, *, guard=None):
+            def kernel(self, s):
                 return PointMass(1.0).kernel(s)
 
         class BrokenAbove2(IdentityKernel):
             """The identity kernel, made NaN where -1/s lies right of 2."""
 
-            def kernel(self, s, *, guard=None):
+            def kernel(self, s):
                 broken = (-1.0 / s).real > 2.0
                 return tuple(np.where(broken, np.nan, k) for k in super().kernel(s))
 
@@ -646,6 +713,12 @@ class TestRealSolver:
     def test_inside_support_rejected(self):
         with pytest.raises(ValueError):
             solve_companion_real(1.0, PointMass(1.0), 0.25)
+
+    def test_nonpositive_ratio_rejected_with_a_report(self):
+        report = support_bounds(PointMass(1.0), 0.5)
+        for c in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                solve_companion_real(-1.0, PointMass(1.0), c, report=report)
 
     def test_agrees_with_half_plane_limit(self):
         model = Discrete([2.0, 7.0, 10.0], [0.3, 0.4, 0.3])
