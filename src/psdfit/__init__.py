@@ -19,8 +19,7 @@ from .mptransform import (DensityCurve, SampleSpectrum, SupportReport,
                           solve_companion_fixed_point, solve_companion_real,
                           support_bounds)
 from .estimator import (FitResult, UNet, build_unet, fit_discrete,
-                        fit_inverse_cubic, fit_laguerre, objective,
-                        params_to_model)
+                        fit_inverse_cubic, fit_laguerre, objective)
 from .simulate import (ExperimentConfig, ExperimentReport, correlated_returns,
                        population_draw, population_from_model, run_experiment,
                        sample_spectrum)
@@ -63,7 +62,6 @@ __all__ = [
     "model_from_dict",
     "mp_u_map",
     "objective",
-    "params_to_model",
     "population_draw",
     "population_from_model",
     "run_analysis",

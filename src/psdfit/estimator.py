@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import linalg, optimize
 
-from .errors import IterationError, NearPoleError, RankError
+from .errors import IterationError, RankError
 from .models import (_POSITIVITY_GRID, Discrete, InverseCubic, Laguerre,
                      PSDModel, _laguerre_moments)
 from .mptransform import POLE_GUARD, SampleSpectrum, companion_stieltjes, mp_u_map
@@ -32,7 +32,6 @@ __all__ = [
     "UNet",
     "FitResult",
     "build_unet",
-    "params_to_model",
     "objective",
     "fit_discrete",
     "fit_laguerre",
@@ -41,10 +40,7 @@ __all__ = [
 
 FAMILIES = ("discrete", "laguerre", "inverse_cubic")
 
-# families whose population spectrum is purely atomic get net points on
-# both sides of the sample bulk; smooth families only need negative points
-_ATOMIC_FAMILIES = ("discrete",)
-
+# squared norm of the atomic search's residual inside the pole guard
 _PENALTY = 1e12
 # stopping tolerances of the atomic least-squares search: the relative
 # change of the cost and the relative step, and the scaled gradient
@@ -128,7 +124,8 @@ def build_unet(spectrum: SampleSpectrum, family: str, spacing: int = 20) -> UNet
     if spacing < 1:
         raise ValueError("spacing must be at least 1")
     intervals = [(-10.0, 0.0, "negative")]
-    if family in _ATOMIC_FAMILIES:
+    # an atomic spectrum gets net points on both sides of the sample bulk
+    if family == "discrete":
         if spectrum.largest() <= 0.0:
             raise ValueError("spectrum is degenerate: no positive eigenvalues")
         lam_min = spectrum.smallest_positive()
@@ -149,43 +146,14 @@ def build_unet(spectrum: SampleSpectrum, family: str, spacing: int = 20) -> UNet
     return UNet(points, values, tuple(segments), spacing, spectrum)
 
 
-def params_to_model(family: str, theta) -> PSDModel:
-    """Materialize a family's parameter vector as a model.
-
-    Atomic: (a_1..a_k, m_1..m_{k-1}) with the last weight implied.
-    Polynomial-exponential: the free coefficients.  Inverse cubic: the
-    left support endpoint.  Invalid vectors raise ValueError.
-    """
-    theta = np.asarray(theta, dtype=float).ravel()
-    if family == "discrete":
-        if theta.size % 2 == 0 or theta.size < 1:
-            raise ValueError("atomic parameter vector must have odd length 2k-1")
-        k = (theta.size + 1) // 2
-        weights = np.append(theta[k:], 1.0 - theta[k:].sum())
-        return Discrete(theta[:k], weights)
-    if family == "laguerre":
-        return Laguerre(theta)
-    if family == "inverse_cubic":
-        if theta.size != 1:
-            raise ValueError("inverse-cubic family has a single parameter")
-        return InverseCubic(float(theta[0]))
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
-def objective(theta, family: str, net: UNet) -> float:
+def objective(model: PSDModel, net: UNet) -> float:
     """Sum of squared gaps between net points and their model-side images.
 
-    The ratio c is the net's p/n.  Parameter vectors whose poles violate
-    the evaluation guard do not get a finite map value; they score a
-    penalty of 1e12 plus the margin by which the guard was missed, so a
-    search step into the guard is never preferred over one outside it.
+    The ratio c is the net's p/n.  A net point whose pole -1/s comes
+    within the evaluation guard of the model's support raises
+    NearPoleError (see ``mp_u_map``).
     """
-    model = params_to_model(family, theta)
-    try:
-        uhat = mp_u_map(net.companion_values, model, net.ratio())
-    except NearPoleError as err:
-        return _PENALTY + max(0.0, POLE_GUARD - err.margin)
-    diff = net.points - uhat
+    diff = net.points - mp_u_map(net.companion_values, model, net.ratio())
     return float(diff @ diff)
 
 
@@ -225,9 +193,9 @@ class FitResult:
         }
 
 
-def _finish(model, family, net, c, iterations, converged) -> FitResult:
-    uhat = mp_u_map(net.companion_values, model, c)
-    residuals = net.points - uhat
+def _finish(model, net, iterations, converged) -> FitResult:
+    c = net.ratio()
+    residuals = net.points - mp_u_map(net.companion_values, model, c)
     return FitResult(
         model=model,
         theta=model.theta,
@@ -235,7 +203,7 @@ def _finish(model, family, net, c, iterations, converged) -> FitResult:
         residuals=residuals,
         iterations=iterations,
         converged=converged,
-        family=family,
+        family=model.kind,
         c=c,
         net=net,
     )
@@ -267,7 +235,8 @@ def _discrete_residual(raw: NDArray, net: UNet, c: float) -> NDArray:
     their projected weights.
 
     Inside the pole guard it is a finite penalty vector whose squared norm
-    is the objective's penalty, so a step into the guard is rejected.
+    is 1e12 plus the depth of the breach, so the search rejects a step
+    into the guard.
     """
     s = net.companion_values
     atoms, denom, weights, _ = _projection(raw, net, c)
@@ -336,7 +305,7 @@ def fit_discrete(net: UNet, k: int) -> FitResult:
         raise IterationError("the least-squares search ended inside the pole guard")
     keep = weights > 0.0
     model = Discrete(atoms[keep], weights[keep])
-    return _finish(model, "discrete", net, c, int(res.nfev), bool(res.success))
+    return _finish(model, net, int(res.nfev), bool(res.success))
 
 
 def _project_nonneg_density(design, target, degree):
@@ -401,8 +370,7 @@ def fit_laguerre(net: UNet, degree: int) -> FitResult:
         _POSITIVITY_GRID, np.concatenate([[1.0 - facts @ coeffs], coeffs]))
     if (poly * np.exp(-_POSITIVITY_GRID)).min() < _PROJECTION_TRIGGER:
         coeffs, iterations = _project_nonneg_density(design, target, degree)
-    model = Laguerre(coeffs)
-    return _finish(model, "laguerre", net, c, iterations, True)
+    return _finish(Laguerre(coeffs), net, iterations, True)
 
 
 def fit_inverse_cubic(net: UNet) -> FitResult:
@@ -413,13 +381,12 @@ def fit_inverse_cubic(net: UNet) -> FitResult:
     ``scipy.optimize.minimize_scalar`` (bounded Brent method, absolute
     tolerance 1e-7) pins it down inside that bracket.
     """
-    f = lambda alpha: objective(np.array([alpha]), "inverse_cubic", net)
+    f = lambda alpha: objective(InverseCubic(alpha), net)
     alphas = np.linspace(0.0, 1.0 - 1e-6, _IC_COARSE)
     i = int(np.argmin([f(a) for a in alphas]))
     lo = alphas[max(i - 1, 0)]
     hi = alphas[min(i + 1, _IC_COARSE - 1)]
     res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
                                    options={"xatol": _IC_XATOL})
-    model = InverseCubic(float(res.x))
-    return _finish(model, "inverse_cubic", net, net.ratio(),
+    return _finish(InverseCubic(float(res.x)), net,
                    _IC_COARSE + int(res.nfev), bool(res.success))

@@ -158,32 +158,27 @@ def mp_u_map(s, model: PSDModel, c, *, guard=POLE_GUARD):
 
     ``guard`` applies one rule to every model: an s < 0 whose pole -1/s
     has |1 + t s| < guard at the support point t nearest it raises
-    NearPoleError with that t and margin; pass None to disable.  The
-    degenerate c = 0 reduces the map to -1/s; c < 0 is a ValueError.
+    NearPoleError with that t and margin; pass None to disable.  A
+    nonpositive c is a ValueError.
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr == 0.0):
         raise ValueError("companion value must be nonzero")
-    c = float(c)
-    if not c >= 0.0:
-        raise ValueError("aspect ratio must be nonnegative")
-    k1 = 0.0
-    if c != 0.0:
-        flat = np.atleast_1d(s_arr)
-        # for s > 0 the pole is negative, so |1 + t s| > 1 at every t >= 0
-        neg = flat[flat < 0.0]
-        if guard is not None and neg.size:
-            lo, hi = np.array(model.support()).T
-            nearest = np.clip((-1.0 / neg)[:, None], lo, hi)
-            margin = np.abs(1.0 + nearest * neg[:, None])
-            i, j = np.unravel_index(np.argmin(margin), margin.shape)
-            if margin[i, j] < guard:
-                raise NearPoleError(
-                    f"companion value {float(neg[i])!r} puts -1/s within the "
-                    f"guard of the support point {float(nearest[i, j])!r}",
-                    where=float(nearest[i, j]), margin=float(margin[i, j]))
-        k1 = model.kernel(flat)[0].reshape(s_arr.shape)
-    out = -1.0 / s_arr + c * k1
+    c = _positive_ratio(c)
+    flat = np.atleast_1d(s_arr)
+    # for s > 0 the pole is negative, so |1 + t s| > 1 at every t >= 0
+    neg = flat[flat < 0.0]
+    if guard is not None and neg.size:
+        lo, hi = np.array(model.support()).T
+        nearest = np.clip((-1.0 / neg)[:, None], lo, hi)
+        margin = np.abs(1.0 + nearest * neg[:, None])
+        i, j = np.unravel_index(np.argmin(margin), margin.shape)
+        if margin[i, j] < guard:
+            raise NearPoleError(
+                f"companion value {float(neg[i])!r} puts -1/s within the "
+                f"guard of the support point {float(nearest[i, j])!r}",
+                where=float(nearest[i, j]), margin=float(margin[i, j]))
+    out = -1.0 / s_arr + c * model.kernel(flat)[0].reshape(s_arr.shape)
     return out if out.ndim else float(out)
 
 
@@ -623,17 +618,17 @@ def support_bounds(model: PSDModel, c) -> SupportReport:
     )
 
 
-def solve_companion_real(u: float, model: PSDModel, c, *,
-                         report: SupportReport | None = None) -> float:
+def solve_companion_real(u: float, model: PSDModel, c) -> float:
     """Real companion-transform value at a point u outside the support.
 
-    Finds the increasing branch whose image contains u and bisects the
-    monotone spectrum point map there.  Points inside the support (or at
-    zero) have no real solution and raise ValueError.
+    Runs ``support_bounds(model, c)``, finds the increasing branch whose
+    image contains u and bisects the monotone spectrum point map there.
+    Points inside the support (or at zero) have no real solution and
+    raise ValueError.
     """
     u = float(u)
     c = _positive_ratio(c)
-    rep = report if report is not None else support_bounds(model, c)
+    rep = support_bounds(model, c)
     for (s_lo, s_hi), (u_lo, u_hi) in zip(rep.branches, rep.complement):
         if not (u_lo < u < u_hi):
             continue

@@ -154,9 +154,8 @@ class ExperimentConfig:
                 dims=data["dims"],
                 replications=int(data["replications"]),
                 family=str(data["family"]),
-                order=int(data.get("order", 1)),
-                spacing=int(data.get("spacing", 20)),
-                seed=int(data.get("seed", 0)),
+                **{key: int(data[key]) for key in ("order", "spacing", "seed")
+                   if key in data},
             )
         except KeyError as err:
             raise ValueError(f"experiment config is missing {err.args[0]!r}") from None

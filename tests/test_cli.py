@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from psdfit import (Discrete, InverseCubic, PointMass, correlated_returns,
-                    population_from_model, sample_spectrum, support_bounds)
+from psdfit import (Discrete, InverseCubic, Laguerre, PointMass,
+                    correlated_returns, population_from_model, sample_spectrum,
+                    support_bounds)
 from psdfit.cli import main
 from psdfit.errors import IterationError
 
@@ -87,8 +88,13 @@ def test_missing_model_file_is_input_error(tmp_path, capsys):
     assert code == 1
 
 
-def test_estimate_fits_eigenvalues(tmp_path, capsys):
-    pop = population_from_model(Discrete([1.0, 2.0], [0.5, 0.5]), 60)
+@pytest.mark.parametrize("family, truth, order, size", [
+    ("discrete", Discrete([1.0, 2.0], [0.5, 0.5]), 2, 3),
+    ("laguerre", Laguerre([1.0]), 2, 2),
+    ("inverse_cubic", InverseCubic(0.5), 1, 1),
+], ids=["discrete", "laguerre", "inverse_cubic"])
+def test_estimate_fits_eigenvalues(tmp_path, capsys, family, truth, order, size):
+    pop = population_from_model(truth, 60)
     spec = sample_spectrum(pop, 300, seed=5)
     eigs = tmp_path / "eigs.csv"
     with eigs.open("w", newline="") as fh:
@@ -98,14 +104,15 @@ def test_estimate_fits_eigenvalues(tmp_path, capsys):
             w.writerow([repr(float(v))])
     out = tmp_path / "fit.json"
     code = main(["estimate", "--eigs", str(eigs), "--p", "60", "--n", "300",
-                 "--family", "discrete", "--order", "2", "--out", str(out)])
+                 "--family", family, "--order", str(order), "--out", str(out)])
     capsys.readouterr()
     assert code == 0
     fit = json.loads(out.read_text())
-    assert fit["family"] == "discrete"
-    assert len(fit["theta"]) == 3
+    assert fit["family"] == family
+    assert len(fit["theta"]) == size
+    assert fit["c"] == 60 / 300
     assert fit["objective"] == pytest.approx(
-        sum(r * r for r in fit["residuals"]), abs=1e-10)
+        sum(r * r for r in fit["residuals"]), rel=1e-12)
 
 
 def test_estimate_pads_missing_zeros(tmp_path, capsys):

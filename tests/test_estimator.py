@@ -7,9 +7,9 @@ import pytest
 
 import helpers
 from psdfit import (Discrete, InverseCubic, IterationError, Laguerre,
-                    PointMass, RankError, SampleSpectrum, build_unet,
-                    estimator, fit_discrete, fit_inverse_cubic, fit_laguerre,
-                    objective, params_to_model, population_from_model,
+                    NearPoleError, PointMass, RankError, SampleSpectrum,
+                    build_unet, estimator, fit_discrete, fit_inverse_cubic,
+                    fit_laguerre, objective, population_from_model,
                     sample_spectrum, support_bounds, wasserstein)
 from psdfit.estimator import (UNet, _discrete_jacobian, _discrete_residual,
                               _projection)
@@ -83,25 +83,7 @@ class TestBuildUnet:
                  ("negative", "negative"), 1, case1_spectrum)
 
 
-class TestParamsToModel:
-    def test_atomic_layout(self):
-        m = params_to_model("discrete", [1.0, 3.0, 5.0, 0.3, 0.4])
-        assert m.atoms.tolist() == [1.0, 3.0, 5.0]
-        # the implied last weight closes the simplex up to roundoff
-        assert np.allclose(m.weights, [0.3, 0.4, 0.3], atol=1e-12)
-
-    def test_atomic_rejects_even_length(self):
-        with pytest.raises(ValueError):
-            params_to_model("discrete", [1.0, 2.0, 0.3, 0.3])
-
-    def test_other_families(self):
-        assert params_to_model("laguerre", [1.0]) == Laguerre([1.0])
-        assert params_to_model("inverse_cubic", [0.4]) == InverseCubic(0.4)
-        with pytest.raises(ValueError):
-            params_to_model("inverse_cubic", [0.4, 0.2])
-        with pytest.raises(ValueError):
-            params_to_model("spike", [1.0])
-
+class TestProjection:
     def test_random_raw_vectors_land_in_family(self, case1_spectrum):
         # raw log gaps give increasing positive atoms, and their projected
         # weights, less the zeros, give a model of the family
@@ -114,8 +96,7 @@ class TestParamsToModel:
             assert np.all(weights >= 0.0)
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
             keep = weights > 0.0
-            theta = np.concatenate([atoms[keep], weights[keep][:-1]])
-            model = params_to_model("discrete", theta)
+            model = Discrete(atoms[keep], weights[keep])
             assert np.all(model.weights > 0.0)
 
 
@@ -125,37 +106,35 @@ class TestObjective:
         u = np.concatenate([np.linspace(-9.0, -0.5, 10),
                             np.linspace(9.0, 20.0, 10)])
         net = helpers.exact_net(truth, 0.2, u)
-        assert objective(truth.theta, "discrete", net) < 1e-16
+        assert objective(truth, net) < 1e-16
 
     def test_positive_away_from_truth(self):
         truth = Discrete([1.0, 2.0], [0.5, 0.5])
         net = helpers.exact_net(truth, 0.2, np.linspace(-8.0, -0.5, 9))
-        off = objective([1.0, 2.5, 0.5], "discrete", net)
+        off = objective(Discrete([1.0, 2.5], [0.5, 0.5]), net)
         assert off > 1e-4
 
-    def test_near_pole_scores_penalty(self, case1_spectrum):
+    def test_near_pole_raises(self, case1_spectrum):
         net = build_unet(case1_spectrum, "discrete")
         s_neg = net.companion_values[net.companion_values < 0.0][0]
         atom_on_pole = -1.0 / s_neg
-        val = objective([atom_on_pole, atom_on_pole * 2, 0.5], "discrete", net)
-        assert val >= 1e12
+        with pytest.raises(NearPoleError):
+            objective(Discrete([atom_on_pole, atom_on_pole * 2], [0.5, 0.5]), net)
 
     def test_default_ratio_comes_from_spectrum(self, case1_spectrum):
         from psdfit import mp_u_map
         net = build_unet(case1_spectrum, "discrete")
-        theta = [1.0, 2.0, 0.5]
-        res = net.points - mp_u_map(net.companion_values,
-                                    params_to_model("discrete", theta), 0.2)
-        assert objective(theta, "discrete", net) == float(res @ res)
+        model = Discrete([1.0, 2.0], [0.5, 0.5])
+        res = net.points - mp_u_map(net.companion_values, model, 0.2)
+        assert objective(model, net) == float(res @ res)
 
     def test_constant_shift_changes_objective_quadratically(self):
         from psdfit import mp_u_map
         truth = Discrete([1.0, 2.0], [0.5, 0.5])
         net = helpers.exact_net(truth, 0.2, np.linspace(-8.0, -0.5, 9))
-        theta = [1.0, 2.5, 0.5]
-        model = params_to_model("discrete", theta)
+        model = Discrete([1.0, 2.5], [0.5, 0.5])
         res = net.points - mp_u_map(net.companion_values, model, 0.2)
-        phi = objective(theta, "discrete", net)
+        phi = objective(model, net)
         eps = 0.37
         assert float(np.sum((res - eps) ** 2)) == pytest.approx(
             phi - 2.0 * eps * res.sum() + net.m * eps**2, rel=1e-12)
@@ -279,14 +258,13 @@ class TestAtomicResidual:
             atoms, _, weights, _ = _projection(raw, net, c)
             keep = weights > 0.0
             model = Discrete(atoms[keep], weights[keep])
-            phi = objective(model.theta, "discrete", net)
-            assert phi < 1e12               # off the guard
+            phi = objective(model, net)     # raises inside the guard
             assert float(res @ res) == pytest.approx(phi, rel=1e-12)
         # the search minimizes exactly what the fit reports
         fit = fit_discrete(net, k)
         res = _discrete_residual(_raw_of(fit.model.atoms), net, c)
         assert float(res @ res) == pytest.approx(
-            objective(fit.theta, "discrete", net), rel=1e-12)
+            objective(fit.model, net), rel=1e-12)
 
     def test_jacobian_vanishes_where_raw_is_clipped(self, atomic_nets):
         raw = np.array([0.0, 45.0, -41.0])
@@ -399,7 +377,7 @@ def test_objective_parity_with_nelder_mead(case, seed):
     net = build_unet(spec, "discrete")
     fit = fit_discrete(net, truth.atoms.size)
     assert fit.objective_value <= _NELDER_MEAD_OBJECTIVES[case, seed] * (1.0 + 1e-9)
-    assert fit.objective_value <= objective(truth.theta, "discrete", net)
+    assert fit.objective_value <= objective(truth, net)
 
 
 class TestFitLaguerre:
@@ -518,9 +496,9 @@ class TestNetPermutation:
         shuffled = UNet(net.points[perm], net.companion_values[perm],
                         tuple(net.segments[i] for i in perm),
                         net.spacing, spec)
-        theta = [0.1, 0.05]
-        assert objective(theta, "laguerre", net) == pytest.approx(
-            objective(theta, "laguerre", shuffled), rel=1e-9)
+        model = Laguerre([0.1, 0.05])
+        assert objective(model, net) == pytest.approx(
+            objective(model, shuffled), rel=1e-9)
         a, b = fit_laguerre(net, 2), fit_laguerre(shuffled, 2)
         assert np.allclose(a.theta, b.theta, atol=1e-8)
         x, y = fit_inverse_cubic(net), fit_inverse_cubic(shuffled)

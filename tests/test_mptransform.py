@@ -189,14 +189,6 @@ class TestUMap:
         assert m.kernel(np.array([-3.0]))[1][0] == pytest.approx(
             0.45069385566594516, abs=1e-9)
 
-    def test_degenerate_ratio_reduces_to_reciprocal(self):
-        assert mp_u_map(2.0, PointMass(1.0), 0.0) == pytest.approx(-0.5)
-
-    def test_negative_ratio_rejected(self):
-        for c in (-0.5, math.nan):
-            with pytest.raises(ValueError):
-                mp_u_map(2.0, PointMass(1.0), c)
-
     def test_zero_argument_rejected(self):
         with pytest.raises(ValueError):
             mp_u_map(0.0, PointMass(1.0), 0.5)
@@ -682,7 +674,10 @@ class TestSupportBounds:
     lambda c: lsd_density_curve(PointMass(1.0), c, np.linspace(0.1, 3.0, 5)),
     lambda c: solve_companion_fixed_point(1.0 + 0.1j, PointMass(1.0), c),
     lambda c: support_bounds(PointMass(1.0), c),
-], ids=["lsd_density_curve", "solve_companion_fixed_point", "support_bounds"])
+    lambda c: mp_u_map(2.0, PointMass(1.0), c),
+    lambda c: solve_companion_real(-1.0, PointMass(1.0), c),
+], ids=["lsd_density_curve", "solve_companion_fixed_point", "support_bounds",
+        "mp_u_map", "solve_companion_real"])
 def test_ratio_must_be_positive(call, c):
     with pytest.raises(ValueError, match="aspect ratio must be positive"):
         call(c)
@@ -705,20 +700,13 @@ class TestRealSolver:
 
     def test_root_satisfies_equation(self):
         model = Discrete([1.0, 3.0, 5.0], [0.3, 0.4, 0.3])
-        rep = support_bounds(model, 0.2)
         for u in (-2.0, 0.2, 10.0):
-            s = solve_companion_real(u, model, 0.2, report=rep)
+            s = solve_companion_real(u, model, 0.2)
             assert mp_u_map(s, model, 0.2, guard=None) == pytest.approx(u, abs=1e-9)
 
     def test_inside_support_rejected(self):
         with pytest.raises(ValueError):
             solve_companion_real(1.0, PointMass(1.0), 0.25)
-
-    def test_nonpositive_ratio_rejected_with_a_report(self):
-        report = support_bounds(PointMass(1.0), 0.5)
-        for c in (0.0, -0.5):
-            with pytest.raises(ValueError):
-                solve_companion_real(-1.0, PointMass(1.0), c, report=report)
 
     def test_agrees_with_half_plane_limit(self):
         model = Discrete([2.0, 7.0, 10.0], [0.3, 0.4, 0.3])

@@ -148,6 +148,15 @@ class TestExperimentConfig:
         again = ExperimentConfig.from_dict(CONFIG.to_dict())
         assert again.to_dict() == CONFIG.to_dict()
 
+    def test_missing_settings_take_the_field_defaults(self):
+        data = CONFIG.to_dict()
+        for key in ("order", "spacing", "seed"):
+            del data[key]
+        plain = ExperimentConfig(case="unit", model=CONFIG.model,
+                                 dims=CONFIG.dims, replications=4,
+                                 family="discrete")
+        assert ExperimentConfig.from_dict(data).to_dict() == plain.to_dict()
+
     def test_missing_key(self):
         data = CONFIG.to_dict()
         del data["model"]
