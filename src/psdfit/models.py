@@ -6,7 +6,8 @@ finite mixture of point masses (with a single point mass as its one-atom
 case), polynomial-times-exponential densities, and a shifted
 inverse-cubic tail law.  Each model exposes the distribution calculus
 the estimation pipeline needs (CDF, quantile function for population
-draws, density where one exists), the kernel integrals
+draws, density where one exists; the polynomial-exponential quantile is
+a safeguarded Newton solve from a gamma-law start), the kernel integrals
 K1(s) = int t/(1+ts) dH and K2(s) = int t^2/(1+ts)^2 dH of the spectrum
 point map (atomic models also solve its forward equation in closed
 form), and JSON serialization.  ``kernel`` returns K1 and K2 from one
@@ -46,7 +47,6 @@ _WEIGHT_TOL = 1e-12
 # tolerates shallow dips and only refuses clearly broken shapes.
 _DENSITY_TOL = -0.2
 _POSITIVITY_GRID = np.arange(0.0, 50.0 + 1e-9, 0.01)
-_QUANTILE_TOL = 1e-10   # Laguerre quantile bisection stops at this width
 # Distance rule: Gauss-Legendre panels, see ``wasserstein``.
 _W_NODES = 64           # nodes per panel
 _W_SPLIT = 10.0         # Laguerre panels are [0, 10] and [10, _W_CUT], and
@@ -362,23 +362,52 @@ class Laguerre(PSDModel):
         return np.clip(np.where(x < 0.0, 1.0, out), 0.0, 1.0)
 
     def quantile(self, prob):
+        """Safeguarded Newton from the quantile of the gamma law whose shape
+        is the model's mean.  It solves the raw F(x) = p up to p = 1/2, in
+        log x, and the raw S(x) = 1 - p above, in x, each on the log of the
+        function, where the power-law lower tail and the exponential upper
+        tail are near straight lines; the raw functions change sign where
+        the clipped ones do.  Each evaluation shrinks the lane's bracket; a
+        step that leaves it or meets a value or density <= 0 is replaced by
+        bisection, in log x for F.  A lane retires once its step or bracket
+        is at rounding level, within the bisection's 64 steps."""
         p = _as_prob_array(prob)
         scalar = p.ndim == 0
         p = np.atleast_1d(p)
-        lo = np.zeros_like(p)
-        hi = np.full_like(p, 64.0)
-        while np.any(self.cdf(hi) < p.max()):
-            hi *= 2.0
-            if hi[0] > 1e9:
+        top = 64.0
+        while self.cdf(top) < p.max():
+            top *= 2.0
+            if top > 1e9:
                 raise ValueError("quantile bracket failed to close")
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < p
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.max(hi - lo) < _QUANTILE_TOL:
-                break
-        out = 0.5 * (lo + hi)
+        rounding, normal = 4.0 * np.finfo(float).eps, np.finfo(float).tiny
+        shape = max(self.mean(), 0.5)   # a dipping density can have mean <= 0
+        out = np.empty_like(p)
+        for upper in (False, True):
+            lanes = np.flatnonzero((p > 0.5) == upper)
+            want = 1.0 - p[lanes] if upper else p[lanes]   # exact above 1/2
+            x = (special.gammainccinv if upper else special.gammaincinv)(shape, want)
+            x = np.where((x > 0.0) & (x < top), x, 0.5 * top)   # also catches nan
+            lo, hi = np.zeros_like(x), np.full_like(x, top)
+            live = np.arange(x.size)
+            for _ in range(64):
+                if not live.size:
+                    break
+                xs, value = x[live], self._raw_cdf(x[live], upper)
+                below = value > want[live] if upper else value < want[live]
+                lo[live] = l = np.where(below, xs, lo[live])
+                hi[live] = h = np.where(below, hi[live], xs)
+                slope = self.density(xs)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    step = np.log(value / want[live]) * value / slope
+                    newton = xs + step if upper else xs * np.exp(-step / xs)
+                settled = (slope > 0.0) & (np.abs(newton - xs) <= rounding * xs)
+                inside = (slope > 0.0) & (newton > l) & (newton < h)
+                split = (0.5 * (l + h) if upper else
+                         np.clip(np.sqrt(np.maximum(l, normal)) * np.sqrt(h), l, h))
+                x[live] = np.where(settled, np.clip(newton, l, h),
+                                   np.where(inside, newton, split))
+                live = live[~(settled | (h - l <= rounding * h))]
+            out[lanes] = x
         return float(out[0]) if scalar else out
 
     def mean(self) -> float:

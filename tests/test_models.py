@@ -4,9 +4,10 @@ import math
 import pickle
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
@@ -116,7 +117,60 @@ class TestLaguerre:
     def test_quantile_inverts_cdf(self):
         m = Laguerre([0.5, 0.1])
         p = np.linspace(0.01, 0.99, 25)
-        assert np.max(np.abs(m.cdf(m.quantile(p)) - p)) < 1e-8
+        assert np.max(np.abs(m.cdf(m.quantile(p)) - p)) < 1e-12
+
+    def test_scalar_quantile_is_a_float(self):
+        assert type(Laguerre([1.0]).quantile(0.3)) is float
+
+    @pytest.mark.parametrize("coeffs", [[1.0], [1 / 9, 1 / 9, 1 / 9]])
+    @pytest.mark.parametrize("p", [1e-12, 1e-6, 0.3, 1 - 1e-6, 1 - 1e-12, 1 - 2**-52])
+    def test_quantile_matches_mpmath_in_both_tails(self, coeffs, p):
+        m = Laguerre(coeffs)
+        assert m.quantile(p) == pytest.approx(_mp_quantile(m, p), rel=1e-13, abs=0.0)
+
+    def test_shallow_dip_quantile(self):
+        # density (2 - t) e^-t: the raw CDF 1 + (x - 1) e^-x reaches 1 at
+        # x = 1 and stays above it, so the clipped S is 0 beyond x = 1
+        # while the density is still positive up to x = 2
+        m = Laguerre([-1.0])
+        p = 1 - 1e-6
+        with mpmath.workdps(40):
+            exact = mpmath.findroot(lambda x: (1 - x) * mpmath.exp(-x) - (1 - mpmath.mpf(p)), 1)
+        # 0.99999728, where the bisection also landed
+        assert m.quantile(p) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+        p = np.linspace(0.0, 1.0, 2003)[1:-1]
+        x = m.quantile(p)
+        assert np.all(np.diff(x) >= 0.0)
+        assert np.max(np.abs(1.0 + (x - 1.0) * np.exp(-x) - p)) <= 1e-12
+
+    # below the smallest normal double scipy's gammainc flushes the CDF
+    # to zero, so p that small has no sign change to find
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+           st.floats(np.finfo(float).tiny, 1.0, exclude_max=True))
+    # its raw CDF tops out at 1 - 2^-52, so the top probability is out of reach
+    @example([0.17127125767052365, -0.4509976191693795], 1 - 2**-53)
+    def test_quantile_sits_on_a_sign_change(self, scaled, p):
+        try:
+            m = Laguerre([u / math.factorial(j + 1) for j, u in enumerate(scaled)])
+        except ValueError:
+            assume(False)
+        # the bracket doubles from 64 while the CDF there stays below p
+        if np.max(m.cdf(64.0 * 2.0 ** np.arange(24))) < p:
+            with pytest.raises(ValueError, match="bracket failed to close"):
+                m.quantile(p)
+            return
+        x = m.quantile(p)
+        assert math.isfinite(x) and x >= 0.0
+        # F - p up to p = 1/2 and (1 - p) - S above it change sign across
+        # x; both are the clipped functions, which change sign exactly
+        # where the raw ones do
+        d = 1e-9 * x + 1e-300
+        if p <= 0.5:
+            assert m.cdf(x - d) <= p <= m.cdf(x + d)
+        else:
+            side = _reference_survival(m, np.array([x - d, x + d]))
+            assert side[0] >= 1.0 - p >= side[1]
 
 
 class TestInverseCubic:
@@ -175,6 +229,28 @@ def _reference_survival(model, x):
     raw = sum(c * math.factorial(j) * stats.gamma.sf(x, j + 1)
               for j, c in enumerate(model.full_coeffs))
     return np.where(x >= 0.0, np.clip(raw, 0.0, 1.0), 1.0)
+
+
+def _mp_quantile(model, p):
+    """Quantile of a Laguerre model to 40 digits, with its stored
+    coefficients taken exactly: the root of F(x) = p up to one half and of
+    S(x) = 1 - p above it (the stored coefficients need not give mass
+    exactly one), by bisection in log x on [1e-30, 64]."""
+    with mpmath.workdps(40):
+        weights = [mpmath.mpf(float(a)) * mpmath.factorial(j)
+                   for j, a in enumerate(model.full_coeffs)]
+        p = mpmath.mpf(float(p))
+        if p <= 0.5:
+            gap = lambda x: sum(w * mpmath.gammainc(j + 1, 0, x, regularized=True)
+                                for j, w in enumerate(weights)) - p
+        else:
+            gap = lambda x: (1 - p) - sum(w * mpmath.gammainc(j + 1, x, regularized=True)
+                                          for j, w in enumerate(weights))
+        lo, hi = mpmath.mpf(10) ** -30, mpmath.mpf(64)
+        for _ in range(100):
+            mid = mpmath.sqrt(lo * hi)
+            lo, hi = (mid, hi) if gap(mid) < 0 else (lo, mid)
+        return float(mpmath.sqrt(lo * hi))
 
 
 def _reference_w1(a, b):

@@ -48,7 +48,28 @@ class TestPopulationFromModel:
             population_from_model(PointMass(1.0), 0)
 
 
+def _bisection_quantile(model, p):
+    """The 64-step bisection on the clipped CDF that ``Laguerre.quantile``
+    used before its Newton solve, kept as the draws' reference."""
+    lo, hi = np.zeros_like(p), np.full_like(p, 64.0)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = model.cdf(mid) < p
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 class TestPopulationDraw:
+    @pytest.mark.parametrize("model, p", [(Laguerre([1.0]), 1000),
+                                          (Laguerre([1 / 9, 1 / 9, 1 / 9]), 500)])
+    @pytest.mark.parametrize("seed", [[0, 1], [1, 1], [2, 1], [3, 1]])
+    def test_smooth_draws_match_the_bisection(self, model, p, seed):
+        # the draws move by less than the old 1e-10 bracket width
+        probs = np.nextafter(np.random.default_rng(seed).random(p), 1.0)
+        reference = np.sort(_bisection_quantile(model, probs))
+        draws = population_draw(model, p, seed)
+        assert np.max(np.abs(draws - reference)) <= 1e-10
+
     def test_deterministic_and_sorted(self):
         a = population_draw(Laguerre([1.0]), 200, seed=7)
         b = population_draw(Laguerre([1.0]), 200, seed=7)
