@@ -11,7 +11,7 @@ inverse-cubic law for correlation spectra).
 """
 
 from .errors import (IterationError, NearPoleError, NumericsError, PoleError,
-                     RankError, ScanResolutionError)
+                     RankError)
 from .models import (Discrete, InverseCubic, Laguerre, PointMass, PSDModel,
                      model_from_dict, wasserstein)
 from .mptransform import (DensityCurve, SampleSpectrum, SupportReport,
@@ -46,7 +46,6 @@ __all__ = [
     "RankError",
     "ReturnsMatrix",
     "SampleSpectrum",
-    "ScanResolutionError",
     "SupportReport",
     "UNet",
     "build_unet",

@@ -10,7 +10,6 @@ __all__ = [
     "PoleError",
     "NearPoleError",
     "IterationError",
-    "ScanResolutionError",
     "RankError",
 ]
 
@@ -47,10 +46,6 @@ class IterationError(NumericsError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class ScanResolutionError(NumericsError):
-    """A sign-change scan could not separate features at the current resolution."""
 
 
 class RankError(NumericsError):

@@ -125,6 +125,9 @@ class PSDModel:
     def quantile(self, prob):
         raise NotImplementedError
 
+    def mean(self) -> float:
+        raise NotImplementedError
+
     def support(self):
         """Closed intervals (lo, hi) carrying the distribution's mass."""
         raise NotImplementedError

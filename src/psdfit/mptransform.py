@@ -14,7 +14,10 @@ model support), this map is a monotone bijection onto the complement of
 the limiting sample spectrum support, which is what the whole estimation
 strategy rests on.  This module evaluates the map, solves the defining
 equation in the upper half plane and on the real line, recovers the
-limiting spectral density, and locates the support.
+limiting spectral density, and locates the support: in y = -1/s the map
+rises where g(y) = c * integral t^2 / (y - t)^2 dH(t) < 1, and g is convex
+on every gap of the model support, so the support edges are the images
+of the roots of g = 1, at most two per gap.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import integrate, optimize
 
-from .errors import IterationError, NearPoleError, PoleError, ScanResolutionError
+from .errors import IterationError, NearPoleError, PoleError
 from .models import PSDModel
 
 __all__ = [
@@ -48,8 +51,6 @@ POLE_GUARD = 1e-6
 
 _EIG_TOL = 1e-12      # how close a transform argument may sit to an eigenvalue
 _CLAMP_TOL = 1e-10    # sample eigenvalues below -this are rejected, above clamped
-_SCAN_GRID = 4000     # support-scan grid points, doubled at most
-_SCAN_REFINE = 3      # this many times until the count of runs is stable
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,141 +480,90 @@ def _support_gaps(model: PSDModel):
     return gaps
 
 
-def _cluster_grid(a: float, b: float, n: int) -> NDArray:
-    # log-clustered toward both endpoints; the derivative diverges at poles
-    span = b - a
-    half = np.geomspace(span * 1e-9, span * 0.5, n // 2)
-    return np.unique(np.concatenate([a + half, b - half]))
-
-
-def _positive_runs(values: NDArray):
-    """Index ranges [i0, i1] of maximal runs with values > 0."""
-    pos = values > 0.0
-    if not pos.any():
-        return []
-    edges = np.flatnonzero(np.diff(pos.astype(int)))
-    starts = [0] if pos[0] else []
-    starts += [int(e) + 1 for e in edges if pos[e + 1]]
-    ends = [int(e) for e in edges if pos[e]]
-    ends += [pos.size - 1] if pos[-1] else []
-    return list(zip(starts, ends))
-
-
-def _scan_region(deriv, xs: NDArray):
-    """Runs of deriv > 0 over the grid, with boundaries refined by brentq."""
-    vals = deriv(xs)
-    runs = []
-    for i0, i1 in _positive_runs(vals):
-        left = xs[i0] if i0 == 0 else optimize.brentq(
-            lambda t: deriv(np.array([t]))[0], xs[i0 - 1], xs[i0], xtol=1e-13)
-        right = xs[i1] if i1 == vals.size - 1 else optimize.brentq(
-            lambda t: deriv(np.array([t]))[0], xs[i1], xs[i1 + 1], xtol=1e-13)
-        runs.append((left, right, i0 == 0, i1 == vals.size - 1))
-    return runs
-
-
-def _scan_with_refinement(deriv, a, b):
-    count = None
-    for level in range(_SCAN_REFINE + 1):
-        n = _SCAN_GRID * 2**level
-        runs = _scan_region(deriv, _cluster_grid(a, b, n))
-        check = _scan_region(deriv, _cluster_grid(a, b, 2 * n + 1))
-        if len(runs) == len(check):
-            return check
-        count = (len(runs), len(check))
-    raise ScanResolutionError(
-        f"sign-change count did not stabilize ({count[0]} vs {count[1]} runs); "
-        f"the scan grid is too coarse for this model")
-
-
 def support_bounds(model: PSDModel, c) -> SupportReport:
     """Locate the limiting sample spectrum support for a model at ratio c.
 
-    Scans the increasing branches of the spectrum point map: the positive
-    branch analytically (its derivative has a single monotone sign change)
-    and one scan per gap of the model support for the negative branches,
-    on a 4000-point grid clustered toward the gap ends and doubled up to
-    three times until the count of increasing runs is stable.
+    In y = -1/s the spectrum point map has slope du/dy = 1 - g(y), with
+    g(y) = c s^2 K2(s) = c * integral t^2 / (y - t)^2 dH(t), so the
+    increasing branches are where g < 1 (Silverstein and Choi 1995).  On
+    each gap of the model support g is convex: it rises from 0 on the gap
+    left of the support, falls to 0 on the gap right of it, and is
+    infinite at every finite end of the support.  So each gap holds at
+    most one branch, and the branch ends are roots of g = 1, found by
+    ``brentq`` on 1 - 1/g, which is 1 at an end of the support:
+
+    - left gap, split at y = 0 (s = +-inf), where g = c: for c <= 1 the
+      positive branch is all of s > 0; for c > 1 it ends at the root in
+      [-c * mean, 0], as g(y) <= c * mean / (4 |y|) for y < 0; for c < 1
+      the branch in (0, lo) ends at the root in [max(0, lo (1 - 2 sqrt c)), lo],
+      as g(y) <= c lo^2 / (lo - y)^2 there;
+    - right gap (hi, inf): the root in [hi, hi (1 + 2 sqrt c)], as
+      g(y) <= c hi^2 / (y - hi)^2 there;
+    - bounded gaps (atomic models only): where the minimum of g, from one
+      bounded scalar search, is below 1, the roots on either side of it.
+
     Branch images are complement intervals of the support; the support is
-    what they leave uncovered on (0, inf).
+    what they leave uncovered on (0, inf).  These bounds hold for a
+    nonnegative law; a Laguerre density whose negative parts break the
+    one at c > 1 (a mean <= 0, say) raises ValueError.
     """
     c = _positive_ratio(c)
-    u_at = lambda s: float(mp_u_map(s, model, c, guard=None))
-    k2 = lambda s_arr: model.kernel(s_arr)[1]
+    ends = {e for iv in model.support() for e in iv}
 
+    def excess(y):
+        # 1 - 1/g(y), with g(0) = c and g infinite at an end of the support
+        if y == 0.0:
+            return 1.0 - 1.0 / c
+        if y in ends:
+            return 1.0
+        s = -1.0 / y
+        return 1.0 - 1.0 / (c * s * s * float(model.kernel(np.array([s]))[1][0]))
+
+    root = lambda a, b: optimize.brentq(excess, a, b, xtol=1e-300, rtol=8.9e-16)
+    u_at = lambda y: float(mp_u_map(-1.0 / y, model, c, guard=None))
+
+    # negative branches, one per gap of the model support, left to right
     branches, images = [], []
+    for g_lo, g_hi in _support_gaps(model):
+        if g_lo == 0.0:
+            if c < 1.0:               # s -> -inf sends u to zero
+                y = root(max(0.0, g_hi * (1.0 - 2.0 * math.sqrt(c))), g_hi)
+                branches.append((-math.inf, -1.0 / y))
+                images.append((0.0, u_at(y)))
+        elif math.isinf(g_hi):        # s -> 0- sends u to +inf
+            y = root(g_lo, g_lo * (1.0 + 2.0 * math.sqrt(c)))
+            branches.append((-1.0 / y, 0.0))
+            images.append((u_at(y), math.inf))
+        else:
+            low = optimize.minimize_scalar(excess, bounds=(g_lo, g_hi),
+                                           method="bounded")
+            if low.fun < 0.0:
+                y_lo, y_hi = root(g_lo, low.x), root(low.x, g_hi)
+                branches.append((-1.0 / y_lo, -1.0 / y_hi))
+                images.append((u_at(y_lo), u_at(y_hi)))
 
-    # positive branch: du/ds > 0 on (0, s*) where c*s^2*K2(s) crosses 1;
-    # for c <= 1 the crossing never happens and the image is all of (-inf, 0)
+    # positive branch, y < 0; for c <= 1 its image is all of (-inf, 0)
     if c <= 1.0:
         branches.append((0.0, math.inf))
         images.append((-math.inf, 0.0))
     else:
-        crossing = lambda s: c * s * s * float(k2(np.array([s]))[0]) - 1.0
-        hi = 1.0
-        while crossing(hi) < 0.0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise ScanResolutionError("positive-branch crossing not bracketed")
-        lo = hi / 2.0
-        while crossing(lo) > 0.0:
-            lo /= 2.0
-            if lo < 1e-12:
-                raise ScanResolutionError("positive-branch crossing not bracketed")
-        s_star = optimize.brentq(crossing, lo, hi, xtol=1e-13)
-        branches.append((0.0, s_star))
-        images.append((-math.inf, u_at(s_star)))
+        far = -c * model.mean()
+        if not excess(far) < 0.0:             # a density with negative parts
+            raise ValueError(f"g(y) >= 1 at y = -c * mean = {far!r}: the model "
+                             "is not a nonnegative law of positive mean")
+        y = root(far, 0.0)
+        branches.append((0.0, -1.0 / y))
+        images.append((-math.inf, u_at(y)))
 
-    # negative branches, one per gap of the model support; coordinates are
-    # chosen so the scan interval is bounded (v = -1/s for gaps touching 0)
-    for g_lo, g_hi in _support_gaps(model):
-        if math.isinf(g_hi):
-            deriv = lambda s_arr: 1.0 / s_arr**2 - c * k2(s_arr)
-            runs = _scan_with_refinement(deriv, -1.0 / g_lo, 0.0)
-            for left, right, at_lo, at_hi in runs:
-                if at_lo:
-                    raise ScanResolutionError("increasing run reached a pole")
-                s_lo, s_hi = left, (0.0 if at_hi else right)
-                branches.append((s_lo, s_hi))
-                images.append((u_at(s_lo), math.inf if at_hi else u_at(s_hi)))
-        else:
-            def deriv(v_arr):
-                s_arr = -1.0 / v_arr
-                return 1.0 / s_arr**2 - c * k2(s_arr)
-            runs = _scan_with_refinement(deriv, g_lo, g_hi)
-            for left, right, at_lo, at_hi in runs:
-                if at_hi:
-                    raise ScanResolutionError("increasing run reached a pole")
-                if at_lo and g_lo > 0.0:
-                    raise ScanResolutionError("increasing run reached a pole")
-                s_lo = -math.inf if at_lo else -1.0 / left
-                s_hi = -1.0 / right
-                branches.append((s_lo, s_hi))
-                # s -> -inf sends u to zero
-                images.append((0.0 if at_lo else u_at(s_lo), u_at(s_hi)))
-
-    # support = (0, inf) minus the union of the branch images
-    clipped = sorted((max(lo, 0.0), hi) for lo, hi in images if hi > 0.0)
-    merged = []
-    for lo, hi in clipped:
-        if merged and lo <= merged[-1][1] + 1e-12:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    support = []
-    cursor = 0.0
-    for lo, hi in merged:
-        if lo > cursor + 1e-12:
-            support.append((cursor, lo))
-        cursor = max(cursor, hi)
-    if not math.isinf(cursor):
-        support.append((cursor, math.inf))
-
-    order = np.argsort([b[0] for b in branches], kind="stable")
+    # the support is what the images, which are disjoint, leave uncovered
+    # on (0, inf): the stretches between neighbouring images
+    by_u = sorted(images)
+    starts = [max(hi, 0.0) for _, hi in by_u]
+    stops = [lo for lo, _ in by_u[1:]] + [math.inf]
     return SupportReport(
-        support=tuple(support),
-        branches=tuple(branches[i] for i in order),
-        complement=tuple(images[i] for i in order),
+        support=tuple((a, b) for a, b in zip(starts, stops) if b > a + 1e-12),
+        branches=tuple(branches),
+        complement=tuple(images),
         mass_at_zero=max(0.0, 1.0 - 1.0 / c) if c > 1.0 else 0.0,
     )
 
@@ -622,9 +572,12 @@ def solve_companion_real(u: float, model: PSDModel, c) -> float:
     """Real companion-transform value at a point u outside the support.
 
     Runs ``support_bounds(model, c)``, finds the increasing branch whose
-    image contains u and bisects the monotone spectrum point map there.
-    Points inside the support (or at zero) have no real solution and
-    raise ValueError.
+    image contains u and solves u(y) = u there by ``brentq`` in y = -1/s,
+    in which the map rises with slope at most 1.  The bracket is the
+    branch, with its open ends closed by u itself: u - c * mean < y < u
+    on the positive branch (y < 0), y > u on the branch of the gap left
+    of the support and y < u on the branch right of it.  Points inside
+    the support (or at zero) have no real solution and raise ValueError.
     """
     u = float(u)
     c = _positive_ratio(c)
@@ -632,36 +585,15 @@ def solve_companion_real(u: float, model: PSDModel, c) -> float:
     for (s_lo, s_hi), (u_lo, u_hi) in zip(rep.branches, rep.complement):
         if not (u_lo < u < u_hi):
             continue
-        f = lambda s: mp_u_map(float(s), model, c, guard=None) - u
-        # close off unbounded or map-singular endpoints with sign probes
-        if s_lo == 0.0:                       # positive branch, u -> -inf
-            a = min(1.0, s_hi / 2.0 if math.isfinite(s_hi) else 1.0)
-            while f(a) >= 0.0:
-                a /= 4.0
-                if a < 1e-300:
-                    raise IterationError("bracketing failed approaching s=0+")
-        elif math.isinf(s_lo):                # u -> 0 as s -> -inf
-            a = 2.0 * s_hi if s_hi < 0.0 else -1.0
-            while f(a) >= 0.0:
-                a *= 4.0
-                if a < -1e300:
-                    raise IterationError("bracketing failed approaching s=-inf")
+        if s_lo == 0.0:                       # positive branch
+            bracket = (u - c * model.mean(), min(u, -1.0 / s_hi))
+        elif math.isinf(s_lo):                # gap left of the support
+            bracket = (u, -1.0 / s_hi)
+        elif s_hi == 0.0:                     # gap right of the support
+            bracket = (-1.0 / s_lo, u)
         else:
-            a = s_lo
-        if s_hi == 0.0:                       # u -> +inf as s -> 0-
-            b = -1e-8
-            while f(b) <= 0.0:
-                b /= 4.0
-                if b > -1e-300:
-                    raise IterationError("bracketing failed approaching s=0-")
-        elif math.isinf(s_hi):                # u -> 0- as s -> +inf
-            b = max(1.0, 2.0 * a)
-            while f(b) <= 0.0:
-                b *= 4.0
-                if b > 1e300:
-                    raise IterationError("bracketing failed approaching s=+inf")
-        else:
-            b = s_hi
-        return float(optimize.brentq(f, a, b, xtol=1e-14, rtol=8.9e-16,
-                                     maxiter=200))
+            bracket = (-1.0 / s_lo, -1.0 / s_hi)
+        y = optimize.brentq(lambda y: mp_u_map(-1.0 / y, model, c, guard=None) - u,
+                            *bracket, xtol=1e-300, rtol=8.9e-16)
+        return -1.0 / y
     raise ValueError(f"u={u!r} lies inside the limiting spectrum support")

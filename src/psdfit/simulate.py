@@ -58,7 +58,9 @@ def population_draw(model: PSDModel, p: int, seed) -> NDArray:
     if p < 1:
         raise ValueError("p must be at least 1")
     rng = np.random.default_rng(seed)
-    probs = np.nextafter(rng.random(p), 1.0)   # keep inside the open unit interval
+    # inside the open unit interval, and no lower than the smallest normal
+    # float, below which the Laguerre CDF underflows to 0
+    probs = np.maximum(np.nextafter(rng.random(p), 1.0), np.finfo(float).tiny)
     return np.sort(model.quantile(probs))
 
 

@@ -4,9 +4,10 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -611,7 +612,7 @@ class TestSupportBounds:
     def test_identity_critical_ratio(self):
         rep = support_bounds(PointMass(1.0), 1.0)
         (lo, hi), = rep.support
-        assert lo == pytest.approx(0.0, abs=1e-6)
+        assert lo == 0.0
         assert hi == pytest.approx(4.0, abs=1e-9)
 
     def test_identity_tall_ratio_has_atom_at_zero(self):
@@ -661,6 +662,11 @@ class TestSupportBounds:
             mid = 0.5 * (lo + hi)
             outside = lsd_density_curve(model, 0.2, np.array([mid])).f[0]
             assert outside < 1e-3
+
+    def test_positive_branch_needs_a_positive_mean(self):
+        # (2 - t) e^-t has mean 0, so no bound brackets the end of s > 0
+        with pytest.raises(ValueError, match="not a nonnegative law"):
+            support_bounds(Laguerre([-1.0]), 2.0)
 
     def test_report_round_trip(self):
         rep = support_bounds(InverseCubic(0.5), 0.5)
@@ -714,3 +720,154 @@ class TestRealSolver:
             real_root = solve_companion_real(u, model, 0.1)
             hp = solve_companion_fixed_point(complex(u, 1e-8), model, 0.1)
             assert abs(real_root - hp.real) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# support edges against a 40-digit reference: the roots y = -1/s of
+# g(y) = c * integral t^2 / (y - t)^2 dH(t) = 1, and u(y) there
+
+NEAR_MERGED = Discrete([1.0, 1.3, 6.0], [0.25, 0.25, 0.5])   # gap 1.957-1.985 at c = 0.5
+EDGE_PANEL = [pytest.param(model, c, id=f"{name}-c={c}")
+              for name, model in [*FORWARD_FAMILIES.items(), ("near-merged", NEAR_MERGED)]
+              for c in (0.05, 0.5, 1.0, 2.0)]
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def atomic_edges(model, c):
+    """The real roots y != 0 of g(y) = 1 for an atomic model, with u(y) at
+    each, or None when the problem is ill-conditioned at 1e-13.
+
+    They are the real roots of the degree-2k polynomial
+    prod (y - a_i)^2 - c sum_i w_i a_i^2 prod_{j != i} (y - a_j)^2, from
+    ``mpmath.polyroots`` at 40 digits.  At c = 1 one root sits at y = 0,
+    where s = +-inf, moved off it by the rounding of the weights' sum; it
+    is left out.  A root where g is nearly tangent to 1 (a near-double real
+    root, or a complex pair next to the real axis) moves by about the
+    square root of the rounding error, so no double-precision rule can
+    meet 1e-13 there.
+    """
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(float(x)) for x in model.atoms]
+        w = [mpmath.mpf(float(x)) for x in model.weights]
+        c = mpmath.mpf(c)
+
+        def squares(skip=None):
+            out = [mpmath.mpf(1)]
+            for j, aj in enumerate(a):
+                if j != skip:
+                    out = _poly_mul(out, [mpmath.mpf(1), -2 * aj, aj * aj])
+            return out
+
+        poly = squares()
+        for i in range(len(a)):
+            for k, v in enumerate(squares(i)):
+                poly[k + 2] -= c * w[i] * a[i] ** 2 * v
+        roots = mpmath.polyroots(poly, maxsteps=500, extraprec=500)
+        g_slope = lambda y: -2 * c * sum(wi * ai**2 / (y - ai) ** 3 for ai, wi in zip(a, w))
+        u_at = lambda y: y + c * sum(wi * ai * y / (y - ai) for ai, wi in zip(a, w))
+        edges = []
+        for r in roots:
+            if abs(r) < 1e-12:
+                continue
+            if abs(r.imag) > mpmath.mpf(10) ** -25 * abs(r):
+                if abs(r.imag) < 1e-6 * abs(r):
+                    return None
+                continue
+            y = r.real
+            if abs(y * g_slope(y)) < 1e-3:
+                return None
+            edges.append((float(y), float(u_at(y))))
+        return sorted(edges)
+
+
+def _smooth_density(model):
+    """The density of a smooth model in mpmath, with its quadrature breaks."""
+    if isinstance(model, Laguerre):
+        coeffs = [mpmath.mpf(float(x)) for x in model.full_coeffs[::-1]]
+        return lambda t: mpmath.polyval(coeffs, t) * mpmath.exp(-t), [0, 1, 10, mpmath.inf]
+    alpha = mpmath.mpf(model.alpha)
+    return (lambda t: 2 * (1 - alpha) ** 2 / (t - 2 * alpha + 1) ** 3,
+            [alpha, 2 * alpha + 1, mpmath.inf])
+
+
+def smooth_edges(model, c):
+    """The root y != 0 of g(y) = 1 for a smooth model, with u(y) there:
+    g and u by ``mpmath.quad`` at 40 digits, the root by a bracketed
+    ``mpmath.findroot``.  Left of the support g rises from 0 to g(0) = c
+    for y < 0, and to infinity at a positive left end lo; no smooth family
+    has a right end."""
+    with mpmath.workdps(40):
+        density, breaks = _smooth_density(model)
+        c = mpmath.mpf(c)
+        g = lambda y: c * mpmath.quad(lambda t: t * t / (y - t) ** 2 * density(t), breaks)
+        lo = mpmath.mpf(model.support()[0][0])
+        if c > 1:
+            bracket = (-c * model.mean(), mpmath.mpf(0))
+        elif c < 1 and lo > 0:
+            bracket = (mpmath.mpf(0), lo * (1 - mpmath.mpf(10) ** -12))
+        else:
+            return []
+        y = mpmath.findroot(lambda y: g(y) - 1, bracket, solver="anderson")
+        u = y + c * y * mpmath.quad(lambda t: t / (y - t) * density(t), breaks)
+        return [(float(y), float(u))]
+
+
+def reference_edges(model, c):
+    return (atomic_edges if isinstance(model, Discrete) else smooth_edges)(model, c)
+
+
+def assert_edges_match(model, c, want):
+    """The report's finite nonzero branch ends, as y = -1/s, and complement
+    ends match the reference to 1e-13 relative, and count the same."""
+    rep = support_bounds(model, c)
+    finite = lambda ends: sorted(x for iv in ends for x in iv
+                                 if x != 0.0 and math.isfinite(x))
+    got_y = [-1.0 / s for s in finite(rep.branches)]
+    assert len(got_y) == len(want)
+    assert np.allclose(sorted(got_y), [y for y, _ in want], rtol=1e-13, atol=0.0)
+    assert np.allclose(finite(rep.complement), sorted(u for _, u in want),
+                       rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("model, c", EDGE_PANEL)
+def test_support_edges_match_the_reference(model, c):
+    assert_edges_match(model, c, reference_edges(model, c))
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=12),
+       mass=st.lists(st.floats(0.01, 1.0), min_size=12, max_size=12),
+       c=st.sampled_from([0.05, 0.5, 1.0, 2.0]))
+def test_atomic_support_edges_match_the_reference(steps, mass, c):
+    atoms = 0.1 + np.cumsum(steps)
+    weights = np.array(mass[:atoms.size])
+    model = Discrete(atoms, weights / weights.sum())
+    want = atomic_edges(model, c)
+    assume(want is not None)
+    assert_edges_match(model, c, want)
+
+
+def _inside(lo, hi):
+    """Points inside an image (lo, hi), next to each end and in between."""
+    if math.isinf(lo):
+        return [hi - d * max(1.0, abs(hi)) for d in (1e-3, 1.0, 100.0)]
+    if math.isinf(hi):
+        return [lo + d * max(1.0, abs(lo)) for d in (1e-3, 1.0, 100.0)]
+    return [lo + f * (hi - lo) for f in (1e-3, 0.5, 1.0 - 1e-3)]
+
+
+@pytest.mark.parametrize("model, c", EDGE_PANEL)
+def test_real_solve_round_trips_on_every_branch(model, c):
+    rep = support_bounds(model, c)
+    for (s_lo, s_hi), (u_lo, u_hi) in zip(rep.branches, rep.complement):
+        for u in _inside(u_lo, u_hi):
+            s = solve_companion_real(u, model, c)
+            assert s_lo < s < s_hi
+            assert abs(mp_u_map(s, model, c, guard=None) - u) <= 1e-12 * max(1.0, abs(u))

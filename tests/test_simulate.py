@@ -100,6 +100,20 @@ class TestPopulationDraw:
         with pytest.raises(ValueError):
             population_draw(PointMass(1.0), 0, seed=0)
 
+    def test_zero_uniform_draws_the_smallest_normal_quantile(self):
+        class ZeroDraws(np.random.Generator):
+            """A generator whose uniforms are all exactly 0."""
+
+            def random(self, size=None, dtype=np.float64, out=None):
+                return np.zeros(size)
+
+        # Gamma(2) has F(x) = x^2/2 + O(x^3) near 0, so F(x) = tiny at
+        # x = sqrt(2 tiny); at the subnormal p = 5e-324 the CDF underflows,
+        # and the draw came out 7.5e-155 where the root is 3.2e-162
+        tiny = np.finfo(float).tiny
+        draws = population_draw(Laguerre([1.0]), 3, ZeroDraws(np.random.PCG64(0)))
+        assert draws == pytest.approx(np.full(3, np.sqrt(2.0 * tiny)), rel=1e-14)
+
 
 class TestSampleSpectrum:
     def test_tall_case_structural_zeros(self):
