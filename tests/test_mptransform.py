@@ -819,10 +819,6 @@ def smooth_edges(model, c):
         return [(float(y), float(u))]
 
 
-def reference_edges(model, c):
-    return (atomic_edges if isinstance(model, Discrete) else smooth_edges)(model, c)
-
-
 def assert_edges_match(model, c, want):
     """The report's finite nonzero branch ends, as y = -1/s, and complement
     ends match the reference to 1e-13 relative, and count the same."""
@@ -838,7 +834,8 @@ def assert_edges_match(model, c, want):
 
 @pytest.mark.parametrize("model, c", EDGE_PANEL)
 def test_support_edges_match_the_reference(model, c):
-    assert_edges_match(model, c, reference_edges(model, c))
+    reference = atomic_edges if isinstance(model, Discrete) else smooth_edges
+    assert_edges_match(model, c, reference(model, c))
 
 
 @settings(max_examples=25, deadline=None)
