@@ -500,7 +500,8 @@ def support_bounds(model: PSDModel, c) -> SupportReport:
     - right gap (hi, inf): the root in [hi, hi (1 + 2 sqrt c)], as
       g(y) <= c hi^2 / (y - hi)^2 there;
     - bounded gaps (atomic models only): where the minimum of g, from one
-      bounded scalar search, is below 1, the roots on either side of it.
+      bounded scalar search on the gap scaled to (0, 1), is below 1, the
+      roots on either side of it.
 
     Branch images are complement intervals of the support; the support is
     what they leave uncovered on (0, inf).  These bounds hold for a
@@ -534,11 +535,12 @@ def support_bounds(model: PSDModel, c) -> SupportReport:
             y = root(g_lo, g_lo * (1.0 + 2.0 * math.sqrt(c)))
             branches.append((-1.0 / y, 0.0))
             images.append((u_at(y), math.inf))
-        else:
-            low = optimize.minimize_scalar(excess, bounds=(g_lo, g_hi),
-                                           method="bounded")
+        else:                         # searched in the gap's own unit, scale-free
+            at = lambda t: g_lo + t * (g_hi - g_lo)
+            low = optimize.minimize_scalar(lambda t: excess(at(t)), bounds=(0.0, 1.0),
+                                           method="bounded", options={"xatol": 1e-10})
             if low.fun < 0.0:
-                y_lo, y_hi = root(g_lo, low.x), root(low.x, g_hi)
+                y_lo, y_hi = root(g_lo, at(low.x)), root(at(low.x), g_hi)
                 branches.append((-1.0 / y_lo, -1.0 / y_hi))
                 images.append((u_at(y_lo), u_at(y_hi)))
 
@@ -574,26 +576,32 @@ def solve_companion_real(u: float, model: PSDModel, c) -> float:
     Runs ``support_bounds(model, c)``, finds the increasing branch whose
     image contains u and solves u(y) = u there by ``brentq`` in y = -1/s,
     in which the map rises with slope at most 1.  The bracket is the
-    branch, with its open ends closed by u itself: u - c * mean < y < u
-    on the positive branch (y < 0), y > u on the branch of the gap left
-    of the support and y < u on the branch right of it.  Points inside
-    the support (or at zero) have no real solution and raise ValueError.
+    branch, with its open ends closed by u itself: y > u - c * mean on
+    the positive branch (y < 0; a density with negative parts can break
+    this, and then the end is pushed out until it brackets the root),
+    y > u on the branch of the gap left of the support and y < u on the
+    branch right of it.  Points inside the support (or at zero) have no
+    real solution and raise ValueError.
     """
     u = float(u)
     c = _positive_ratio(c)
     rep = support_bounds(model, c)
+    # u(y) - u, with u(0) = 0 (s = +-inf) taken by value
+    f = lambda y: (float(mp_u_map(-1.0 / y, model, c, guard=None)) if y else 0.0) - u
     for (s_lo, s_hi), (u_lo, u_hi) in zip(rep.branches, rep.complement):
         if not (u_lo < u < u_hi):
             continue
         if s_lo == 0.0:                       # positive branch
-            bracket = (u - c * model.mean(), min(u, -1.0 / s_hi))
+            width = max(c * model.mean(), abs(u)) or 1.0
+            while not f(u - width) < 0.0 and width < 1e300:   # negative parts
+                width *= 2.0
+            bracket = (u - width, -1.0 / s_hi)
         elif math.isinf(s_lo):                # gap left of the support
             bracket = (u, -1.0 / s_hi)
         elif s_hi == 0.0:                     # gap right of the support
             bracket = (-1.0 / s_lo, u)
         else:
             bracket = (-1.0 / s_lo, -1.0 / s_hi)
-        y = optimize.brentq(lambda y: mp_u_map(-1.0 / y, model, c, guard=None) - u,
-                            *bracket, xtol=1e-300, rtol=8.9e-16)
+        y = optimize.brentq(f, *bracket, xtol=1e-300, rtol=8.9e-16)
         return -1.0 / y
     raise ValueError(f"u={u!r} lies inside the limiting spectrum support")

@@ -774,7 +774,7 @@ def atomic_edges(model, c):
         u_at = lambda y: y + c * sum(wi * ai * y / (y - ai) for ai, wi in zip(a, w))
         edges = []
         for r in roots:
-            if abs(r) < 1e-12:
+            if abs(r) < 1e-12 * a[-1]:
                 continue
             if abs(r.imag) > mpmath.mpf(10) ** -25 * abs(r):
                 if abs(r.imag) < 1e-6 * abs(r):
@@ -838,12 +838,27 @@ def test_support_edges_match_the_reference(model, c):
     assert_edges_match(model, c, reference(model, c))
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+@pytest.mark.parametrize("c", [0.05, 0.5, 1.0, 2.0])
+def test_support_edges_scale_with_the_model(scale, c):
+    # g is unchanged when atoms and y scale together, so the edges must too
+    scaled = Discrete(scale * NEAR_MERGED.atoms, NEAR_MERGED.weights)
+    want = atomic_edges(scaled, c)
+    assert len(want) == len(atomic_edges(NEAR_MERGED, c))
+    assert_edges_match(scaled, c, want)
+    unit = support_bounds(NEAR_MERGED, c).support
+    got = support_bounds(scaled, c).support
+    assert np.allclose(np.array(got, dtype=float) / scale, np.array(unit, dtype=float),
+                       rtol=1e-13, atol=0.0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(steps=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=12),
        mass=st.lists(st.floats(0.01, 1.0), min_size=12, max_size=12),
-       c=st.sampled_from([0.05, 0.5, 1.0, 2.0]))
-def test_atomic_support_edges_match_the_reference(steps, mass, c):
-    atoms = 0.1 + np.cumsum(steps)
+       c=st.sampled_from([0.05, 0.5, 1.0, 2.0]),
+       scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_atomic_support_edges_match_the_reference(steps, mass, c, scale):
+    atoms = scale * (0.1 + np.cumsum(steps))
     weights = np.array(mass[:atoms.size])
     model = Discrete(atoms, weights / weights.sum())
     want = atomic_edges(model, c)
@@ -868,3 +883,14 @@ def test_real_solve_round_trips_on_every_branch(model, c):
             s = solve_companion_real(u, model, c)
             assert s_lo < s < s_hi
             assert abs(mp_u_map(s, model, c, guard=None) - u) <= 1e-12 * max(1.0, abs(u))
+
+
+@pytest.mark.parametrize("coeffs", [[-1.0], [-1.5]])
+def test_real_solve_on_a_density_with_negative_parts(coeffs):
+    # (2 - t) e^-t has mean 0 and (2.5 - 1.5 t) e^-t mean -0.5, so
+    # u(y) - y < c * mean fails and the positive branch's bracket must widen
+    model = Laguerre(coeffs)
+    for u in (-1e-3, -1.0, -5.0, -100.0):
+        s = solve_companion_real(u, model, 0.5)
+        assert s > 0.0
+        assert abs(mp_u_map(s, model, 0.5, guard=None) - u) <= 1e-12 * max(1.0, abs(u))
