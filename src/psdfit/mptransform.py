@@ -558,12 +558,12 @@ def support_bounds(model: PSDModel, c) -> SupportReport:
         images.append((-math.inf, u_at(y)))
 
     # the support is what the images, which are disjoint, leave uncovered
-    # on (0, inf): the stretches between neighbouring images
+    # on (0, inf): the stretches between neighbouring images wider than rounding
     by_u = sorted(images)
     starts = [max(hi, 0.0) for _, hi in by_u]
     stops = [lo for lo, _ in by_u[1:]] + [math.inf]
     return SupportReport(
-        support=tuple((a, b) for a, b in zip(starts, stops) if b > a + 1e-12),
+        support=tuple((a, b) for a, b in zip(starts, stops) if b > a * (1.0 + 1e-12)),
         branches=tuple(branches),
         complement=tuple(images),
         mass_at_zero=max(0.0, 1.0 - 1.0 / c) if c > 1.0 else 0.0,

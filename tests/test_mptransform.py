@@ -838,7 +838,7 @@ def test_support_edges_match_the_reference(model, c):
     assert_edges_match(model, c, reference(model, c))
 
 
-@pytest.mark.parametrize("scale", [1e-6, 1e6])
+@pytest.mark.parametrize("scale", [1e-15, 1e-6, 1e6])
 @pytest.mark.parametrize("c", [0.05, 0.5, 1.0, 2.0])
 def test_support_edges_scale_with_the_model(scale, c):
     # g is unchanged when atoms and y scale together, so the edges must too
