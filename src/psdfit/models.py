@@ -49,12 +49,16 @@ _DENSITY_TOL = -0.2
 _POSITIVITY_GRID = np.arange(0.0, 50.0 + 1e-9, 0.01)
 # Distance rule: Gauss-Legendre panels, see ``wasserstein``.
 _W_NODES = 64           # nodes per panel
-_W_SPLIT = 10.0         # Laguerre panels are [0, 10] and [10, _W_CUT], and
-_W_CUT = 80.0           # beyond _W_CUT e^-x times the polynomial is negligible
-_W_GRADE = 4.0          # above an inverse-cubic pole s a panel [lo, hi] keeps
-                        # (hi - s) / (lo - s) at most this
+_W_SPLIT = 10.0         # Laguerre panels are [0, 10], [10, _W_CUT] and the
+_W_CUT = 80.0           # tail, where e^-x times the polynomial is negligible
+_W_GRADE = 4.0          # an inverse-cubic law's breaks step by this factor in
+                        # distance from its pole 2 alpha - 1
+_W_SPAN = 16.0          # a panel [lo, hi] with lo > 0 is cut to hi / lo <= this
 _W_CROSS_FLOOR = 1e-13  # a smaller |F_a - F_b| is rounding, not a crossing
 _W_T, _W_WEIGHTS = np.polynomial.legendre.leggauss(_W_NODES)
+# tail panel [X, inf) in v = X / x: nodes falling to 0, weights of dx / X
+_W_V = 0.5 * (1.0 - _W_T)
+_W_V_WEIGHTS = 0.5 * _W_WEIGHTS / _W_V**2
 
 
 def _as_prob_array(prob):
@@ -133,8 +137,9 @@ class PSDModel:
         raise NotImplementedError
 
     def _distance_breaks(self):
-        """Points where ``wasserstein`` must start a new panel: kinks and
-        jumps of the CDF, and the family's fixed panel ends."""
+        """Every panel edge ``wasserstein`` needs for this model: the kinks
+        and jumps of the CDF and the family's own panel ends, up to one
+        beyond which the CDF is smooth in 1/x."""
         raise NotImplementedError
 
     def kernel(self, s):
@@ -510,7 +515,11 @@ class InverseCubic(PSDModel):
         return 1.0
 
     def _distance_breaks(self):
-        return np.array([self.alpha])
+        # alpha, then points 4, 16, ... times as far from the pole, up to
+        # one at least 2 above it; the tail beyond is smooth in 1/x
+        scale = 1.0 - self.alpha
+        n = max(1, math.ceil(0.5 * math.log2(2.0 / scale)))
+        return np.append(self.alpha, self.shift + scale * _W_GRADE ** np.arange(1, n + 1))
 
     def support(self):
         return ((self.alpha, math.inf),)
@@ -571,85 +580,51 @@ class InverseCubic(PSDModel):
 def wasserstein(a: PSDModel, b: PSDModel) -> float:
     """First-order transport distance W1 = int |F_a - F_b| dx.
 
-    Integrated from the models' own CDFs over panels whose ends are 0,
-    every atom, every inverse-cubic left edge alpha, every point where a
-    Laguerre model's raw CDF leaves [0, 1] (its clip kink), every
-    crossing of F_a - F_b, and the Laguerre panel ends 10 and 80, beyond
-    which a Laguerre CDF differs from one by a negligible amount.  Two
-    atomic models give step CDFs, summed exactly over the merged atoms.
-    Any other pair uses a 64-node Gauss-Legendre rule on each panel;
-    above an inverse-cubic left edge the panels are graded so that each
-    spans at most a factor 4 in distance from the law's pole 2 alpha - 1,
-    and its heavy tail is integrated from the survival functions 1 - F,
-    in the variable w = (1 - alpha) / (x - 2 alpha + 1), in which
-    1 - F = w^2.  The panels
+    One rule for every pair: 64-node Gauss-Legendre panels between 0,
+    both models' ``_distance_breaks`` and every crossing of F_a - F_b, and
+    one last panel from the last break X to infinity, taken in v = X / x
+    on (0, 1] from the survival functions 1 - F.  A panel [lo, hi] with
+    lo > 0 is cut geometrically to hi / lo <= 16, lest a far atom leave an
+    inverse-cubic tail on one wide panel.  A step CDF is constant between
+    breaks, so an atomic pair gives the step sum to rounding.  The panels
     depend only on the unordered pair, and W(a, a) is exactly 0.
     """
     edges = np.unique(np.concatenate([[0.0], a._distance_breaks(),
                                       b._distance_breaks()]))
-    if isinstance(a, Discrete) and isinstance(b, Discrete):
-        # step functions: F_a - F_b is constant between merged atoms
-        return float(np.abs(a.cdf(edges[:-1]) - b.cdf(edges[:-1])) @ np.diff(edges))
-    # inverse-cubic laws by rising alpha, hence rising pole 2 alpha - 1
-    heavy = sorted((m for m in (a, b) if isinstance(m, InverseCubic)),
-                   key=lambda m: m.alpha)
-    if heavy:
-        # the tail is mapped with the last law's variable, from far enough
-        # out that the first law's pole stays clear of it
-        start = max(edges[-1], 2.0 * heavy[-1].shift - heavy[0].shift)
-        edges = np.append(np.union1d(edges, start), np.inf)
-    x, weights, diff = _w_panels(a, b, edges, heavy)
+    x, weights, diff = _w_panels(a, b, edges)
     crossings = _w_crossings(a, b, x, diff)
     if crossings:
-        x, weights, diff = _w_panels(a, b, np.union1d(edges, crossings), heavy)
+        x, weights, diff = _w_panels(a, b, np.union1d(edges, crossings))
     return float(np.sum(np.abs(diff[:, 1:-1]) * weights))
 
 
-def _w_graded(edges, heavy):
-    """Split every panel above an inverse-cubic left edge geometrically
-    in the distance from the nearest pole below it."""
-    out = [edges[:1]]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        poles = [m.shift for m in heavy if m.alpha <= lo]
-        if poles and math.isfinite(hi):
-            s = poles[-1]
-            ratio = (hi - s) / (lo - s)
-            n = max(1, math.ceil(math.log(ratio) / math.log(_W_GRADE)))
-            out.append(s + (lo - s) * ratio ** (np.arange(1, n) / n))
-        out.append([hi])
-    return np.concatenate(out)
-
-
-def _w_panels(a, b, edges, heavy):
-    """Rule for W1 on the panels between ``edges`` (the last may be inf).
+def _w_panels(a, b, edges):
+    """Rule for W1 on the panels between ``edges`` (rising, from 0) and
+    from the last of them to infinity.
 
     Returns the sample points x, one row per panel holding the panel's
     start, its nodes in increasing order and the left limit at its end;
     the node weights; and F_a - F_b at x.
     """
-    edges = _w_graded(edges, heavy)
-    lo, hi = edges[:-1], edges[1:]
-    finite = np.isfinite(hi)
-    x = np.empty((lo.size, _W_NODES + 2))
-    weights = np.empty((lo.size, _W_NODES))
-    half = 0.5 * (hi[finite] - lo[finite])
-    x[finite, 1:-1] = (lo[finite] + half)[:, None] + half[:, None] * _W_T
-    weights[finite] = half[:, None] * _W_WEIGHTS
-    if not finite[-1]:
-        # heavy tail in w = (1 - alpha)/(x - shift): dx = (1 - alpha) dw / w^2
-        m = heavy[-1]
-        scale = 1.0 - m.alpha
-        top = scale / (lo[-1] - m.shift)
-        w = 0.5 * top * (1.0 - _W_T)          # decreasing, so x increases
-        x[-1, 1:-1] = m.shift + scale / w
-        weights[-1] = 0.5 * top * _W_WEIGHTS * scale / w**2
-    x[:, 0] = lo
-    # just below hi, where a step CDF has not yet jumped at an atom there
-    x[:, -1] = np.where(finite, np.nextafter(hi, -np.inf), np.inf)
-    diff = a.cdf(x) - b.cdf(x)
-    if not finite[-1]:
-        # both CDFs are near one out there; their survival functions are not
-        diff[-1] = b._sf(x[-1]) - a._sf(x[-1])
+    lo, hi = edges[1:-1], edges[2:]
+    n = np.ceil(np.log(hi / lo) / math.log(_W_SPAN))
+    edges = np.sort(np.concatenate([edges] + [
+        start * (end / start) ** (np.arange(1, k) / k)
+        for start, end, k in zip(lo[n > 1], hi[n > 1], n[n > 1])]))
+    half = 0.5 * np.diff(edges)
+    x = np.empty((edges.size, _W_NODES + 2))
+    x[:, 0] = edges
+    x[:-1, 1:-1] = (edges[:-1] + half)[:, None] + np.outer(half, _W_T)
+    x[-1, 1:-1] = edges[-1] / _W_V
+    # just below each panel's end, where a step CDF has not yet jumped at an
+    # atom there; the tail ends at inf itself (below it, a square overflows)
+    x[:-1, -1] = np.nextafter(edges[1:], -np.inf)
+    x[-1, -1] = np.inf
+    weights = np.vstack([np.outer(half, _W_WEIGHTS), edges[-1] * _W_V_WEIGHTS])
+    diff = np.empty_like(x)
+    diff[:-1] = a.cdf(x[:-1]) - b.cdf(x[:-1])
+    # both CDFs are near one in the tail; their survival functions are not
+    diff[-1] = b._sf(x[-1]) - a._sf(x[-1])
     return x, weights, diff
 
 

@@ -214,6 +214,9 @@ _SMOOTH_OR_ATOMIC = (
     st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 1.0)),
              min_size=1, max_size=3).map(lambda steps: _random_discrete(*zip(*steps))),
 )
+# atom gaps over six decades, so that some panels are cut, and weights
+_WIDE_STEPS = st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(0.1, 1.0)),
+                       min_size=1, max_size=6)
 
 
 def _reference_survival(model, x):
@@ -302,6 +305,11 @@ _W_FAMILIES = [
     *[(a, b) for i, a in enumerate(_W_FAMILIES) for b in _W_FAMILIES[i + 1:]],
     (Laguerre([0.6, 0.1]), Laguerre([1.0])),      # CDFs cross once near x = 2
     (Laguerre([-1.0]), Laguerre([1.0])),          # raw CDF above 1 for x > 1
+    (InverseCubic(0.999), InverseCubic(0.5)),     # six graded breaks against one
+    (InverseCubic(0.999), Laguerre([1.0])),
+    (Discrete([1e-3, 2e-3], [0.5, 0.5]), InverseCubic(0.3)),
+    # an atom far above the law's breaks: the wide panel must be cut
+    (Discrete([0.5, 1.0, 1000.0], [0.5, 0.499, 0.001]), InverseCubic(0.9)),
 ], ids=lambda m: f"{m.kind}{np.round(m.theta, 3).tolist()}")
 def test_wasserstein_matches_adaptive_quadrature(a, b):
     assert abs(wasserstein(a, b) - _reference_w1(a, b)) <= 1e-13
@@ -370,6 +378,17 @@ class TestWasserstein:
         assert dab >= 0.0
         assert dab == pytest.approx(dba, abs=1e-14)
         assert dab <= wasserstein(a, c) + wasserstein(c, b) + 1e-9
+
+    @given(_WIDE_STEPS, _WIDE_STEPS, st.sampled_from([1e-6, 1.0, 1e6]))
+    @settings(max_examples=50, deadline=None)
+    def test_atomic_pair_is_the_step_sum(self, steps_a, steps_b, scale):
+        # F_a - F_b is constant between merged atoms, so the panels must
+        # add up to the step sum at any scale
+        a, b = (_random_discrete(*zip(*steps)) for steps in (steps_a, steps_b))
+        a, b = (Discrete(m.atoms * scale, m.weights) for m in (a, b))
+        merged = np.union1d(a.atoms, b.atoms)
+        exact = np.abs(a.cdf(merged[:-1]) - b.cdf(merged[:-1])) @ np.diff(merged)
+        assert abs(wasserstein(a, b) - exact) <= 1e-14 * exact
 
     def test_identity_iff_equal(self):
         a = Discrete([1.0, 2.0], [0.4, 0.6])
