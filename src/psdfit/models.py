@@ -606,11 +606,11 @@ def _w_panels(a, b, edges):
     start, its nodes in increasing order and the left limit at its end;
     the node weights; and F_a - F_b at x.
     """
-    lo, hi = edges[1:-1], edges[2:]
-    n = np.ceil(np.log(hi / lo) / math.log(_W_SPAN))
-    edges = np.sort(np.concatenate([edges] + [
-        start * (end / start) ** (np.arange(1, k) / k)
-        for start, end, k in zip(lo[n > 1], hi[n > 1], n[n > 1])]))
+    # cut wide panels, from the top down so that the lower indices hold
+    for k in np.flatnonzero(edges[2:] > _W_SPAN * edges[1:-1])[::-1] + 1:
+        lo, hi = np.log(edges[k:k + 2])
+        m = math.ceil((hi - lo) / math.log(_W_SPAN))
+        edges = np.insert(edges, k + 1, np.exp(lo + (hi - lo) * np.arange(1, m) / m))
     half = 0.5 * np.diff(edges)
     x = np.empty((edges.size, _W_NODES + 2))
     x[:, 0] = edges

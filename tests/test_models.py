@@ -369,6 +369,7 @@ class TestWasserstein:
         assert dab <= dac + dcb + 1e-9
 
     @given(st.lists(st.one_of(_SMOOTH_OR_ATOMIC), min_size=3, max_size=3))
+    @example(models=[Laguerre([1.0]), Laguerre([1.0]), InverseCubic(5e-324)])
     @settings(max_examples=25, deadline=None)
     def test_metric_axioms_smooth_and_mixed(self, models):
         a, b, c = models
