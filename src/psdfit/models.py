@@ -157,7 +157,8 @@ class PSDModel:
     def companion_root(self, z, c):
         """The root s of z = -1/s + c K1(s) in the upper half plane, in
         closed form, at every point of a 1-d complex array z; None when the
-        family has no closed form and the forward solver must iterate."""
+        family has no closed form and the forward solver must iterate,
+        from the root of an atomic surrogate built from ``quantile``."""
         return None
 
     @property
@@ -456,8 +457,14 @@ class Laguerre(PSDModel):
     def kernel(self, s):
         if np.iscomplexobj(s):
             w1, w2 = self._folded_weights
-            inv = 1.0 / (1.0 + np.outer(_GL_LAGUERRE[0], s))
-            return w1 @ inv, w2 @ (inv * inv)
+            # one (nodes x lanes) buffer, worked in place: temporaries of
+            # this size cost more to allocate than to fill
+            inv = np.multiply.outer(_GL_LAGUERRE[0], s)
+            inv += 1.0
+            np.divide(1.0, inv, out=inv)
+            k1 = w1 @ inv
+            inv *= inv
+            return k1, w2 @ inv
         vals, ders = _laguerre_moments(s, self.degree)
         return self.full_coeffs @ vals, -(self.full_coeffs @ ders)
 

@@ -30,7 +30,7 @@ from numpy.typing import NDArray
 from scipy import integrate, optimize
 
 from .errors import IterationError, NearPoleError, PoleError
-from .models import PSDModel
+from .models import Discrete, PSDModel
 
 __all__ = [
     "SampleSpectrum",
@@ -192,7 +192,8 @@ _SOLVE_TOL = 1e-10        # every point must reach |u(s) - z| below this
 _NEWTON_HANDOVER = 1e-6   # fixed-point residual that hands a lane to Newton
 _DAMPING = 0.5
 _SEED_STRIDE = 8          # smooth models: every 8th point (and the last) is a seed
-_SEED_STEPS = 30          # fixed-point budget of a seed
+_SURROGATE_NODES = 4      # atoms of the quantile surrogate whose root starts a seed
+_SEED_STEPS = 30          # fixed-point budget of a seed the surrogate start fails
 _CONTINUE_STEPS = 12      # Newton budget of a seed and of a continued point
 _KEEP_IM = 0.1            # share of Im s a shortened Newton step keeps
 _DENSITY_EPS = 1e-6       # curves read the transform at x + i*_DENSITY_EPS
@@ -307,46 +308,56 @@ def _solve_block(z, model, c):
 
     A model with a closed-form root (``companion_root``) starts every lane
     at it, and Newton checks the residual.  Otherwise the solve continues
-    along the grid.  Every _SEED_STRIDE-th point and the last (the seeds)
-    run _SEED_STEPS damped fixed-point steps from -1/z and then Newton.
-    The points between two solved seeds start Newton from the line
-    through them, all in one batch; then, wave by wave, the same is done
-    for unsolved points between newly solved ones, and unsolved points
-    beside a newly solved one with no solved point within _SEED_STRIDE
-    on their other side start from the line through it and the next
-    solved point out, which carries the solve into the stretches near the
-    support edges where the fixed point is slow.  Points still unsolved
-    run the fixed point from -1/z with the full 600 + 60 step budget.  The
-    equation has one root with Im s > 0 (Silverstein and Bai 1995), so
-    every path that is accepted found the same root; one more Newton step
-    polishes it, from the K2 of the call that accepted it, so the value
-    does not depend on the path either, and is kept where it still passes
-    the acceptance test.  Converged lanes return s with residual
-    < _SOLVE_TOL and Im s > 0; ``degenerate`` marks the lanes whose last
-    fixed-point update broke down.
+    along the grid from its seeds, every _SEED_STRIDE-th point and the
+    last.  A seed starts Newton at the root of the model's surrogate, the
+    _SURROGATE_NODES equally weighted atoms at its midpoint quantiles
+    (from ``quantile``), which ``Discrete.companion_root`` gives exactly;
+    only a seed that fails from there runs _SEED_STEPS damped fixed-point
+    steps from -1/z and then Newton.  The points between two solved seeds start Newton from the
+    line through them, all in one batch; then, wave by wave, the same is
+    done for unsolved points between newly solved ones, and unsolved
+    points beside a newly solved one with no solved point within
+    _SEED_STRIDE on their other side start from the line through it and
+    the next solved point out, which carries the solve into the stretches
+    near the support edges.  Points still unsolved run the fixed point
+    from -1/z with the full 600 + 60 step budget.  The equation has one
+    root with Im s > 0 (Silverstein and Bai 1995), so every path that is
+    accepted found the same root; one more Newton step polishes it, from
+    the K2 of the call that accepted it, so the value does not depend on
+    the path either, and is kept where it still passes the acceptance
+    test.  Converged lanes return s with residual < _SOLVE_TOL and
+    Im s > 0; ``degenerate`` marks the lanes whose last fixed-point update
+    broke down.
     """
     s = model.companion_root(z, c)
     if s is not None:
         s, r, _, done, degenerate = _iterate(z, s, model, c, 0, _NEWTON_STEPS)
         return s, np.abs(r), done, degenerate
-    s = -1.0 / z
+    s = np.empty(z.size, dtype=complex)
     r = np.full(z.size, np.inf, dtype=complex)
     k2 = np.zeros(z.size, dtype=complex)
     done = np.zeros(z.size, dtype=bool)
-    lanes = np.unique(np.append(np.arange(0, z.size, _SEED_STRIDE), z.size - 1))
-    fp_steps = _SEED_STEPS
-    while lanes.size:
-        s[lanes], r[lanes], k2[lanes], done[lanes], _ = _iterate(
-            z[lanes], s[lanes], model, c, fp_steps, _CONTINUE_STEPS)
-        fresh = np.zeros(z.size, dtype=bool)
-        fresh[lanes] = done[lanes]
-        lanes, s_start = _continuation_starts(z.real, s, done, fresh)
-        s[lanes] = s_start
-        fp_steps = 0
     degenerate = np.zeros(z.size, dtype=bool)
+
+    def run(lanes, start, fp_steps, newton_steps=_CONTINUE_STEPS):
+        s[lanes], r[lanes], k2[lanes], done[lanes], degenerate[lanes] = _iterate(
+            z[lanes], start, model, c, fp_steps, newton_steps)
+
+    # tied quantiles, as of a law with atoms, merge into one heavier atom
+    nodes = (np.arange(_SURROGATE_NODES) + 0.5) / _SURROGATE_NODES
+    atoms, counts = np.unique(model.quantile(nodes), return_counts=True)
+    surrogate = Discrete(atoms, counts / _SURROGATE_NODES)
+    seeds = np.unique(np.append(np.arange(0, z.size, _SEED_STRIDE), z.size - 1))
+    run(seeds, surrogate.companion_root(z[seeds], c), 0)
+    lanes = seeds[~done[seeds]]
+    run(lanes, -1.0 / z[lanes], _SEED_STEPS)
+    lanes, start = _continuation_starts(z.real, s, done, done)
+    while lanes.size:
+        solved = done.copy()
+        run(lanes, start, 0)
+        lanes, start = _continuation_starts(z.real, s, done, done & ~solved)
     lanes = np.flatnonzero(~done)
-    s[lanes], r[lanes], k2[lanes], done[lanes], degenerate[lanes] = _iterate(
-        z[lanes], -1.0 / z[lanes], model, c, _FIXED_POINT_STEPS, _NEWTON_STEPS)
+    run(lanes, -1.0 / z[lanes], _FIXED_POINT_STEPS, _NEWTON_STEPS)
     # a polished value is kept where it still passes the acceptance test
     lanes = np.flatnonzero(done)
     if lanes.size:
@@ -385,17 +396,18 @@ def solve_companion_fixed_point(z: complex, model: PSDModel, c) -> complex:
 
     ``z`` must lie in the open upper half plane.  An atomic model gives
     the root exactly, as an eigenvalue of its arrowhead matrix
-    (``Discrete.companion_root``).  For other models a fixed-point
-    iteration damped by 1/2 (which cannot leave the upper half plane)
-    brings the residual down to 1e-6; close to the support edges its
-    linear rate degrades, so Newton steps, shortened where they would
-    leave the upper half plane, finish the remaining digits: first 30
-    fixed-point and 12 Newton steps, then, if those fail, 600 and 60
-    from the start again.  One more Newton step polishes the root.  The
-    returned value satisfies |u(s) - z| < 1e-10 and Im s > 0, else
-    IterationError.  This is the one-point case of the solve
-    ``lsd_density_curve`` runs on a whole grid at once, where most
-    points start Newton from their solved neighbours instead.
+    (``Discrete.companion_root``).  Other models start at most 12 Newton
+    steps, shortened where they would leave the upper half plane, at the
+    exact root of a four-atom surrogate built from the model's
+    ``quantile``.  Should those fail, a fixed-point iteration damped by
+    1/2 (which cannot leave the upper half plane) from -1/z brings the
+    residual down to 1e-6 and Newton finishes the remaining digits: first
+    30 fixed-point and 12 Newton steps, then 600 and 60 from -1/z again.
+    One more Newton step polishes the root.  The returned value satisfies
+    |u(s) - z| < 1e-10 and Im s > 0, else IterationError.  This is the
+    one-point case of the solve ``lsd_density_curve`` runs on a whole
+    grid at once, where most points start Newton from their solved
+    neighbours instead.
     """
     z = complex(z)
     if not (z.imag > 0.0):
@@ -410,15 +422,15 @@ def lsd_density_curve(model: PSDModel, c, grid) -> DensityCurve:
     Solves the companion equation at x + 1e-6 i for every grid point in
     one batched solve, as ``solve_companion_fixed_point`` does for one
     point: atomic models by one eigenvalue call on a stack of arrowhead
-    matrices; other models by the fixed point and then Newton at every
-    8th point, and by Newton from the line through solved neighbours at
-    the others (continuation along the grid), with the one-point solve
-    as the fallback.  Each point must reach |u(s) - z| < 1e-10 with
-    Im s > 0, else IterationError names the first failing point.  The
-    companion transform is converted back to the spectrum's Stieltjes
-    transform, whose imaginary part over pi is the density.  The curve
-    integrates to min(1, 1/c); for c > 1 the remaining 1 - 1/c sits in a
-    point mass at zero that a density grid cannot show.
+    matrices; other models by Newton from the root of a four-atom
+    quantile surrogate at every 8th point, and by Newton from the line
+    through solved neighbours at the others (continuation along the
+    grid), with the damped fixed point as the fallback.  Each point must
+    reach |u(s) - z| < 1e-10 with Im s > 0, else IterationError names the
+    first failing point.  The companion transform is converted back to the
+    spectrum's Stieltjes transform, whose imaginary part over pi is the
+    density.  The curve integrates to min(1, 1/c); for c > 1 the remaining
+    1 - 1/c sits in a point mass at zero that a density grid cannot show.
     """
     x = np.asarray(grid, dtype=float).ravel()
     if x.size == 0 or np.any(x <= 0.0):

@@ -259,7 +259,8 @@ def _mp_quantile(model, p):
 def _reference_w1(a, b):
     """int |F_a - F_b| dx by adaptive quadrature, split at 0, every atom
     and left edge, every crossing of the CDFs and every point where a
-    Laguerre model's unclipped CDF leaves [0, 1]."""
+    Laguerre model's unclipped CDF leaves [0, 1], and on panels wider than
+    a factor 16 at points even in log x."""
     diff = lambda x: _reference_survival(b, x) - _reference_survival(a, x)
     splits = {0.0}
     signed = [diff]
@@ -284,10 +285,21 @@ def _reference_w1(a, b):
                 continue        # a step at an atom, not a crossing
             splits.add(optimize.brentq(lambda x: float(f(x)), grid[k], grid[k + 1],
                                        xtol=1e-15))
-    edges = sorted(splits) + [math.inf]
-    return sum(integrate.quad(lambda x: abs(float(diff(x))), lo, hi,
-                              epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+    # a panel spanning more than a factor 16 is cut evenly in log x, and the
+    # unbounded last one is integrated in units of its start: one quad call
+    # on a panel millions of units wide is off by 1e-6 relative
+    splits = sorted(splits)
+    edges = splits[:1]
+    for lo, hi in zip(splits[:-1], splits[1:]):
+        n = math.ceil(math.log(hi / lo, 16)) if lo > 0.0 else 1
+        edges += [lo * (hi / lo) ** (k / n) for k in range(1, n)] + [hi]
+    unit = max(edges[-1], 1.0)
+    quad = lambda f, lo, hi: integrate.quad(f, lo, hi, epsabs=1e-15, epsrel=1e-13,
+                                            limit=500)[0]
+    body = sum(quad(lambda x: abs(float(diff(x))), lo, hi)
                for lo, hi in zip(edges[:-1], edges[1:]))
+    return body + unit * quad(lambda y: abs(float(diff(unit * y))), edges[-1] / unit,
+                              math.inf)
 
 
 _W_FAMILIES = [
@@ -310,9 +322,23 @@ _W_FAMILIES = [
     (Discrete([1e-3, 2e-3], [0.5, 0.5]), InverseCubic(0.3)),
     # an atom far above the law's breaks: the wide panel must be cut
     (Discrete([0.5, 1.0, 1000.0], [0.5, 0.499, 0.001]), InverseCubic(0.9)),
+    # W = 499999.259 (test_reference_cuts_wide_panels): the reference's
+    # panel from the crossing at 0.59 to the atom at 1e6 must be cut
+    (Discrete([0.5, 1e6], [0.5, 0.5]), InverseCubic(0.3)),
 ], ids=lambda m: f"{m.kind}{np.round(m.theta, 3).tolist()}")
 def test_wasserstein_matches_adaptive_quadrature(a, b):
-    assert abs(wasserstein(a, b) - _reference_w1(a, b)) <= 1e-13
+    # 1e-13, the bound of every value below 100; one ulp of 5e5 is 5.8e-11
+    want = _reference_w1(a, b)
+    assert abs(wasserstein(a, b) - want) <= max(1e-13, 1e-15 * want)
+
+
+def test_reference_cuts_wide_panels():
+    # closed form by 40-digit mpmath, split at the one crossing
+    # 0.7 sqrt(2) - 0.4; one quad call from there to 1e6 read 499999.754
+    a, b = Discrete([0.5, 1e6], [0.5, 0.5]), InverseCubic(0.3)
+    want = 499999.2589908815661638207233246122753367
+    assert abs(_reference_w1(a, b) - want) <= 1e-15 * want
+    assert abs(wasserstein(a, b) - want) <= 1e-15 * want
 
 
 def test_wasserstein_splits_at_the_clip_kink():
