@@ -25,7 +25,7 @@ from scipy import linalg, optimize
 
 from .errors import IterationError, RankError
 from .models import (_POSITIVITY_GRID, Discrete, InverseCubic, Laguerre,
-                     PSDModel, _laguerre_moments)
+                     PSDModel, _inverse_cubic_kernel, _laguerre_moments)
 from .mptransform import POLE_GUARD, SampleSpectrum, companion_stieltjes, mp_u_map
 
 __all__ = [
@@ -165,8 +165,9 @@ class FitResult:
     search over the atoms for the atomic family (each one nonnegative
     least-squares solve for the weights), the active grid constraints of
     the positivity projection for the polynomial-exponential family (0
-    when the unconstrained fit is kept) and objective evaluations for the
-    inverse-cubic family.
+    when the unconstrained fit is kept) and, for the inverse-cubic family,
+    the 200 coarse-grid objective values, all from one batched kernel
+    evaluation, plus the objective evaluations of the bounded search.
     """
 
     model: PSDModel
@@ -335,6 +336,16 @@ def _project_nonneg_density(design, target, degree):
     return a_ls + linalg.solve_triangular(r, y), int(np.count_nonzero(u))
 
 
+def _smooth_values(net: UNet) -> NDArray:
+    """The net's companion values; ValueError unless all are positive, as
+    on a net built for a smooth family."""
+    s = net.companion_values
+    if np.any(s <= 0.0):
+        raise ValueError("net contains nonpositive companion values; "
+                         "build it for a smooth family")
+    return s
+
+
 def fit_laguerre(net: UNet, degree: int) -> FitResult:
     """Fit a polynomial-exponential spectrum by linear least squares.
 
@@ -353,10 +364,7 @@ def fit_laguerre(net: UNet, degree: int) -> FitResult:
     if net.m < degree:
         raise ValueError(f"net has {net.m} points but {degree} are required")
     c = net.ratio()
-    s = net.companion_values
-    if np.any(s <= 0.0):
-        raise ValueError("net contains nonpositive companion values; "
-                         "build it for a smooth family")
+    s = _smooth_values(net)
     moments = _laguerre_moments(s, degree)[0]
     facts = np.array([math.factorial(r) for r in range(1, degree + 1)])
     design = (c * (moments[1:] - facts[:, None] * moments[0])).T
@@ -376,17 +384,26 @@ def fit_laguerre(net: UNet, degree: int) -> FitResult:
 def fit_inverse_cubic(net: UNet) -> FitResult:
     """Fit the inverse-cubic family by coarse grid plus bounded search.
 
-    The ratio c is the net's p/n.  The single parameter ranges over
-    [0, 1); a 200-point grid brackets the minimum and
-    ``scipy.optimize.minimize_scalar`` (bounded Brent method, absolute
-    tolerance 1e-7) pins it down inside that bracket.
+    The ratio c is the net's p/n, and every companion value of the net
+    must be positive (``build_unet`` gives that for a smooth family), else
+    ValueError.  The single parameter ranges over [0, 1); the objective
+    at all 200 points of a grid comes from one batched kernel evaluation,
+    which brackets the minimum, and ``scipy.optimize.minimize_scalar``
+    (bounded Brent method, absolute tolerance 1e-7) pins it down inside
+    that bracket.  ``iterations`` counts the 200 grid values plus Brent's
+    objective evaluations.
     """
-    f = lambda alpha: objective(InverseCubic(alpha), net)
+    s = _smooth_values(net)
+    c = net.ratio()
     alphas = np.linspace(0.0, 1.0 - 1e-6, _IC_COARSE)
-    i = int(np.argmin([f(a) for a in alphas]))
+    # objective(InverseCubic(alpha), net) at every grid alpha; with s > 0
+    # no pole -1/s comes near the support
+    gaps = net.points - (-1.0 / s + c * _inverse_cubic_kernel(alphas[:, None], s)[0])
+    i = int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))
     lo = alphas[max(i - 1, 0)]
     hi = alphas[min(i + 1, _IC_COARSE - 1)]
-    res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
+    res = optimize.minimize_scalar(lambda alpha: objective(InverseCubic(alpha), net),
+                                   bounds=(lo, hi), method="bounded",
                                    options={"xatol": _IC_XATOL})
     return _finish(InverseCubic(float(res.x)), net,
                    _IC_COARSE + int(res.nfev), bool(res.success))

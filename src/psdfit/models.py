@@ -75,6 +75,7 @@ _GL_LAGUERRE = special.roots_laguerre(128)
 _IC_SERIES = 0.5        # inverse cubic: below this |beta/sigma| the series
 _IC_TERMS = 60          # in beta/sigma replaces the log form, with this many
                         # terms (0.5**60 is below rounding)
+_IC_K = tuple(np.arange(_IC_TERMS) + np.arange(1.0, 5.0)[:, None])   # k + 1 .. k + 4
 
 
 def _laguerre_moments(s, degree: int):
@@ -111,6 +112,56 @@ def _laguerre_moments(s, degree: int):
         vals[r, ~small], ders[r, ~small] = J, dJ
         fact *= r + 1
     return vals, ders
+
+
+def _inverse_cubic_kernel(alpha, s):
+    """K1 and K2 of the inverse-cubic law with parameter alpha, in closed
+    form, with alpha broadcasting against the real or complex s.
+
+    In w = (1-alpha)/(t - a), with a = 2 alpha - 1, dH becomes 2 w dw
+    on (0, 1); with b = 1 - alpha, beta = 1 + a s and sigma = b s,
+    K1 = 2 int w (a w + b)/(beta w + sigma) dw and
+    K2 = 2 int w (a w + b)^2/(beta w + sigma)^2 dw.  As
+    a w + b = (a (beta w + sigma) + b)/beta, K1 = (a + 2 b m_1)/beta and
+    K2 = (a^2 + 4 a b m_1 + 2 b^2 n_1)/beta^2, where
+    m_j = int w^j/(beta w + sigma) dw and n_j = int w^j/(beta w + sigma)^2 dw:
+    m_0 = log((1 + alpha s)/sigma)/beta, n_0 = 1/(sigma (1 + alpha s)),
+    m_1 = (1 - sigma m_0)/beta and n_1 = (m_0 - sigma n_0)/beta.  These
+    cancel as r = beta/sigma -> 0, so where |r| < 0.5 the geometric
+    series of 1/(beta w + sigma) in r is summed instead:
+    K1 = (2/sigma) sum_k (-r)^k int w^(k+1) (a w + b) dw, and K2 alike.
+    A scalar alpha shares its row of series coefficients among the lanes,
+    which one matrix-vector product sums; an array alpha gives each lane
+    its own row.
+    """
+    if np.ndim(alpha):
+        alpha, s = np.broadcast_arrays(alpha, s)
+        on = lambda v, *index: v[index]      # the lanes' values
+    else:
+        on = lambda v, *index: v             # one value every lane shares
+    a, b = 2.0 * alpha - 1.0, 1.0 - alpha
+    beta, sigma = 1.0 + a * s, b * s
+    k1, k2 = np.empty_like(sigma), np.empty_like(sigma)
+    near = np.abs(beta) < _IC_SERIES * np.abs(sigma)
+    if near.any():
+        sg = sigma[near]
+        powers = np.vander(-beta[near] / sg, _IC_TERMS, increasing=True)
+        # int w^(k+1) (a w + b) dw and (k + 1) int w^(k+1) (a w + b)^2 dw
+        j1, j2, j3, j4 = _IC_K
+        an, bn = on(a, near, None), on(b, near, None)
+        rows = (an / j3 + bn / j2, j1 * (an * an / j4 + 2.0 * an * bn / j3 + bn * bn / j2))
+        sums = [powers @ row if row.ndim == 1 else np.einsum("ij,ij->i", powers, row)
+                for row in rows]
+        k1[near] = 2.0 * sums[0] / sg
+        k2[near] = 2.0 * sums[1] / sg / sg
+    far = ~near
+    be, sg, edge = beta[far], sigma[far], 1.0 + on(alpha, far) * s[far]
+    a, b = on(a, far), on(b, far)
+    m0, n0 = np.log(edge / sg) / be, 1.0 / sg / edge
+    m1, n1 = (1.0 - sg * m0) / be, (m0 - sg * n0) / be
+    k1[far] = (a + 2.0 * b * m1) / be
+    k2[far] = (a * a + 4.0 * a * b * m1 + 2.0 * b * b * n1) / be / be
+    return k1, k2
 
 
 class PSDModel:
@@ -531,46 +582,8 @@ class InverseCubic(PSDModel):
     def support(self):
         return ((self.alpha, math.inf),)
 
-    @cached_property
-    def _series(self):
-        """Coefficients of the series of K1 and K2 in r = beta/sigma:
-        int w^(k+1) (a w + b) dw and (k + 1) int w^(k+1) (a w + b)^2 dw."""
-        a, b = self.shift, 1.0 - self.alpha
-        k = np.arange(_IC_TERMS)
-        return (a / (k + 3) + b / (k + 2),
-                (k + 1) * (a * a / (k + 4) + 2.0 * a * b / (k + 3) + b * b / (k + 2)))
-
     def kernel(self, s):
-        """K1 and K2 in closed form.
-
-        In w = (1-alpha)/(t - a), with a = 2 alpha - 1, dH becomes 2 w dw
-        on (0, 1); with b = 1 - alpha, beta = 1 + a s and sigma = b s,
-        K1 = 2 int w (a w + b)/(beta w + sigma) dw and
-        K2 = 2 int w (a w + b)^2/(beta w + sigma)^2 dw.  As
-        a w + b = (a (beta w + sigma) + b)/beta, K1 = (a + 2 b m_1)/beta and
-        K2 = (a^2 + 4 a b m_1 + 2 b^2 n_1)/beta^2, where
-        m_j = int w^j/(beta w + sigma) dw and n_j = int w^j/(beta w + sigma)^2 dw:
-        m_0 = log((1 + alpha s)/sigma)/beta, n_0 = 1/(sigma (1 + alpha s)),
-        m_1 = (1 - sigma m_0)/beta and n_1 = (m_0 - sigma n_0)/beta.  These
-        cancel as r = beta/sigma -> 0, so where |r| < 0.5 the geometric
-        series of 1/(beta w + sigma) in r is summed instead:
-        K1 = (2/sigma) sum_k (-r)^k int w^(k+1) (a w + b) dw, and K2 alike.
-        """
-        a, b = self.shift, 1.0 - self.alpha
-        beta, sigma = 1.0 + a * s, b * s
-        k1, k2 = np.empty_like(sigma), np.empty_like(sigma)
-        near = np.abs(beta) < _IC_SERIES * np.abs(sigma)
-        sg = sigma[near]
-        powers = np.vander(-beta[near] / sg, _IC_TERMS, increasing=True)
-        k1[near] = 2.0 * (powers @ self._series[0]) / sg
-        k2[near] = 2.0 * (powers @ self._series[1]) / sg / sg
-        far = ~near
-        be, sg, edge = beta[far], sigma[far], 1.0 + self.alpha * s[far]
-        m0, n0 = np.log(edge / sg) / be, 1.0 / sg / edge
-        m1, n1 = (1.0 - sg * m0) / be, (m0 - sg * n0) / be
-        k1[far] = (a + 2.0 * b * m1) / be
-        k2[far] = (a * a + 4.0 * a * b * m1 + 2.0 * b * b * n1) / be / be
-        return k1, k2
+        return _inverse_cubic_kernel(self.alpha, s)
 
     @property
     def theta(self) -> NDArray:

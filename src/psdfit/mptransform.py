@@ -319,8 +319,10 @@ def _solve_block(z, model, c):
     points beside a newly solved one with no solved point within
     _SEED_STRIDE on their other side start from the line through it and
     the next solved point out, which carries the solve into the stretches
-    near the support edges.  Points still unsolved run the fixed point
-    from -1/z with the full 600 + 60 step budget.  The equation has one
+    near the support edges.  Points still unsolved, other than seeds,
+    start Newton once more at the surrogate's root, for _CONTINUE_STEPS
+    steps; only points unsolved after that run the fixed point from -1/z
+    with the full 600 + 60 step budget.  The equation has one
     root with Im s > 0 (Silverstein and Bai 1995), so every path that is
     accepted found the same root; one more Newton step polishes it, from
     the K2 of the call that accepted it, so the value does not depend on
@@ -356,6 +358,13 @@ def _solve_block(z, model, c):
         solved = done.copy()
         run(lanes, start, 0)
         lanes, start = _continuation_starts(z.real, s, done, done & ~solved)
+    # the unsolved lanes start at the surrogate root too, except the seeds,
+    # which started there
+    retry = ~done
+    retry[seeds] = False
+    lanes = np.flatnonzero(retry)
+    if lanes.size:
+        run(lanes, surrogate.companion_root(z[lanes], c), 0)
     lanes = np.flatnonzero(~done)
     run(lanes, -1.0 / z[lanes], _FIXED_POINT_STEPS, _NEWTON_STEPS)
     # a polished value is kept where it still passes the acceptance test
@@ -407,7 +416,8 @@ def solve_companion_fixed_point(z: complex, model: PSDModel, c) -> complex:
     |u(s) - z| < 1e-10 and Im s > 0, else IterationError.  This is the
     one-point case of the solve ``lsd_density_curve`` runs on a whole
     grid at once, where most points start Newton from their solved
-    neighbours instead.
+    neighbours instead, and a point that fails from there starts 12
+    Newton steps at the surrogate's root before the 600 + 60 stage.
     """
     z = complex(z)
     if not (z.imag > 0.0):
@@ -425,12 +435,14 @@ def lsd_density_curve(model: PSDModel, c, grid) -> DensityCurve:
     matrices; other models by Newton from the root of a four-atom
     quantile surrogate at every 8th point, and by Newton from the line
     through solved neighbours at the others (continuation along the
-    grid), with the damped fixed point as the fallback.  Each point must
-    reach |u(s) - z| < 1e-10 with Im s > 0, else IterationError names the
-    first failing point.  The companion transform is converted back to the
-    spectrum's Stieltjes transform, whose imaginary part over pi is the
-    density.  The curve integrates to min(1, 1/c); for c > 1 the remaining
-    1 - 1/c sits in a point mass at zero that a density grid cannot show.
+    grid); a point that continuation leaves unsolved starts Newton once
+    more at the surrogate's root, with the damped fixed point as the last
+    fallback.  Each point must reach |u(s) - z| < 1e-10 with Im s > 0,
+    else IterationError names the first failing point.  The companion
+    transform is converted back to the spectrum's Stieltjes transform,
+    whose imaginary part over pi is the density.  The curve integrates to
+    min(1, 1/c); for c > 1 the remaining 1 - 1/c sits in a point mass at
+    zero that a density grid cannot show.
     """
     x = np.asarray(grid, dtype=float).ravel()
     if x.size == 0 or np.any(x <= 0.0):

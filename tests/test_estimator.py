@@ -4,12 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 import helpers
 from psdfit import (Discrete, InverseCubic, IterationError, Laguerre,
                     NearPoleError, PointMass, RankError, SampleSpectrum,
                     build_unet, estimator, fit_discrete, fit_inverse_cubic,
-                    fit_laguerre, objective, population_from_model,
+                    fit_laguerre, models, objective, population_from_model,
                     sample_spectrum, support_bounds, wasserstein)
 from psdfit.estimator import (UNet, _discrete_jacobian, _discrete_residual,
                               _projection)
@@ -485,6 +486,46 @@ class TestFitInverseCubic:
         spec = sample_spectrum(np.ones(100), 500, seed=5)
         fit = fit_inverse_cubic(build_unet(spec, "inverse_cubic"))
         assert float(fit.theta[0]) > 0.9
+
+    def test_batched_grid_matches_the_objective(self):
+        # u -> 0- gives s up to 11, where the kernel sums its series in
+        # beta/sigma for the smaller alphas; elsewhere it takes the log form
+        net = helpers.exact_net(InverseCubic(0.3), 0.5, np.linspace(-9.0, -0.05, 20))
+        s = net.companion_values
+        alphas = np.linspace(0.0, 1.0 - 1e-6, estimator._IC_COARSE)
+        beta, sigma = 1.0 + (2.0 * alphas[:, None] - 1.0) * s, (1.0 - alphas[:, None]) * s
+        series = np.abs(beta) < models._IC_SERIES * np.abs(sigma)
+        assert series.any() and not series.all()
+        k1 = models._inverse_cubic_kernel(alphas[:, None], s[None, :])[0]
+        gaps = net.points - (-1.0 / s + net.ratio() * k1)
+        for alpha, got in zip(alphas, np.einsum("ij,ij->i", gaps, gaps)):
+            want = objective(InverseCubic(alpha), net)
+            assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("truth, c, seed", [(0.0, 0.5, 1), (0.3, 0.2, 2),
+                                                (0.5, 0.5, 3), (0.8, 0.9, 4)])
+    def test_matches_the_scalar_grid(self, truth, c, seed):
+        # the fitter before the batched grid: one objective call per alpha
+        n = 400
+        spec = sample_spectrum(population_from_model(InverseCubic(truth), round(c * n)),
+                               n, seed=seed)
+        net = build_unet(spec, "inverse_cubic")
+        f = lambda alpha: objective(InverseCubic(alpha), net)
+        alphas = np.linspace(0.0, 1.0 - 1e-6, 200)
+        i = int(np.argmin([f(a) for a in alphas]))
+        bracket = (alphas[max(i - 1, 0)], alphas[min(i + 1, 199)])
+        ref = optimize.minimize_scalar(f, bounds=bracket, method="bounded",
+                                       options={"xatol": 1e-7})
+        fit = fit_inverse_cubic(net)
+        assert abs(float(fit.theta[0]) - ref.x) <= 1e-10
+        assert fit.iterations == 200 + ref.nfev
+
+    @pytest.mark.parametrize("fit", [lambda net: fit_laguerre(net, 2), fit_inverse_cubic])
+    def test_smooth_fits_reject_nonpositive_companion_values(self, case1_spectrum, fit):
+        # an atomic net's below- and above-bulk points have s < 0
+        net = build_unet(case1_spectrum, "discrete")
+        with pytest.raises(ValueError, match="build it for a smooth family"):
+            fit(net)
 
 
 class TestNetPermutation:

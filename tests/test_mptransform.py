@@ -474,6 +474,44 @@ class TestBatchedSolve:
         assert sum(calls) <= 5 * grid.size
         assert len(calls) <= fixed_point_calls
 
+    def test_fitted_inverse_cubic_curve_skips_the_fixed_point(self, monkeypatch):
+        # a fitted curve of criterion 11 (seed 1000): its first seed lies
+        # below the lower support edge, 0.069, and the 7 points up to the
+        # next seed failed from the line through the two and ran the
+        # 600 + 60 stage, 621 kernel calls in all; they solve from the
+        # surrogate root in at most 12 Newton steps
+        model, c = InverseCubic(0.5523979680781911), 0.488
+        grid = np.linspace(0.0, 1.1 * 14.625436489818789, 401)[1:]
+        calls, budgets = [], []
+        kernel, iterate = InverseCubic.kernel, mptransform._iterate
+
+        def counted(self, s):
+            calls.append(s.size)
+            return kernel(self, s)
+
+        def recorded(z, s, model, c, fp_steps, newton_steps):
+            budgets.append((z.size, fp_steps))
+            return iterate(z, s, model, c, fp_steps, newton_steps)
+
+        monkeypatch.setattr(InverseCubic, "kernel", counted)
+        monkeypatch.setattr(mptransform, "_iterate", recorded)
+        lsd_density_curve(model, c, grid)
+        assert [size for size, fp_steps in budgets
+                if fp_steps == mptransform._FIXED_POINT_STEPS] == [0]
+        assert len(calls) <= 30
+        assert sum(calls) <= 5 * grid.size
+
+    def test_signed_law_between_far_seeds(self):
+        # the 7 points between the first two seeds failed from the line
+        # through them and in the 600 + 60 stage, and the curve raised
+        # IterationError; the surrogate root solves them.  The density dips
+        # to -0.0071.  The benchmark's reference solver reads 0.1835657 at
+        # x = 1.2015
+        grid = np.linspace(0.0044058409812435745, 11.496745464189093, 49)
+        curve = lsd_density_curve(Laguerre([-0.45994647]), 0.8659944991732879, grid)
+        assert grid[5] == pytest.approx(1.2015, abs=1e-4)
+        assert curve.f[5] == pytest.approx(0.1835657, abs=1e-6)
+
     @pytest.mark.parametrize("model, c, grid", FORWARD_CASES)
     def test_roots_lie_in_the_upper_half_plane(self, model, c, grid):
         z = grid + 1e-6j
