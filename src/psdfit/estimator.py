@@ -394,16 +394,14 @@ def fit_inverse_cubic(net: UNet) -> FitResult:
     objective evaluations.
     """
     s = _smooth_values(net)
-    c = net.ratio()
+    f = lambda alpha: objective(InverseCubic(alpha), net)
     alphas = np.linspace(0.0, 1.0 - 1e-6, _IC_COARSE)
-    # objective(InverseCubic(alpha), net) at every grid alpha; with s > 0
-    # no pole -1/s comes near the support
-    gaps = net.points - (-1.0 / s + c * _inverse_cubic_kernel(alphas[:, None], s)[0])
+    # f at every grid alpha; with s > 0 no pole -1/s comes near the support
+    gaps = net.points - (-1.0 / s + net.ratio() * _inverse_cubic_kernel(alphas[:, None], s)[0])
     i = int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))
     lo = alphas[max(i - 1, 0)]
     hi = alphas[min(i + 1, _IC_COARSE - 1)]
-    res = optimize.minimize_scalar(lambda alpha: objective(InverseCubic(alpha), net),
-                                   bounds=(lo, hi), method="bounded",
+    res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
                                    options={"xatol": _IC_XATOL})
     return _finish(InverseCubic(float(res.x)), net,
                    _IC_COARSE + int(res.nfev), bool(res.success))

@@ -358,10 +358,8 @@ def _solve_block(z, model, c):
         solved = done.copy()
         run(lanes, start, 0)
         lanes, start = _continuation_starts(z.real, s, done, done & ~solved)
-    # the unsolved lanes start at the surrogate root too, except the seeds,
-    # which started there
     retry = ~done
-    retry[seeds] = False
+    retry[seeds] = False        # the seeds started at the surrogate root
     lanes = np.flatnonzero(retry)
     if lanes.size:
         run(lanes, surrogate.companion_root(z[lanes], c), 0)
