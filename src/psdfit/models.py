@@ -640,6 +640,8 @@ def _w_panels(a, b, edges):
     # atom there; the tail ends at inf itself (below it, a square overflows)
     x[:-1, -1] = np.nextafter(edges[1:], -np.inf)
     x[-1, -1] = np.inf
+    # on a panel a few ulps wide the nodes round onto its ends, or below it
+    np.clip(x[:-1, 1:-1], edges[:-1, None], x[:-1, -1:], out=x[:-1, 1:-1])
     weights = np.vstack([np.outer(half, _W_WEIGHTS), edges[-1] * _W_V_WEIGHTS])
     diff = np.empty_like(x)
     diff[:-1] = a.cdf(x[:-1]) - b.cdf(x[:-1])

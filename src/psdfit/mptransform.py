@@ -186,15 +186,13 @@ def mp_u_map(s, model: PSDModel, c, *, guard=POLE_GUARD):
 # Grid points solved together: bounds the (quadrature nodes x points)
 # kernel matrices on large grids.
 _SOLVE_BLOCK = 2048
-_FIXED_POINT_STEPS = 600
-_NEWTON_STEPS = 60
 _SOLVE_TOL = 1e-10        # every point must reach |u(s) - z| below this
 _NEWTON_HANDOVER = 1e-6   # fixed-point residual that hands a lane to Newton
 _DAMPING = 0.5
 _SEED_STRIDE = 8          # smooth models: every 8th point (and the last) is a seed
 _SURROGATE_NODES = 4      # atoms of the quantile surrogate whose root starts a seed
 _SEED_STEPS = 30          # fixed-point budget of a seed the surrogate start fails
-_CONTINUE_STEPS = 12      # Newton budget of a seed and of a continued point
+_CONTINUE_STEPS = 12      # Newton budget of every start
 _KEEP_IM = 0.1            # share of Im s a shortened Newton step keeps
 _DENSITY_EPS = 1e-6       # curves read the transform at x + i*_DENSITY_EPS
 
@@ -214,12 +212,12 @@ def _newton_step(s, r, k2, c):
         return s + scale * step
 
 
-def _iterate(z, s, model, c, fp_steps, newton_steps):
+def _iterate(z, s, model, c, fp_steps):
     """Run every lane of a 1-d block of z from its start value s.
 
     At most ``fp_steps`` damped fixed-point steps, which cannot leave the
     upper half plane, bring the residual down to _NEWTON_HANDOVER (a lane
-    takes at least 5); at most ``newton_steps`` Newton steps finish the
+    takes at least 5); at most _CONTINUE_STEPS Newton steps finish the
     remaining digits.  The kernel is evaluated once per step, only at the
     lanes still iterating, and its K2 serves the Newton step.  A lane is
     accepted when |u(s) - z| < _SOLVE_TOL with Im s > 0.  Returns s, the
@@ -251,7 +249,7 @@ def _iterate(z, s, model, c, fp_steps, newton_steps):
         live, s_l, step_to = live[~bad], s_l[~bad], step_to[~bad]
         s[live] = (1.0 - _DAMPING) * s_l + _DAMPING * (-1.0 / step_to)
     live = np.flatnonzero(~done & ~degenerate)
-    for _ in range(newton_steps):
+    for _ in range(_CONTINUE_STEPS):
         if live.size == 0:
             break
         s_l = s[live]
@@ -313,27 +311,27 @@ def _solve_block(z, model, c):
     _SURROGATE_NODES equally weighted atoms at its midpoint quantiles
     (from ``quantile``), which ``Discrete.companion_root`` gives exactly;
     only a seed that fails from there runs _SEED_STEPS damped fixed-point
-    steps from -1/z and then Newton.  The points between two solved seeds start Newton from the
-    line through them, all in one batch; then, wave by wave, the same is
-    done for unsolved points between newly solved ones, and unsolved
-    points beside a newly solved one with no solved point within
-    _SEED_STRIDE on their other side start from the line through it and
-    the next solved point out, which carries the solve into the stretches
-    near the support edges.  Points still unsolved, other than seeds,
-    start Newton once more at the surrogate's root, for _CONTINUE_STEPS
-    steps; only points unsolved after that run the fixed point from -1/z
-    with the full 600 + 60 step budget.  The equation has one
-    root with Im s > 0 (Silverstein and Bai 1995), so every path that is
-    accepted found the same root; one more Newton step polishes it, from
-    the K2 of the call that accepted it, so the value does not depend on
-    the path either, and is kept where it still passes the acceptance
-    test.  Converged lanes return s with residual < _SOLVE_TOL and
-    Im s > 0; ``degenerate`` marks the lanes whose last fixed-point update
-    broke down.
+    steps from -1/z and then Newton.  The points between two solved seeds
+    start Newton from the line through them, all in one batch; then, wave
+    by wave, the same is done for unsolved points between newly solved
+    ones, and unsolved points beside a newly solved one with no solved
+    point within _SEED_STRIDE on their other side start from the line
+    through it and the next solved point out, which carries the solve
+    into the stretches near the support edges.  Points still unsolved,
+    other than seeds, start Newton once more at the surrogate's root; a
+    point unsolved after that fails.  Every Newton start takes at most
+    _CONTINUE_STEPS steps.  The equation has one root with Im s > 0
+    (Silverstein and Bai 1995), so every path that is accepted found the
+    same root; one more Newton step polishes it, from the K2 of the call
+    that accepted it, so the value does not depend on the path either,
+    and is kept where it still passes the acceptance test.  Converged
+    lanes return s with residual < _SOLVE_TOL and Im s > 0;
+    ``degenerate`` marks the lanes whose fixed-point update broke down in
+    any stage, also when a later stage started them again.
     """
     s = model.companion_root(z, c)
     if s is not None:
-        s, r, _, done, degenerate = _iterate(z, s, model, c, 0, _NEWTON_STEPS)
+        s, r, _, done, degenerate = _iterate(z, s, model, c, 0)
         return s, np.abs(r), done, degenerate
     s = np.empty(z.size, dtype=complex)
     r = np.full(z.size, np.inf, dtype=complex)
@@ -341,9 +339,10 @@ def _solve_block(z, model, c):
     done = np.zeros(z.size, dtype=bool)
     degenerate = np.zeros(z.size, dtype=bool)
 
-    def run(lanes, start, fp_steps, newton_steps=_CONTINUE_STEPS):
-        s[lanes], r[lanes], k2[lanes], done[lanes], degenerate[lanes] = _iterate(
-            z[lanes], start, model, c, fp_steps, newton_steps)
+    def run(lanes, start, fp_steps):
+        s[lanes], r[lanes], k2[lanes], done[lanes], broke = _iterate(
+            z[lanes], start, model, c, fp_steps)
+        degenerate[lanes] |= broke
 
     # tied quantiles, as of a law with atoms, merge into one heavier atom
     nodes = (np.arange(_SURROGATE_NODES) + 0.5) / _SURROGATE_NODES
@@ -363,8 +362,6 @@ def _solve_block(z, model, c):
     lanes = np.flatnonzero(retry)
     if lanes.size:
         run(lanes, surrogate.companion_root(z[lanes], c), 0)
-    lanes = np.flatnonzero(~done)
-    run(lanes, -1.0 / z[lanes], _FIXED_POINT_STEPS, _NEWTON_STEPS)
     # a polished value is kept where it still passes the acceptance test
     lanes = np.flatnonzero(done)
     if lanes.size:
@@ -406,16 +403,16 @@ def solve_companion_fixed_point(z: complex, model: PSDModel, c) -> complex:
     (``Discrete.companion_root``).  Other models start at most 12 Newton
     steps, shortened where they would leave the upper half plane, at the
     exact root of a four-atom surrogate built from the model's
-    ``quantile``.  Should those fail, a fixed-point iteration damped by
-    1/2 (which cannot leave the upper half plane) from -1/z brings the
-    residual down to 1e-6 and Newton finishes the remaining digits: first
-    30 fixed-point and 12 Newton steps, then 600 and 60 from -1/z again.
-    One more Newton step polishes the root.  The returned value satisfies
-    |u(s) - z| < 1e-10 and Im s > 0, else IterationError.  This is the
-    one-point case of the solve ``lsd_density_curve`` runs on a whole
-    grid at once, where most points start Newton from their solved
-    neighbours instead, and a point that fails from there starts 12
-    Newton steps at the surrogate's root before the 600 + 60 stage.
+    ``quantile``.  Should those fail, at most 30 fixed-point steps damped
+    by 1/2 (which cannot leave the upper half plane) from -1/z bring the
+    residual down to 1e-6, and at most 12 Newton steps finish the
+    remaining digits.  One more Newton step polishes the root.  The
+    returned value satisfies |u(s) - z| < 1e-10 and Im s > 0, else
+    IterationError, which says whether the fixed-point update broke
+    down.  This is the one-point case of the solve ``lsd_density_curve``
+    runs on a whole grid at once, where most points start Newton from
+    their solved neighbours instead, and a point that fails from there
+    starts 12 Newton steps at the surrogate's root.
     """
     z = complex(z)
     if not (z.imag > 0.0):
@@ -431,16 +428,16 @@ def lsd_density_curve(model: PSDModel, c, grid) -> DensityCurve:
     one batched solve, as ``solve_companion_fixed_point`` does for one
     point: atomic models by one eigenvalue call on a stack of arrowhead
     matrices; other models by Newton from the root of a four-atom
-    quantile surrogate at every 8th point, and by Newton from the line
-    through solved neighbours at the others (continuation along the
-    grid); a point that continuation leaves unsolved starts Newton once
-    more at the surrogate's root, with the damped fixed point as the last
-    fallback.  Each point must reach |u(s) - z| < 1e-10 with Im s > 0,
-    else IterationError names the first failing point.  The companion
-    transform is converted back to the spectrum's Stieltjes transform,
-    whose imaginary part over pi is the density.  The curve integrates to
-    min(1, 1/c); for c > 1 the remaining 1 - 1/c sits in a point mass at
-    zero that a density grid cannot show.
+    quantile surrogate at every 8th point (a seed it leaves unsolved runs
+    30 damped fixed-point steps first), and from the line through solved
+    neighbours at the others (continuation along the grid); a point that
+    continuation leaves unsolved starts Newton once more at the
+    surrogate's root.  Each point must reach |u(s) - z| < 1e-10 with
+    Im s > 0, else IterationError names the first failing point.  The
+    companion transform is converted back to the spectrum's Stieltjes
+    transform, whose imaginary part over pi is the density.  The curve
+    integrates to min(1, 1/c); for c > 1 the remaining 1 - 1/c sits in a
+    point mass at zero that a density grid cannot show.
     """
     x = np.asarray(grid, dtype=float).ravel()
     if x.size == 0 or np.any(x <= 0.0):

@@ -407,6 +407,9 @@ class TestWasserstein:
         assert dab <= wasserstein(a, c) + wasserstein(c, b) + 1e-9
 
     @given(_WIDE_STEPS, _WIDE_STEPS, st.sampled_from([1e-6, 1.0, 1e6]))
+    # atoms one ulp apart: the panel between them has no room for its nodes
+    @example([(1e-9, 1.0)], [(np.nextafter(1e-9, 1.0), 1.0)], 1.0)
+    @example([(1.0, 1.0)], [(np.nextafter(1.0, 2.0), 1.0)], 1.0)
     @settings(max_examples=50, deadline=None)
     def test_atomic_pair_is_the_step_sum(self, steps_a, steps_b, scale):
         # F_a - F_b is constant between merged atoms, so the panels must
