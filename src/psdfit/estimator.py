@@ -4,11 +4,11 @@ The estimation recipe: pick spectrum points u_j outside the sample bulk,
 cache the companion Stieltjes transform there, and choose the model
 parameters that make the model-side spectrum point map reproduce the
 u_j best in the least-squares sense.  Atomic models go through one
-trust-region least-squares search over the atoms alone, started from the
-sample quantiles, with the weights of any atoms given by one nonnegative
-least-squares solve (variable projection), so no random numbers are
-drawn; the polynomial-exponential family is linear in its
-coefficients and solves in one orthogonal factorization, plus one
+Levenberg–Marquardt (MINPACK) least-squares search over the atoms alone,
+started from the sample quantiles, with the weights of any atoms given
+by one nonnegative least-squares solve (variable projection), so no
+random numbers are drawn; the polynomial-exponential family is linear
+in its coefficients and solves in one orthogonal factorization, plus one
 nonnegative least-squares solve when its density has to be projected
 back onto the positive cone; the inverse-cubic family is a coarse grid
 followed by a bounded one-dimensional search.
@@ -161,9 +161,9 @@ def objective(model: PSDModel, net: UNet) -> float:
 class FitResult:
     """Outcome of a family fit against an evaluation net.
 
-    ``iterations`` counts the residual evaluations of the least-squares
-    search over the atoms for the atomic family (each one nonnegative
-    least-squares solve for the weights), the active grid constraints of
+    ``iterations`` counts the residual evaluations of the Levenberg–Marquardt
+    (MINPACK) search over the atoms for the atomic family (one nonnegative
+    least-squares solve per distinct point), the active grid constraints of
     the positivity projection for the polynomial-exponential family (0
     when the unconstrained fit is kept) and, for the inverse-cubic family,
     the 200 coarse-grid objective values, all from one batched kernel
@@ -210,65 +210,75 @@ def _finish(model, net, iterations, converged) -> FitResult:
     )
 
 
-def _projection(raw: NDArray, net: UNet, c: float):
-    """Atoms, table 1 + a_i s_j, weights and weight design of a raw vector.
+def _variable_projection(net: UNet, k: int):
+    """Projection, residual and Kaufman Jacobian of one k-atom fit.
 
-    The atoms are cumulative sums of exp(raw), so any raw vector gives
-    positive increasing atoms.  For fixed atoms, u_j + 1/s_j = c sum_i w_i a_i / (1 + a_i s_j) is
-    linear in the weights, so one ``scipy.optimize.nnls`` solve, with
-    total mass one as an extra row scaled by 1e3, gives them; they are
-    then rescaled to sum to one.  Inside the pole guard, where some
+    ``project(raw)`` gives the atoms (cumulative sums of exp(raw), so
+    positive and increasing for any raw vector), the table 1 + a_i s_j and
+    the weights.  For fixed atoms, u_j + 1/s_j = c sum_i w_i a_i /
+    (1 + a_i s_j) is linear in the weights, so one ``scipy.optimize.nnls``
+    solve, with total mass one as an extra row scaled by 1e3, gives them;
+    they are then rescaled to sum to one.  Inside the pole guard, where some
     |1 + a_i s_j| < POLE_GUARD (``mp_u_map``'s rule at the atoms), the
-    weights and the design are None.
+    weights are None.  The NNLS target is built once and the design written
+    into one buffer.  Each distinct raw vector gets one NNLS solve: the last
+    points taken and differentiated keep theirs, for the Jacobian where the
+    residual just was, and for scipy's Jacobian and the final read at the
+    accepted point returned.
     """
-    s = net.companion_values
-    atoms = np.cumsum(np.exp(np.clip(raw, -40.0, 40.0)))
-    denom = 1.0 + np.outer(atoms, s)
-    if np.abs(denom).min() < POLE_GUARD:
-        return atoms, denom, None, None
-    design = np.vstack([c * atoms / denom.T, np.full(atoms.size, _MASS_ROW)])
-    weights, _ = optimize.nnls(design, np.append(net.points + 1.0 / s, _MASS_ROW))
-    return atoms, denom, weights / weights.sum(), design
+    s, c = net.companion_values, net.ratio()
+    target = np.append(net.points + 1.0 / s, _MASS_ROW)
+    design = np.full((net.m + 1, k), _MASS_ROW)
+    kept = {}     # slot -> (raw bytes, projection)
 
+    def project(raw, slot="taken"):
+        key = raw.tobytes()
+        proj = next((proj for old, proj in kept.values() if old == key), None)
+        if proj is None:
+            atoms = np.cumsum(np.exp(np.clip(raw, -40.0, 40.0)))
+            denom = 1.0 + np.outer(atoms, s)
+            weights = None
+            if np.abs(denom).min() >= POLE_GUARD:
+                np.divide(c * atoms, denom.T, out=design[:-1])
+                weights = optimize.nnls(design, target)[0]
+                weights = weights / weights.sum()
+            proj = atoms, denom, weights
+        kept[slot] = key, proj
+        return proj
 
-def _discrete_residual(raw: NDArray, net: UNet, c: float) -> NDArray:
-    """Residual net.points - u_hat of the atoms a raw vector encodes, with
-    their projected weights.
+    def residual(raw):
+        """net.points - u_hat for the atoms of ``raw`` and their weights;
+        inside the pole guard, a finite penalty vector whose squared norm
+        is 1e12 plus the depth of the breach, so the search rejects it."""
+        atoms, denom, weights = project(raw)
+        if weights is None:
+            out = np.zeros(net.m)
+            out[0] = math.sqrt(_PENALTY + (POLE_GUARD - np.abs(denom).min()))
+            return out
+        # mp_u_map's order of operations, so that the search minimizes the
+        # objective the fit reports, rounding included
+        return net.points - (-1.0 / s + c * ((weights * atoms) @ (1.0 / denom)))
 
-    Inside the pole guard it is a finite penalty vector whose squared norm
-    is 1e12 plus the depth of the breach, so the search rejects a step
-    into the guard.
-    """
-    s = net.companion_values
-    atoms, denom, weights, _ = _projection(raw, net, c)
-    if weights is None:
-        out = np.zeros(net.m)
-        out[0] = math.sqrt(_PENALTY + (POLE_GUARD - np.abs(denom).min()))
-        return out
-    # mp_u_map's order of operations, so that the search minimizes the
-    # objective the fit reports, rounding included
-    return net.points - (-1.0 / s + c * ((weights * atoms) @ (1.0 / denom)))
+    def jacobian(raw):
+        """J = -(I - QQ')D on the data rows, D_ji = c w_i / (1 + a_i s_j)^2
+        (zero in the mass row), Q an orthonormal basis of the design
+        columns of positive weight; it drops the term of the exact
+        variable-projection Jacobian that scales with the residual."""
+        atoms, denom, weights = project(raw, "differentiated")
+        if weights is None:
+            return np.zeros((net.m, raw.size))
+        # the buffer holds the design of the last point projected, maybe not raw
+        np.divide(c * atoms, denom.T, out=design[:-1])
+        d_atom = np.zeros(design.shape)
+        d_atom[:-1] = c * weights / denom.T**2
+        q, _ = np.linalg.qr(design[:, weights > 0.0])
+        jac = -(d_atom - q @ (q.T @ d_atom))[:-1]
+        # a_i sums exp(raw_l) over l <= i
+        jac = np.cumsum(jac[:, ::-1], axis=1)[:, ::-1] * np.exp(np.clip(raw, -40.0, 40.0))
+        jac[:, np.abs(raw) > 40.0] = 0.0
+        return jac
 
-
-def _discrete_jacobian(raw: NDArray, net: UNet, c: float) -> NDArray:
-    """Kaufman's Jacobian of ``_discrete_residual`` in the raw parameters.
-
-    J = -(I - QQ')D on the data rows, with D_ji = c w_i / (1 + a_i s_j)^2
-    (zero in the mass row) and Q an orthonormal basis of the design
-    columns whose weight is positive; it drops the term of the exact
-    variable-projection Jacobian that scales with the residual.
-    """
-    atoms, denom, weights, design = _projection(raw, net, c)
-    if weights is None:
-        return np.zeros((net.m, raw.size))
-    d_atom = np.zeros(design.shape)
-    d_atom[:-1] = c * weights / denom.T**2
-    q, _ = np.linalg.qr(design[:, weights > 0.0])
-    jac = -(d_atom - q @ (q.T @ d_atom))[:-1]
-    # a_i sums exp(raw_l) over l <= i
-    jac = np.cumsum(jac[:, ::-1], axis=1)[:, ::-1] * np.exp(np.clip(raw, -40.0, 40.0))
-    jac[:, np.abs(raw) > 40.0] = 0.0
-    return jac
+    return project, residual, jacobian
 
 
 def _quantile_start(net: UNet, k: int) -> NDArray:
@@ -282,26 +292,25 @@ def _quantile_start(net: UNet, k: int) -> NDArray:
 def fit_discrete(net: UNet, k: int) -> FitResult:
     """Fit a spectrum of at most k atoms by variable projection.
 
-    The ratio c is the net's p/n.  One ``scipy.optimize.least_squares``
-    trust-region run searches over the k atoms only, from the sample
-    quantiles (see ``_quantile_start``), with Kaufman's Jacobian, for at
-    most 2000 residual evaluations; for any atoms the weights are the
-    nonnegative least-squares solution (see ``_projection``).  The start
-    is deterministic.  Atoms whose weight ends exactly 0 are dropped, so
-    the model may have fewer than k atoms.  A search that ends inside the
-    pole guard raises IterationError.
+    The ratio c is the net's p/n.  One Levenberg–Marquardt (MINPACK) run
+    of ``scipy.optimize.least_squares`` searches over the k atoms only,
+    from the sample quantiles (see ``_quantile_start``), with Kaufman's
+    Jacobian; it stops unconverged after 2000 residual evaluations.  The
+    weights are the nonnegative least-squares solution for the atoms (see
+    ``_variable_projection``).  The start is deterministic.  Atoms whose
+    weight ends exactly 0 are dropped, so the model may have fewer than k
+    atoms.  A search that ends inside the pole guard raises IterationError.
     """
     k = int(k)
     if k < 1:
         raise ValueError("k must be at least 1")
     if net.m < 2 * k - 1:
         raise ValueError(f"net has {net.m} points but {2 * k - 1} are required")
-    c = net.ratio()
+    project, residual, jacobian = _variable_projection(net, k)
     res = optimize.least_squares(
-        _discrete_residual, _quantile_start(net, k), jac=_discrete_jacobian,
-        args=(net, c), method="trf", ftol=_LSQ_TOL, xtol=_LSQ_TOL,
-        gtol=_LSQ_GTOL, max_nfev=_MAX_NFEV)
-    atoms, _, weights, _ = _projection(res.x, net, c)
+        residual, _quantile_start(net, k), jac=jacobian, method="lm",
+        ftol=_LSQ_TOL, xtol=_LSQ_TOL, gtol=_LSQ_GTOL, max_nfev=_MAX_NFEV)
+    atoms, _, weights = project(res.x)
     if weights is None:
         raise IterationError("the least-squares search ended inside the pole guard")
     keep = weights > 0.0

@@ -12,8 +12,7 @@ from psdfit import (Discrete, InverseCubic, IterationError, Laguerre,
                     build_unet, estimator, fit_discrete, fit_inverse_cubic,
                     fit_laguerre, models, objective, population_from_model,
                     sample_spectrum, support_bounds, wasserstein)
-from psdfit.estimator import (UNet, _discrete_jacobian, _discrete_residual,
-                              _projection)
+from psdfit.estimator import UNet, _variable_projection
 from psdfit.mptransform import POLE_GUARD
 
 
@@ -88,10 +87,10 @@ class TestProjection:
     def test_random_raw_vectors_land_in_family(self, case1_spectrum):
         # raw log gaps give increasing positive atoms, and their projected
         # weights, less the zeros, give a model of the family
-        net = build_unet(case1_spectrum, "discrete")
+        project = _variable_projection(build_unet(case1_spectrum, "discrete"), 4)[0]
         rng = np.random.default_rng(7)
         for raw in rng.normal(scale=5.0, size=(25, 4)):
-            atoms, _, weights, _ = _projection(raw, net, 0.2)
+            atoms, _, weights = project(raw)
             assert np.all(atoms > 0.0)
             assert np.all(np.diff(atoms) > 0.0)
             assert np.all(weights >= 0.0)
@@ -235,17 +234,17 @@ class TestAtomicResidual:
                             np.linspace(5.0 * top, 10.0 * top, 10)])
         net = helpers.exact_net(truth, c, u)
         assert net.ratio() == pytest.approx(c)
+        _, residual, jacobian = _variable_projection(net, k)
         rng = np.random.default_rng(10 * k + int(c))
         for _ in range(5):
             raw = _raw_of(truth.atoms) + rng.normal(0.0, 0.01, k)
-            jac = _discrete_jacobian(raw, net, c)
+            jac = jacobian(raw)
             assert jac.shape == (net.m, k)
             fd = np.empty_like(jac)
             for j in range(k):
                 step = np.zeros_like(raw)
                 step[j] = 1e-6
-                fd[:, j] = (_discrete_residual(raw + step, net, c)
-                            - _discrete_residual(raw - step, net, c)) / 2e-6
+                fd[:, j] = (residual(raw + step) - residual(raw - step)) / 2e-6
             np.testing.assert_allclose(jac, fd, rtol=1e-2,
                                        atol=1e-2 * np.abs(fd).max())
 
@@ -253,23 +252,36 @@ class TestAtomicResidual:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_squared_norm_is_the_objective(self, atomic_nets, c, k):
         net = atomic_nets[c]
+        project, residual, _ = _variable_projection(net, k)
         rng = np.random.default_rng(20 * k + int(c))
         for raw in rng.normal(0.5, 1.0, size=(10, k)):
-            res = _discrete_residual(raw, net, c)
-            atoms, _, weights, _ = _projection(raw, net, c)
+            res = residual(raw)
+            atoms, _, weights = project(raw)
             keep = weights > 0.0
             model = Discrete(atoms[keep], weights[keep])
             phi = objective(model, net)     # raises inside the guard
             assert float(res @ res) == pytest.approx(phi, rel=1e-12)
         # the search minimizes exactly what the fit reports
         fit = fit_discrete(net, k)
-        res = _discrete_residual(_raw_of(fit.model.atoms), net, c)
+        res = _variable_projection(net, fit.model.atoms.size)[1](_raw_of(fit.model.atoms))
         assert float(res @ res) == pytest.approx(
             objective(fit.model, net), rel=1e-12)
 
+    def test_jacobian_at_the_kept_point_after_later_trials(self, atomic_nets):
+        # scipy takes the Jacobian at the accepted point once more after
+        # the search ends, when rejected trials have been projected since
+        net = atomic_nets[2.0]
+        raw = estimator._quantile_start(net, 3)
+        _, residual, jacobian = _variable_projection(net, 3)
+        residual(raw)
+        jacobian(raw)
+        residual(raw + 0.1)
+        residual(raw - 0.1)
+        assert np.array_equal(jacobian(raw), _variable_projection(net, 3)[2](raw))
+
     def test_jacobian_vanishes_where_raw_is_clipped(self, atomic_nets):
         raw = np.array([0.0, 45.0, -41.0])
-        jac = _discrete_jacobian(raw, atomic_nets[0.2], 0.2)
+        jac = _variable_projection(atomic_nets[0.2], 3)[2](raw)
         assert np.all(jac[:, 1:] == 0.0)
         assert np.any(jac[:, 0] != 0.0)
 
@@ -278,10 +290,11 @@ class TestPoleGuard:
     def test_residual_is_finite_penalty_on_the_pole(self, case1_spectrum):
         net = build_unet(case1_spectrum, "discrete")
         raw = _pole_raw(net)
-        res = _discrete_residual(raw, net, 0.2)
+        _, residual, jacobian = _variable_projection(net, 2)
+        res = residual(raw)
         assert np.all(np.isfinite(res))
         assert float(res @ res) >= 1e12
-        assert np.all(np.isfinite(_discrete_jacobian(raw, net, 0.2)))
+        assert np.all(np.isfinite(jacobian(raw)))
 
     def test_start_on_the_pole_raises(self, case1_spectrum, monkeypatch):
         net = build_unet(case1_spectrum, "discrete")
@@ -294,7 +307,7 @@ class TestPoleGuard:
         # is finite but huge, and the search must step away from it
         net = build_unet(case1_spectrum, "discrete")
         raw = _pole_raw(net) + np.array([np.log1p(1e-5), 0.0])
-        _, denom, _, _ = _projection(raw, net, 0.2)
+        _, denom, _ = _variable_projection(net, 2)[0](raw)
         assert POLE_GUARD < np.abs(denom).min() < 2e-5
         monkeypatch.setattr(estimator, "_quantile_start", lambda net, k: raw)
         fit = fit_discrete(net, 2)
@@ -308,16 +321,17 @@ class TestPoleGuard:
         # the search starts at the quantile atoms with their NNLS weights
         net = atomic_nets[c]
         raw = estimator._quantile_start(net, k)
-        _, denom, weights, _ = _projection(raw, net, c)
+        project, residual, _ = _variable_projection(net, k)
+        _, denom, weights = project(raw)
         assert np.abs(denom).min() > POLE_GUARD
         assert np.all(weights >= 0.0) and weights.sum() == pytest.approx(1.0)
-        res = _discrete_residual(raw, net, c)
+        res = residual(raw)
         assert np.all(np.isfinite(res)) and float(res @ res) < 1e12
 
     def test_start_is_the_sample_quantiles(self, case1_spectrum):
         net = build_unet(case1_spectrum, "discrete")
         pos = case1_spectrum.eigenvalues[case1_spectrum.eigenvalues > 0.0]
-        atoms = _projection(estimator._quantile_start(net, 2), net, 0.2)[0]
+        atoms = _variable_projection(net, 2)[0](estimator._quantile_start(net, 2))[0]
         assert np.allclose(atoms, np.quantile(pos, [0.25, 0.75]), rtol=1e-12)
 
 
@@ -379,6 +393,42 @@ def test_objective_parity_with_nelder_mead(case, seed):
     fit = fit_discrete(net, truth.atoms.size)
     assert fit.objective_value <= _NELDER_MEAD_OBJECTIVES[case, seed] * (1.0 + 1e-9)
     assert fit.objective_value <= objective(truth, net)
+
+
+@pytest.mark.parametrize("case, k, seed", [("two_atom", 2, 0), ("two_atom", 3, 0),
+                                           ("wide_three_atom", 3, 101)])
+def test_one_nnls_solve_per_search_point(monkeypatch, case, k, seed):
+    # the Jacobian at the point the residual just took, scipy's closing
+    # Jacobian at the accepted point and the fit's final read all reuse a
+    # kept projection; the search may take a point twice in a row, which
+    # it counts twice
+    spec = sample_spectrum(population_from_model(_PANEL_TRUTHS[case], 100), 500, seed=seed)
+    net = build_unet(spec, "discrete")
+    solves, points = [], set()
+    nnls, variable_projection = optimize.nnls, estimator._variable_projection
+    monkeypatch.setattr(estimator.optimize, "nnls",
+                        lambda *args: solves.append(1) or nnls(*args))
+
+    def recording(net, k):
+        project, residual, jacobian = variable_projection(net, k)
+        seen = lambda f: lambda raw: points.add(raw.tobytes()) or f(raw)
+        return project, seen(residual), seen(jacobian)
+    monkeypatch.setattr(estimator, "_variable_projection", recording)
+    fit = fit_discrete(net, k)
+    assert fit.converged
+    assert len(solves) == len(points) <= fit.iterations
+
+
+def test_search_stopped_at_the_evaluation_cap(case1_spectrum, monkeypatch):
+    # MINPACK stops when its evaluation count reaches the cap (status 5),
+    # which scipy reports as status 0, not success
+    net = build_unet(case1_spectrum, "discrete")
+    assert fit_discrete(net, 2).iterations > 6
+    monkeypatch.setattr(estimator, "_MAX_NFEV", 6)
+    fit = fit_discrete(net, 2)
+    assert not fit.converged
+    assert fit.iterations == 6
+    assert np.isfinite(fit.objective_value)
 
 
 class TestFitLaguerre:

@@ -812,49 +812,47 @@ EDGE_PANEL = [pytest.param(model, c, id=f"{name}-c={c}")
               for c in (0.05, 0.5, 1.0, 2.0)]
 
 
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def atomic_edges(model, c):
     """The real roots y != 0 of g(y) = 1 for an atomic model, with u(y) at
     each, or None when the problem is ill-conditioned at 1e-13.
 
-    They are the real roots of the degree-2k polynomial
-    prod (y - a_i)^2 - c sum_i w_i a_i^2 prod_{j != i} (y - a_j)^2, from
-    ``mpmath.polyroots`` at 40 digits.  At c = 1 one root sits at y = 0,
-    where s = +-inf, moved off it by the rounding of the weights' sum; it
-    is left out.  A root where g is nearly tangent to 1 (a near-double real
-    root, or a complex pair next to the real axis) moves by about the
-    square root of the rounding error, so no double-precision rule can
-    meet 1e-13 there.
+    In x = y / a_k, g(y) = 1 reads sum_i b_i^2 / (x - d_i)^2 = 1 with
+    d_i = a_i / a_k and b_i = d_i sqrt(c w_i), whose 2k roots are the
+    eigenvalues of [[D, I], [b b', D]] (its characteristic polynomial is
+    prod (x - d_i)^2 (1 - sum_i b_i^2 / (x - d_i)^2)).  numpy's eigenvalues
+    start 40-digit Newton runs on that equation (``mpmath.findroot``).
+    The roots are then checked: each Newton correction is below 1e-25, the
+    2k roots are distinct, and the real ones lie as the shape of g
+    requires, one below the atoms and one above (g rises from 0 on
+    (-inf, a_1) and falls to 0 on (a_k, inf)) and 0 or 2 in each gap (g is
+    convex there).  At c = 1 one root sits at y = 0, where s = +-inf,
+    moved off it by the rounding of the weights' sum; it is left out.  A
+    root where g is nearly tangent to 1 (a near-double real root, or a
+    complex pair next to the real axis) moves by about the square root of
+    the rounding error, so no double-precision rule can meet 1e-13 there.
     """
+    d0 = model.atoms / model.atoms[-1]
+    b0 = d0 * np.sqrt(c * model.weights)
+    eye = np.eye(d0.size)
+    starts = np.linalg.eigvals(np.block([[np.diag(d0), eye], [np.outer(b0, b0), np.diag(d0)]]))
     with mpmath.workdps(40):
         a = [mpmath.mpf(float(x)) for x in model.atoms]
         w = [mpmath.mpf(float(x)) for x in model.weights]
         c = mpmath.mpf(c)
-
-        def squares(skip=None):
-            out = [mpmath.mpf(1)]
-            for j, aj in enumerate(a):
-                if j != skip:
-                    out = _poly_mul(out, [mpmath.mpf(1), -2 * aj, aj * aj])
-            return out
-
-        poly = squares()
-        for i in range(len(a)):
-            for k, v in enumerate(squares(i)):
-                poly[k + 2] -= c * w[i] * a[i] ** 2 * v
-        roots = mpmath.polyroots(poly, maxsteps=500, extraprec=500)
+        d = [ai / a[-1] for ai in a]
+        bb = [c * wi * di**2 for wi, di in zip(w, d)]
+        f = lambda x: 1 - mpmath.fsum(b / (x - di) ** 2 for b, di in zip(bb, d))
+        df = lambda x: 2 * mpmath.fsum(b / (x - di) ** 3 for b, di in zip(bb, d))
+        # off the real axis, so that a start on it can reach a complex root
+        found = [mpmath.findroot(f, mpmath.mpc(x0.real, x0.imag + 1e-9), solver="newton",
+                                 df=df, tol=1e-30, maxsteps=30, verify=False)
+                 for x0 in starts]
         g_slope = lambda y: -2 * c * sum(wi * ai**2 / (y - ai) ** 3 for ai, wi in zip(a, w))
         u_at = lambda y: y + c * sum(wi * ai * y / (y - ai) for ai, wi in zip(a, w))
-        edges = []
-        for r in roots:
+        edges, real = [], []
+        for r in (a[-1] * x for x in found):
             if abs(r) < 1e-12 * a[-1]:
+                real.append(r.real)
                 continue
             if abs(r.imag) > mpmath.mpf(10) ** -25 * abs(r):
                 if abs(r.imag) < 1e-6 * abs(r):
@@ -863,7 +861,13 @@ def atomic_edges(model, c):
             y = r.real
             if abs(y * g_slope(y)) < 1e-3:
                 return None
+            real.append(y)
             edges.append((float(y), float(u_at(y))))
+        assert all(abs(f(x) / df(x)) < 1e-25 for x in found)
+        assert min(abs(x - z) for i, x in enumerate(found) for z in found[:i]) > 1e-20
+        per_gap = [sum(lo < y < hi for y in real)
+                   for lo, hi in zip([-mpmath.inf] + a, a + [mpmath.inf])]
+        assert per_gap[0] == per_gap[-1] == 1 and set(per_gap[1:-1]) <= {0, 2}
         return sorted(edges)
 
 
