@@ -833,8 +833,8 @@ def atomic_edges(model, c):
     """
     d0 = model.atoms / model.atoms[-1]
     b0 = d0 * np.sqrt(c * model.weights)
-    eye = np.eye(d0.size)
-    starts = np.linalg.eigvals(np.block([[np.diag(d0), eye], [np.outer(b0, b0), np.diag(d0)]]))
+    starts = np.linalg.eigvals(np.block([[np.diag(d0), np.eye(d0.size)],
+                                         [np.outer(b0, b0), np.diag(d0)]]))
     with mpmath.workdps(40):
         a = [mpmath.mpf(float(x)) for x in model.atoms]
         w = [mpmath.mpf(float(x)) for x in model.weights]
