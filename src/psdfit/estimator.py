@@ -161,13 +161,15 @@ def objective(model: PSDModel, net: UNet) -> float:
 class FitResult:
     """Outcome of a family fit against an evaluation net.
 
-    ``iterations`` counts the residual evaluations of the Levenberg–Marquardt
-    (MINPACK) search over the atoms for the atomic family (one nonnegative
-    least-squares solve per distinct point), the active grid constraints of
-    the positivity projection for the polynomial-exponential family (0
-    when the unconstrained fit is kept) and, for the inverse-cubic family,
-    the 200 coarse-grid objective values, all from one batched kernel
-    evaluation, plus the objective evaluations of the bounded search.
+    ``iterations`` is, for the atomic family, MINPACK's ``nfev`` for the
+    Levenberg–Marquardt search over the atoms.  It counts points that
+    scipy answers from its cache when MINPACK repeats one, so it can
+    exceed the nonnegative least-squares solves (one per distinct point)
+    by 1-3.  For the polynomial-exponential family it counts the active
+    grid constraints of the positivity projection (0 when the
+    unconstrained fit is kept) and, for the inverse-cubic family, the 200
+    coarse-grid objective values, all from one batched kernel evaluation,
+    plus the objective evaluations of the bounded search.
     """
 
     model: PSDModel

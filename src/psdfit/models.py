@@ -305,8 +305,7 @@ class Discrete(PSDModel):
         y + (z - c sum w a) + sum c w a^2 / (y + a) = 0, whose k + 1 roots
         are the eigenvalues of the complex-symmetric arrowhead matrix with
         diagonal -a_1 .. -a_k, c sum w a - z and border i sqrt(c w) a.  The
-        root kept is the one with the largest Im s.  The cost grows as k^3;
-        the fixed point is faster above about 10 atoms.
+        root kept is the one with the largest Im s.  The cost grows as k^3.
         """
         k = self.atoms.size
         diag = np.arange(k)

@@ -154,32 +154,38 @@ def _positive_ratio(c) -> float:
     return c
 
 
-def mp_u_map(s, model: PSDModel, c, *, guard=POLE_GUARD):
+def mp_u_map(s, model: PSDModel, c):
     """Spectrum point u(s) = -1/s + c * K1(s) for real companion values s.
 
-    ``guard`` applies one rule to every model: an s < 0 whose pole -1/s
-    has |1 + t s| < guard at the support point t nearest it raises
-    NearPoleError with that t and margin; pass None to disable.  A
-    nonpositive c is a ValueError.
+    One pole guard applies to every model: an s < 0 whose pole -1/s has
+    |1 + t s| < POLE_GUARD at the support point t nearest it raises
+    NearPoleError with that t and margin.  A nonpositive c is a ValueError.
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr == 0.0):
         raise ValueError("companion value must be nonzero")
     c = _positive_ratio(c)
-    flat = np.atleast_1d(s_arr)
     # for s > 0 the pole is negative, so |1 + t s| > 1 at every t >= 0
-    neg = flat[flat < 0.0]
-    if guard is not None and neg.size:
+    neg = s_arr[s_arr < 0.0]
+    if neg.size:
         lo, hi = np.array(model.support()).T
         nearest = np.clip((-1.0 / neg)[:, None], lo, hi)
         margin = np.abs(1.0 + nearest * neg[:, None])
         i, j = np.unravel_index(np.argmin(margin), margin.shape)
-        if margin[i, j] < guard:
+        if margin[i, j] < POLE_GUARD:
             raise NearPoleError(
                 f"companion value {float(neg[i])!r} puts -1/s within the "
                 f"guard of the support point {float(nearest[i, j])!r}",
                 where=float(nearest[i, j]), margin=float(margin[i, j]))
-    out = -1.0 / s_arr + c * model.kernel(flat)[0].reshape(s_arr.shape)
+    return _u_map(s_arr, model, c)
+
+
+def _u_map(s, model, c):
+    """u(s) at real s with no pole guard.  The support edges and the real
+    solve need it: for small c a branch end can lie within 1e-6 relative
+    of a smooth model's support edge."""
+    s = np.asarray(s, dtype=float)
+    out = -1.0 / s + c * model.kernel(np.atleast_1d(s))[0].reshape(s.shape)
     return out if out.ndim else float(out)
 
 
@@ -187,11 +193,10 @@ def mp_u_map(s, model: PSDModel, c, *, guard=POLE_GUARD):
 # kernel matrices on large grids.
 _SOLVE_BLOCK = 2048
 _SOLVE_TOL = 1e-10        # every point must reach |u(s) - z| below this
-_NEWTON_HANDOVER = 1e-6   # fixed-point residual that hands a lane to Newton
 _DAMPING = 0.5
 _SEED_STRIDE = 8          # smooth models: every 8th point (and the last) is a seed
 _SURROGATE_NODES = 4      # atoms of the quantile surrogate whose root starts a seed
-_SEED_STEPS = 30          # fixed-point budget of a seed the surrogate start fails
+_SEED_STEPS = 30          # damped steps that start a seed the surrogate start fails
 _CONTINUE_STEPS = 12      # Newton budget of every start
 _KEEP_IM = 0.1            # share of Im s a shortened Newton step keeps
 _DENSITY_EPS = 1e-6       # curves read the transform at x + i*_DENSITY_EPS
@@ -212,43 +217,34 @@ def _newton_step(s, r, k2, c):
         return s + scale * step
 
 
-def _iterate(z, s, model, c, fp_steps):
-    """Run every lane of a 1-d block of z from its start value s.
+def _damped_start(z, model, c):
+    """A Newton start for every lane of a 1-d block of z: _SEED_STEPS
+    steps s <- s/2 + (-1/(z - c K1(s)))/2 from -1/z, damped by _DAMPING
+    so that they cannot leave the upper half plane.  A lane whose update
+    is 0 or not finite keeps its last value."""
+    s = -1.0 / z
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_SEED_STEPS):
+            step_to = z - c * model.kernel(s)[0]
+            ok = (step_to != 0.0) & np.isfinite(step_to)
+            s = np.where(ok, (1.0 - _DAMPING) * s + _DAMPING * (-1.0 / step_to), s)
+    return s
 
-    At most ``fp_steps`` damped fixed-point steps, which cannot leave the
-    upper half plane, bring the residual down to _NEWTON_HANDOVER (a lane
-    takes at least 5); at most _CONTINUE_STEPS Newton steps finish the
-    remaining digits.  The kernel is evaluated once per step, only at the
-    lanes still iterating, and its K2 serves the Newton step.  A lane is
-    accepted when |u(s) - z| < _SOLVE_TOL with Im s > 0.  Returns s, the
-    complex residual u(s) - z and K2 there, the accepted lanes and the
-    ``degenerate`` lanes, whose fixed-point update broke down.
+
+def _iterate(z, s, model, c):
+    """Newton from start values s at every lane of a 1-d block of z.
+
+    At most _CONTINUE_STEPS steps; the kernel is evaluated once per step,
+    only at the lanes still iterating, and its K2 serves the Newton step.
+    This is the one place where a lane of the solve is accepted: when
+    |u(s) - z| < _SOLVE_TOL with Im s > 0.  Returns s, the complex
+    residual u(s) - z and K2 there, and the accepted lanes.
     """
     s = s.copy()
     r = np.full(z.size, np.inf, dtype=complex)
     k2 = np.zeros(z.size, dtype=complex)
     done = np.zeros(z.size, dtype=bool)
-    degenerate = np.zeros(z.size, dtype=bool)
     live = np.arange(z.size)
-    for k in range(fp_steps):
-        if live.size == 0:
-            break
-        s_l, z_l = s[live], z[live]
-        k1, k2[live] = model.kernel(s_l)
-        r_l = -1.0 / s_l + c * k1 - z_l
-        r[live] = r_l
-        res = np.abs(r_l)
-        converged = (res < _SOLVE_TOL) & (s_l.imag > 0.0)
-        done[live[converged]] = True
-        # lanes under the hand-over residual (after 5 steps) go to Newton
-        stay = ~converged & ~((res < _NEWTON_HANDOVER) & (k >= 5))
-        live, s_l = live[stay], s_l[stay]
-        step_to = z_l[stay] - c * k1[stay]
-        bad = (step_to == 0.0) | ~np.isfinite(step_to)
-        degenerate[live[bad]] = True
-        live, s_l, step_to = live[~bad], s_l[~bad], step_to[~bad]
-        s[live] = (1.0 - _DAMPING) * s_l + _DAMPING * (-1.0 / step_to)
-    live = np.flatnonzero(~done & ~degenerate)
     for _ in range(_CONTINUE_STEPS):
         if live.size == 0:
             break
@@ -259,15 +255,13 @@ def _iterate(z, s, model, c, fp_steps):
         converged = (np.abs(r_l) < _SOLVE_TOL) & (s_l.imag > 0.0)
         done[live[converged]] = True
         live, s_l, r_l = live[~converged], s_l[~converged], r_l[~converged]
-        if live.size == 0:
-            break
         # only the residual test accepts a lane; one whose step overflows
         # ends here as a failure
         s_new = _newton_step(s_l, r_l, k2[live], c)
         ok = np.isfinite(s_new) & (s_new != 0.0)
         live = live[ok]
         s[live] = s_new[ok]
-    return s, r, k2, done, degenerate
+    return s, r, k2, done
 
 
 def _continuation_starts(x, s, done, fresh):
@@ -310,8 +304,9 @@ def _solve_block(z, model, c):
     last.  A seed starts Newton at the root of the model's surrogate, the
     _SURROGATE_NODES equally weighted atoms at its midpoint quantiles
     (from ``quantile``), which ``Discrete.companion_root`` gives exactly;
-    only a seed that fails from there runs _SEED_STEPS damped fixed-point
-    steps from -1/z and then Newton.  The points between two solved seeds
+    only a seed that fails from there starts Newton once more, at the end
+    of _SEED_STEPS damped fixed-point steps from -1/z (``_damped_start``,
+    a start rule, not a solver).  The points between two solved seeds
     start Newton from the line through them, all in one batch; then, wave
     by wave, the same is done for unsolved points between newly solved
     ones, and unsolved points beside a newly solved one with no solved
@@ -325,43 +320,39 @@ def _solve_block(z, model, c):
     same root; one more Newton step polishes it, from the K2 of the call
     that accepted it, so the value does not depend on the path either,
     and is kept where it still passes the acceptance test.  Converged
-    lanes return s with residual < _SOLVE_TOL and Im s > 0;
-    ``degenerate`` marks the lanes whose fixed-point update broke down in
-    any stage, also when a later stage started them again.
+    lanes return s with residual < _SOLVE_TOL and Im s > 0.
     """
     s = model.companion_root(z, c)
     if s is not None:
-        s, r, _, done, degenerate = _iterate(z, s, model, c, 0)
-        return s, np.abs(r), done, degenerate
+        s, r, _, done = _iterate(z, s, model, c)
+        return s, np.abs(r), done
     s = np.empty(z.size, dtype=complex)
     r = np.full(z.size, np.inf, dtype=complex)
     k2 = np.zeros(z.size, dtype=complex)
     done = np.zeros(z.size, dtype=bool)
-    degenerate = np.zeros(z.size, dtype=bool)
 
-    def run(lanes, start, fp_steps):
-        s[lanes], r[lanes], k2[lanes], done[lanes], broke = _iterate(
-            z[lanes], start, model, c, fp_steps)
-        degenerate[lanes] |= broke
+    def run(lanes, start):
+        s[lanes], r[lanes], k2[lanes], done[lanes] = _iterate(z[lanes], start, model, c)
 
     # tied quantiles, as of a law with atoms, merge into one heavier atom
     nodes = (np.arange(_SURROGATE_NODES) + 0.5) / _SURROGATE_NODES
     atoms, counts = np.unique(model.quantile(nodes), return_counts=True)
     surrogate = Discrete(atoms, counts / _SURROGATE_NODES)
     seeds = np.unique(np.append(np.arange(0, z.size, _SEED_STRIDE), z.size - 1))
-    run(seeds, surrogate.companion_root(z[seeds], c), 0)
+    run(seeds, surrogate.companion_root(z[seeds], c))
     lanes = seeds[~done[seeds]]
-    run(lanes, -1.0 / z[lanes], _SEED_STEPS)
+    if lanes.size:
+        run(lanes, _damped_start(z[lanes], model, c))
     lanes, start = _continuation_starts(z.real, s, done, done)
     while lanes.size:
         solved = done.copy()
-        run(lanes, start, 0)
+        run(lanes, start)
         lanes, start = _continuation_starts(z.real, s, done, done & ~solved)
     retry = ~done
     retry[seeds] = False        # the seeds started at the surrogate root
     lanes = np.flatnonzero(retry)
     if lanes.size:
-        run(lanes, surrogate.companion_root(z[lanes], c), 0)
+        run(lanes, surrogate.companion_root(z[lanes], c))
     # a polished value is kept where it still passes the acceptance test
     lanes = np.flatnonzero(done)
     if lanes.size:
@@ -370,7 +361,7 @@ def _solve_block(z, model, c):
             r_p = -1.0 / polished + c * model.kernel(polished)[0] - z[lanes]
         keep = (np.abs(r_p) < _SOLVE_TOL) & (polished.imag > 0.0)
         s[lanes[keep]], r[lanes[keep]] = polished[keep], r_p[keep]
-    return s, np.abs(r), done, degenerate
+    return s, np.abs(r), done
 
 
 def _solve_companion(z, model, c):
@@ -383,13 +374,11 @@ def _solve_companion(z, model, c):
     out = np.empty(z.size, dtype=complex)
     for start in range(0, z.size, _SOLVE_BLOCK):
         block = slice(start, start + _SOLVE_BLOCK)
-        s, residual, done, degenerate = _solve_block(z[block], model, c)
+        s, residual, done = _solve_block(z[block], model, c)
         if not done.all():
             i = int(np.argmin(done))
-            where = complex(z[start + i])
-            why = ("fixed-point update degenerated" if degenerate[i]
-                   else f"no convergence to residual {_SOLVE_TOL:g}")
-            raise IterationError(f"{why} at z={where!r}",
+            raise IterationError(f"no convergence to residual {_SOLVE_TOL:g} "
+                                 f"at z={complex(z[start + i])!r}",
                                  residual=float(residual[i]))
         out[block] = s
     return out
@@ -403,16 +392,15 @@ def solve_companion_fixed_point(z: complex, model: PSDModel, c) -> complex:
     (``Discrete.companion_root``).  Other models start at most 12 Newton
     steps, shortened where they would leave the upper half plane, at the
     exact root of a four-atom surrogate built from the model's
-    ``quantile``.  Should those fail, at most 30 fixed-point steps damped
-    by 1/2 (which cannot leave the upper half plane) from -1/z bring the
-    residual down to 1e-6, and at most 12 Newton steps finish the
-    remaining digits.  One more Newton step polishes the root.  The
-    returned value satisfies |u(s) - z| < 1e-10 and Im s > 0, else
-    IterationError, which says whether the fixed-point update broke
-    down.  This is the one-point case of the solve ``lsd_density_curve``
-    runs on a whole grid at once, where most points start Newton from
-    their solved neighbours instead, and a point that fails from there
-    starts 12 Newton steps at the surrogate's root.
+    ``quantile``.  Should those fail, Newton starts once more after 30
+    damped fixed-point steps s <- s/2 + (-1/(z - c K1(s)))/2 from -1/z, a
+    start rule only: the root with Im s > 0 is unique, so a start changes
+    where Newton begins, never the root.  One more Newton step polishes
+    it.  The returned value satisfies |u(s) - z| < 1e-10 and Im s > 0,
+    else IterationError ("no convergence ...").  This is the one-point
+    case of the solve ``lsd_density_curve`` runs on a whole grid, where
+    most points start Newton from their solved neighbours instead, and a
+    point that fails from there starts again at the surrogate's root.
     """
     z = complex(z)
     if not (z.imag > 0.0):
@@ -428,14 +416,15 @@ def lsd_density_curve(model: PSDModel, c, grid) -> DensityCurve:
     one batched solve, as ``solve_companion_fixed_point`` does for one
     point: atomic models by one eigenvalue call on a stack of arrowhead
     matrices; other models by Newton from the root of a four-atom
-    quantile surrogate at every 8th point (a seed it leaves unsolved runs
-    30 damped fixed-point steps first), and from the line through solved
-    neighbours at the others (continuation along the grid); a point that
-    continuation leaves unsolved starts Newton once more at the
-    surrogate's root.  Each point must reach |u(s) - z| < 1e-10 with
-    Im s > 0, else IterationError names the first failing point.  The
-    companion transform is converted back to the spectrum's Stieltjes
-    transform, whose imaginary part over pi is the density.  The curve
+    quantile surrogate at every 8th point (a seed it leaves unsolved
+    starts Newton again after 30 damped fixed-point steps), and from the
+    line through solved neighbours at the others (continuation along the
+    grid); a point that continuation leaves unsolved starts Newton once
+    more at the surrogate's root.  Each point must reach |u(s) - z| <
+    1e-10 with Im s > 0, else IterationError ("no convergence to residual
+    1e-10 at z=...") names the first failing point.  The companion
+    transform is converted back to the spectrum's Stieltjes transform,
+    whose imaginary part over pi is the density.  The curve
     integrates to min(1, 1/c); for c > 1 the remaining 1 - 1/c sits in a
     point mass at zero that a density grid cannot show.
     """
@@ -540,7 +529,7 @@ def support_bounds(model: PSDModel, c) -> SupportReport:
         return 1.0 - 1.0 / (c * s * s * float(model.kernel(np.array([s]))[1][0]))
 
     root = lambda a, b: optimize.brentq(excess, a, b, xtol=1e-300, rtol=8.9e-16)
-    u_at = lambda y: float(mp_u_map(-1.0 / y, model, c, guard=None))
+    u_at = lambda y: _u_map(-1.0 / y, model, c)
 
     # negative branches, one per gap of the model support, left to right
     branches, images = [], []
@@ -606,7 +595,7 @@ def solve_companion_real(u: float, model: PSDModel, c) -> float:
     c = _positive_ratio(c)
     rep = support_bounds(model, c)
     # u(y) - u, with u(0) = 0 (s = +-inf) taken by value
-    f = lambda y: (float(mp_u_map(-1.0 / y, model, c, guard=None)) if y else 0.0) - u
+    f = lambda y: (_u_map(-1.0 / y, model, c) if y else 0.0) - u
     for (s_lo, s_hi), (u_lo, u_hi) in zip(rep.branches, rep.complement):
         if not (u_lo < u < u_hi):
             continue

@@ -101,8 +101,7 @@ def test_criterion_04_real_roots_and_branch_monotonicity():
         worst = max(worst, abs(damped.real - root))
     rising = True
     for s_lo, s_hi in report.branches:
-        u_vals = mp_u_map(_branch_interior(s_lo, s_hi), SPLIT_BULK, c,
-                          guard=None)
+        u_vals = mp_u_map(_branch_interior(s_lo, s_hi), SPLIT_BULK, c)
         rising = rising and bool(np.all(np.diff(u_vals) > 0.0))
     _check(4, worst <= 1e-6 and rising,
            f"real-root vs damped-solver gap {worst:.1e} (tol 1e-6) at "

@@ -45,7 +45,6 @@ def test_settable_values_are_pinned():
         "ReturnsMatrix.dropped",
         "build_unet.spacing",
         "correlation_spectrum.spikes",
-        "mp_u_map.guard",
         "run_analysis.bandwidth",
         "run_analysis.spacing",
         "run_analysis.spikes",
