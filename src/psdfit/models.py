@@ -205,13 +205,6 @@ class PSDModel:
         """
         raise NotImplementedError
 
-    def companion_root(self, z, c):
-        """The root s of z = -1/s + c K1(s) in the upper half plane, in
-        closed form, at every point of a 1-d complex array z; None when the
-        family has no closed form and the forward solver must iterate,
-        from the root of an atomic surrogate built from ``quantile``."""
-        return None
-
     @property
     def theta(self) -> NDArray:
         """Free parameter vector of the family."""
@@ -305,7 +298,8 @@ class Discrete(PSDModel):
         y + (z - c sum w a) + sum c w a^2 / (y + a) = 0, whose k + 1 roots
         are the eigenvalues of the complex-symmetric arrowhead matrix with
         diagonal -a_1 .. -a_k, c sum w a - z and border i sqrt(c w) a.  The
-        root kept is the one with the largest Im s.  The cost grows as k^3.
+        root kept is the one with the largest Im s.  The cost grows as k^3;
+        the forward solve pays it on its seed and retry lanes only.
         """
         k = self.atoms.size
         diag = np.arange(k)

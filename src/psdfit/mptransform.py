@@ -194,9 +194,9 @@ def _u_map(s, model, c):
 _SOLVE_BLOCK = 2048
 _SOLVE_TOL = 1e-10        # every point must reach |u(s) - z| below this
 _DAMPING = 0.5
-_SEED_STRIDE = 8          # smooth models: every 8th point (and the last) is a seed
-_SURROGATE_NODES = 4      # atoms of the quantile surrogate whose root starts a seed
-_SEED_STEPS = 30          # damped steps that start a seed the surrogate start fails
+_SEED_STRIDE = 8          # every 8th point (and the last) is a seed
+_SURROGATE_NODES = 4      # atoms of the quantile surrogate of a non-atomic model
+_SEED_STEPS = 30          # damped steps that start a seed the atomic root fails
 _CONTINUE_STEPS = 12      # Newton budget of every start
 _KEEP_IM = 0.1            # share of Im s a shortened Newton step keeps
 _DENSITY_EPS = 1e-6       # curves read the transform at x + i*_DENSITY_EPS
@@ -298,34 +298,29 @@ def _continuation_starts(x, s, done, fresh):
 def _solve_block(z, model, c):
     """Companion values for a 1-d block of z, with each lane's residual.
 
-    A model with a closed-form root (``companion_root``) starts every lane
-    at it, and Newton checks the residual.  Otherwise the solve continues
-    along the grid from its seeds, every _SEED_STRIDE-th point and the
-    last.  A seed starts Newton at the root of the model's surrogate, the
-    _SURROGATE_NODES equally weighted atoms at its midpoint quantiles
-    (from ``quantile``), which ``Discrete.companion_root`` gives exactly;
-    only a seed that fails from there starts Newton once more, at the end
-    of _SEED_STEPS damped fixed-point steps from -1/z (``_damped_start``,
-    a start rule, not a solver).  The points between two solved seeds
-    start Newton from the line through them, all in one batch; then, wave
-    by wave, the same is done for unsolved points between newly solved
-    ones, and unsolved points beside a newly solved one with no solved
-    point within _SEED_STRIDE on their other side start from the line
-    through it and the next solved point out, which carries the solve
-    into the stretches near the support edges.  Points still unsolved,
-    other than seeds, start Newton once more at the surrogate's root; a
-    point unsolved after that fails.  Every Newton start takes at most
-    _CONTINUE_STEPS steps.  The equation has one root with Im s > 0
-    (Silverstein and Bai 1995), so every path that is accepted found the
-    same root; one more Newton step polishes it, from the K2 of the call
-    that accepted it, so the value does not depend on the path either,
-    and is kept where it still passes the acceptance test.  Converged
-    lanes return s with residual < _SOLVE_TOL and Im s > 0.
+    Every model takes the same path: the solve continues along the grid
+    from its seeds, every _SEED_STRIDE-th point and the last.  A seed
+    starts Newton at the exact root (``Discrete.companion_root``) of an
+    atomic law: the model itself when it is ``Discrete``, else its
+    surrogate, the _SURROGATE_NODES equally weighted atoms at its midpoint
+    quantiles (from ``quantile``).  Only a seed that fails from there
+    starts Newton once more, at the end of _SEED_STEPS damped fixed-point
+    steps from -1/z (``_damped_start``, a start rule, not a solver).  The
+    points between two solved seeds start Newton from the line through
+    them, all in one batch; then, wave by wave, the same is done for
+    unsolved points between newly solved ones, and unsolved points beside
+    a newly solved one with no solved point within _SEED_STRIDE on their
+    other side start from the line through it and the next solved point
+    out, which carries the solve into the stretches near the support
+    edges.  Points still unsolved, other than seeds, start Newton once
+    more at the atomic law's root; a point unsolved after that fails.
+    Every Newton start takes at most _CONTINUE_STEPS steps.  The equation
+    has one root with Im s > 0 (Silverstein and Bai 1995), so every path
+    that is accepted found the same root; one more Newton step, from the
+    K2 of the call that accepted it, polishes it so that the value does
+    not depend on the path either.  Converged lanes return s with
+    residual < _SOLVE_TOL and Im s > 0.
     """
-    s = model.companion_root(z, c)
-    if s is not None:
-        s, r, _, done = _iterate(z, s, model, c)
-        return s, np.abs(r), done
     s = np.empty(z.size, dtype=complex)
     r = np.full(z.size, np.inf, dtype=complex)
     k2 = np.zeros(z.size, dtype=complex)
@@ -334,12 +329,14 @@ def _solve_block(z, model, c):
     def run(lanes, start):
         s[lanes], r[lanes], k2[lanes], done[lanes] = _iterate(z[lanes], start, model, c)
 
-    # tied quantiles, as of a law with atoms, merge into one heavier atom
-    nodes = (np.arange(_SURROGATE_NODES) + 0.5) / _SURROGATE_NODES
-    atoms, counts = np.unique(model.quantile(nodes), return_counts=True)
-    surrogate = Discrete(atoms, counts / _SURROGATE_NODES)
+    if isinstance(model, Discrete):
+        law = model
+    else:   # tied quantiles, as of a law with atoms, merge into one heavier atom
+        nodes = (np.arange(_SURROGATE_NODES) + 0.5) / _SURROGATE_NODES
+        atoms, counts = np.unique(model.quantile(nodes), return_counts=True)
+        law = Discrete(atoms, counts / _SURROGATE_NODES)
     seeds = np.unique(np.append(np.arange(0, z.size, _SEED_STRIDE), z.size - 1))
-    run(seeds, surrogate.companion_root(z[seeds], c))
+    run(seeds, law.companion_root(z[seeds], c))
     lanes = seeds[~done[seeds]]
     if lanes.size:
         run(lanes, _damped_start(z[lanes], model, c))
@@ -349,10 +346,10 @@ def _solve_block(z, model, c):
         run(lanes, start)
         lanes, start = _continuation_starts(z.real, s, done, done & ~solved)
     retry = ~done
-    retry[seeds] = False        # the seeds started at the surrogate root
+    retry[seeds] = False        # the seeds started at the atomic root
     lanes = np.flatnonzero(retry)
     if lanes.size:
-        run(lanes, surrogate.companion_root(z[lanes], c))
+        run(lanes, law.companion_root(z[lanes], c))
     # a polished value is kept where it still passes the acceptance test
     lanes = np.flatnonzero(done)
     if lanes.size:
@@ -387,11 +384,10 @@ def _solve_companion(z, model, c):
 def solve_companion_fixed_point(z: complex, model: PSDModel, c) -> complex:
     """Solve z = -1/s + c*K1(s) for the companion transform value at z.
 
-    ``z`` must lie in the open upper half plane.  An atomic model gives
-    the root exactly, as an eigenvalue of its arrowhead matrix
-    (``Discrete.companion_root``).  Other models start at most 12 Newton
-    steps, shortened where they would leave the upper half plane, at the
-    exact root of a four-atom surrogate built from the model's
+    ``z`` must lie in the open upper half plane.  At most 12 Newton steps,
+    shortened where they would leave the upper half plane, start at the
+    exact root of an atomic law (``Discrete.companion_root``): the model
+    itself when it is atomic, else a four-atom surrogate built from its
     ``quantile``.  Should those fail, Newton starts once more after 30
     damped fixed-point steps s <- s/2 + (-1/(z - c K1(s)))/2 from -1/z, a
     start rule only: the root with Im s > 0 is unique, so a start changes
@@ -400,7 +396,7 @@ def solve_companion_fixed_point(z: complex, model: PSDModel, c) -> complex:
     else IterationError ("no convergence ...").  This is the one-point
     case of the solve ``lsd_density_curve`` runs on a whole grid, where
     most points start Newton from their solved neighbours instead, and a
-    point that fails from there starts again at the surrogate's root.
+    point that fails from there starts again at the atomic law's root.
     """
     z = complex(z)
     if not (z.imag > 0.0):
@@ -414,19 +410,19 @@ def lsd_density_curve(model: PSDModel, c, grid) -> DensityCurve:
 
     Solves the companion equation at x + 1e-6 i for every grid point in
     one batched solve, as ``solve_companion_fixed_point`` does for one
-    point: atomic models by one eigenvalue call on a stack of arrowhead
-    matrices; other models by Newton from the root of a four-atom
-    quantile surrogate at every 8th point (a seed it leaves unsolved
+    point, by the same path for every model: Newton from the exact root of
+    an atomic law (the model itself when it is atomic, else a four-atom
+    quantile surrogate) at every 8th point (a seed it leaves unsolved
     starts Newton again after 30 damped fixed-point steps), and from the
     line through solved neighbours at the others (continuation along the
     grid); a point that continuation leaves unsolved starts Newton once
-    more at the surrogate's root.  Each point must reach |u(s) - z| <
+    more at the atomic law's root.  Each point must reach |u(s) - z| <
     1e-10 with Im s > 0, else IterationError ("no convergence to residual
     1e-10 at z=...") names the first failing point.  The companion
     transform is converted back to the spectrum's Stieltjes transform,
-    whose imaginary part over pi is the density.  The curve
-    integrates to min(1, 1/c); for c > 1 the remaining 1 - 1/c sits in a
-    point mass at zero that a density grid cannot show.
+    whose imaginary part over pi is the density.  The curve integrates to
+    min(1, 1/c); for c > 1 the remaining 1 - 1/c sits in a point mass at
+    zero that a density grid cannot show.
     """
     x = np.asarray(grid, dtype=float).ravel()
     if x.size == 0 or np.any(x <= 0.0):

@@ -290,9 +290,16 @@ class TestFixedPointSolver:
             def companion_root(self, z, c):
                 return 1.0 / (z * super().companion_root(z, c))
 
-        # its residual is 0 but its density would read 0: the solve fails
-        with pytest.raises(IterationError):
-            lsd_density_curve(LowerRoot([1.0], [1.0]), 0.5, np.linspace(0.3, 2.5, 5))
+        # its residual is 0 but its density would read 0: Newton accepts no
+        # lane started there, the damped start finds the upper root, and
+        # the curve is the identity's
+        model, grid = LowerRoot([1.0], [1.0]), np.linspace(0.3, 2.5, 5)
+        z = grid + 1j * mptransform._DENSITY_EPS
+        lower = model.companion_root(z, 0.5)
+        assert np.all(lower.imag < 0.0)
+        assert not mptransform._iterate(z, lower, model, 0.5)[3].any()
+        identity = lsd_density_curve(PointMass(1.0), 0.5, grid)
+        assert np.max(np.abs(lsd_density_curve(model, 0.5, grid).f - identity.f)) < 1e-15
 
     def test_polish_that_fails_the_residual_test_is_dropped(self):
         class WrongSlope(PSDModel):
@@ -394,15 +401,47 @@ FORWARD_CASES = [pytest.param(FORWARD_FAMILIES[name], c, np.linspace(lo, hi, 400
                  for (name, c), (lo, hi) in FORWARD_GRIDS.items()]
 ATOMIC_CASES = [case for case in FORWARD_CASES
                 if isinstance(case.values[0], Discrete)]
-# kernel calls of the smooth families' curves when every point ran the
-# fixed point from -1/z (600 + 60 steps), with their cases
-FIXED_POINT_CALLS = {("gamma-shape", 0.5): 62, ("gamma-shape", 2.0): 607,
-                     ("cubic-poly", 0.5): 85, ("cubic-poly", 2.0): 607,
-                     ("inverse-cubic", 0.5): 609, ("inverse-cubic", 2.0): 607}
-SMOOTH_CASES = [pytest.param(FORWARD_FAMILIES[name], c,
-                             np.linspace(*FORWARD_GRIDS[name, c], 400), calls,
-                             id=f"{name}-c={c}")
-                for (name, c), calls in FIXED_POINT_CALLS.items()]
+# kernel calls of the forward families' curves, which are deterministic;
+# the solve-work tests allow twice as many
+KERNEL_CALLS = {("identity", 0.5): 10, ("identity", 2.0): 10,
+                ("two-atom", 0.5): 21, ("two-atom", 2.0): 11,
+                ("split-bulk", 0.5): 23, ("split-bulk", 2.0): 11,
+                ("gamma-shape", 0.5): 10, ("gamma-shape", 2.0): 56,
+                ("cubic-poly", 0.5): 10, ("cubic-poly", 2.0): 17,
+                ("inverse-cubic", 0.5): 26, ("inverse-cubic", 2.0): 15}
+WORK_CASES = [pytest.param(FORWARD_FAMILIES[name], c,
+                           np.linspace(*FORWARD_GRIDS[name, c], 400), calls,
+                           id=f"{name}-c={c}")
+              for (name, c), calls in KERNEL_CALLS.items()]
+SMOOTH_CASES = [case for case in WORK_CASES
+                if not isinstance(case.values[0], Discrete)]
+ATOMIC_WORK_CASES = [case for case in WORK_CASES
+                     if isinstance(case.values[0], Discrete)]
+
+
+def check_solve_work(model, c, grid, kernel_calls, monkeypatch):
+    """A 400-point curve takes at most 5 lane evaluations per point, twice
+    its pinned kernel calls, no call on zero lanes, and the O(k^3) atomic
+    root on its 51 seeds (every 8th point and the last) only: no lane of
+    these curves needs the retry."""
+    calls, roots = [], []
+    kernel, companion_root = type(model).kernel, Discrete.companion_root
+
+    def counted(self, s):
+        calls.append(s.size)
+        return kernel(self, s)
+
+    def rooted(self, z, c):
+        roots.append(z.size)
+        return companion_root(self, z, c)
+
+    monkeypatch.setattr(type(model), "kernel", counted)
+    monkeypatch.setattr(Discrete, "companion_root", rooted)
+    lsd_density_curve(model, c, grid)
+    assert sum(calls) <= 5 * grid.size
+    assert len(calls) <= 2 * kernel_calls
+    assert min(calls) > 0
+    assert roots == [51]
 
 
 class TestBatchedSolve:
@@ -416,8 +455,8 @@ class TestBatchedSolve:
 
     @pytest.mark.parametrize("model, c, grid", FORWARD_CASES)
     def test_matches_scalar_reference_solver(self, model, c, grid):
-        # atomic curves are exact roots: check every point, against a
-        # reference held to 1e-13 (at 1e-10 it can sit 3e-10 off the root)
+        # atomic curves: check every point, against a reference held to
+        # 1e-13 (at 1e-10 it can sit 3e-10 off the root)
         atomic = isinstance(model, Discrete)
         step, tol = (1, 1e-13) if atomic else (8, 1e-10)
         curve = lsd_density_curve(model, c, grid)
@@ -454,25 +493,21 @@ class TestBatchedSolve:
         blocked = lsd_density_curve(model, 2.0, grid)
         assert np.max(np.abs(blocked.f - whole.f)) < 1e-10
 
-    @pytest.mark.parametrize("model, c, grid, fixed_point_calls", SMOOTH_CASES)
-    def test_smooth_solve_work(self, model, c, grid, fixed_point_calls, monkeypatch):
+    @pytest.mark.parametrize("model, c, grid, kernel_calls", SMOOTH_CASES)
+    def test_smooth_solve_work(self, model, c, grid, kernel_calls, monkeypatch):
         # the fixed point alone took 27-51 lane evaluations per point, and
         # the continuation from fixed-point seeds 6.5-7.3; from surrogate
         # seeds it takes 4.2-4.7.  No call is on zero lanes: at c = 0.5
         # every seed solves from the surrogate root, so the damped start
         # has no lane to run, and at c = 2 Gamma(2) seeds take it
-        calls = []
-        kernel = type(model).kernel
+        check_solve_work(model, c, grid, kernel_calls, monkeypatch)
 
-        def counted(self, s, **kw):
-            calls.append(s.size)
-            return kernel(self, s, **kw)
-
-        monkeypatch.setattr(type(model), "kernel", counted)
-        lsd_density_curve(model, c, grid)
-        assert sum(calls) <= 5 * grid.size
-        assert len(calls) <= fixed_point_calls
-        assert min(calls) > 0
+    @pytest.mark.parametrize("model, c, grid, kernel_calls", ATOMIC_WORK_CASES)
+    def test_atomic_solve_work(self, model, c, grid, kernel_calls, monkeypatch):
+        # atomic curves continue from their own exact roots at the seeds,
+        # 4.0-4.2 lane evaluations per point, so the O(k^3) arrowhead
+        # eigenproblem runs on 51 lanes of the 400
+        check_solve_work(model, c, grid, kernel_calls, monkeypatch)
 
     def test_fitted_inverse_cubic_curve_skips_the_fixed_point(self, monkeypatch):
         # a fitted curve of criterion 11 (seed 1000): its first seed lies
@@ -519,24 +554,9 @@ class TestBatchedSolve:
         assert np.all(s.imag > 0.0)
         assert np.max(np.abs(-1.0 / s + c * model.kernel(s)[0] - z)) < 1e-10
 
-    def test_atomic_solve_makes_one_kernel_call(self, monkeypatch):
-        # the arrowhead roots start Newton, whose residual check accepts them
-        calls = []
-        kernel = Discrete.kernel
-
-        def counted(self, s, **kw):
-            calls.append(s.size)
-            return kernel(self, s, **kw)
-
-        monkeypatch.setattr(Discrete, "kernel", counted)
-        for model, c, grid in (case.values for case in ATOMIC_CASES):
-            calls.clear()
-            lsd_density_curve(model, c, grid)
-            assert calls == [grid.size]
-
     def test_many_atoms_match_scalar_reference(self):
-        # twelve atoms: past about ten the eigenproblem is slower than the
-        # fixed point, but it must stay as accurate
+        # twelve atoms: the seeds' arrowhead roots and the continuation
+        # from them must stay as accurate
         model = Discrete(np.geomspace(0.5, 20.0, 12), np.full(12, 1 / 12))
         c = 0.5
         grid = np.linspace(0.05, 40.0, 200)
@@ -971,10 +991,21 @@ def test_real_solve_round_trips_on_every_branch(model, c):
 
 @pytest.mark.parametrize("coeffs", [[-1.0], [-1.5]])
 def test_real_solve_on_a_density_with_negative_parts(coeffs):
-    # (2 - t) e^-t has mean 0 and (2.5 - 1.5 t) e^-t mean -0.5, so
-    # u(y) - y < c * mean fails and the positive branch's bracket must widen
+    # (2 - t) e^-t has mean 0 and (2.5 - 1.5 t) e^-t mean -0.5, so the
+    # positive branch's bracket takes its width from |u|, not c * mean
     model = Laguerre(coeffs)
     for u in (-1e-3, -1.0, -5.0, -100.0):
         s = solve_companion_real(u, model, 0.5)
         assert s > 0.0
         assert abs(mp_u_map(s, model, 0.5) - u) <= 1e-12 * max(1.0, abs(u))
+
+
+def test_real_solve_widens_the_bracket():
+    # u(y) - u at y = u - c * mean is not yet negative for this density
+    # with negative parts, so the positive branch's bracket doubles once
+    # before brentq can start
+    model, c = Laguerre([1.65414712861097, -0.573427911842217]), 5.0
+    for u in (-0.001, -0.1, -1.0):
+        s = solve_companion_real(u, model, c)
+        assert s > 0.0
+        assert abs(mp_u_map(s, model, c) - u) <= 1e-12 * max(1.0, abs(u))
