@@ -15,11 +15,11 @@ import numpy as np
 
 from .dataio import (load_experiment_config, load_model_json,
                      load_returns_csv, read_eigenvalues_csv, run_analysis,
-                     write_curve_csv, write_report_csv, write_report_json)
+                     write_curve_csv, write_json, write_report_csv)
 from .errors import NumericsError
-from .estimator import FAMILIES, build_unet, fit_discrete, fit_inverse_cubic, fit_laguerre
+from .estimator import FAMILIES, build_unet
 from .mptransform import SampleSpectrum, lsd_density_curve, support_bounds
-from .simulate import run_experiment
+from .simulate import _fit_family, run_experiment
 
 __all__ = ["main"]
 
@@ -53,7 +53,7 @@ def _parse_grid(text: str):
 def _cmd_simulate(args) -> int:
     config = load_experiment_config(args.config)
     report = run_experiment(config, n_jobs=args.jobs)
-    write_report_json(args.out, report)
+    write_json(args.out, report)
     csv_path = args.csv or str(Path(args.out).with_suffix(".csv"))
     write_report_csv(csv_path, report)
     for row in report.summaries:
@@ -72,16 +72,8 @@ def _cmd_estimate(args) -> int:
         # structural zeros; any other shortfall is an input error
         eigs = np.concatenate([eigs, np.zeros(missing)])
     spectrum = SampleSpectrum(eigs, args.p, args.n)
-    net = build_unet(spectrum, args.family, args.l)
-    if args.family == "discrete":
-        fit = fit_discrete(net, args.order)
-    elif args.family == "laguerre":
-        fit = fit_laguerre(net, args.order)
-    else:
-        fit = fit_inverse_cubic(net)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(fit.to_dict(), fh, indent=2)
-        fh.write("\n")
+    fit = _fit_family(build_unet(spectrum, args.family, args.l), args.family, args.order)
+    write_json(args.out, fit)
     theta = ", ".join(f"{v:.6g}" for v in fit.theta)
     print(f"{args.family}: theta=({theta}) objective={fit.objective_value:.3e}")
     return 0
@@ -104,9 +96,7 @@ def _cmd_analyze(args) -> int:
                           bandwidth=args.bandwidth, spacing=args.l)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "fit.json", "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(out / "fit.json", result)
     write_curve_csv(out / "empirical.csv", result.empirical)
     write_curve_csv(out / "fitted_lsd.csv", result.fitted)
     write_curve_csv(out / "mp_baseline.csv", result.baseline)
@@ -118,11 +108,9 @@ def _cmd_analyze(args) -> int:
 def _cmd_support(args) -> int:
     model = load_model_json(args.model)
     report = support_bounds(model, args.c)
-    text = json.dumps(report.to_dict(), indent=2)
-    print(text)
+    print(json.dumps(report.to_dict(), indent=2))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_json(args.out, report)
     return 0
 
 

@@ -32,7 +32,7 @@ __all__ = [
     "write_curve_csv",
     "load_model_json",
     "load_experiment_config",
-    "write_report_json",
+    "write_json",
     "write_report_csv",
 ]
 
@@ -253,27 +253,27 @@ def write_curve_csv(path, curve: DensityCurve) -> None:
             writer.writerow([repr(float(x)), repr(float(f))])
 
 
-def load_model_json(path) -> PSDModel:
+def _read_json(path):
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}: {err}") from None
-    return model_from_dict(data)
+
+
+def load_model_json(path) -> PSDModel:
+    return model_from_dict(_read_json(path))
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: {err}") from None
-    return ExperimentConfig.from_dict(data)
+    return ExperimentConfig.from_dict(_read_json(path))
 
 
-def write_report_json(path, report: ExperimentReport) -> None:
+def write_json(path, result) -> None:
+    """Write ``result.to_dict()`` of an ExperimentReport, FitResult,
+    AnalysisResult or SupportReport as indented JSON and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(result.to_dict(), fh, indent=2)
         fh.write("\n")
 
 

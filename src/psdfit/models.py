@@ -428,7 +428,7 @@ class Laguerre(PSDModel):
         scalar = p.ndim == 0
         p = np.atleast_1d(p)
         top = 64.0
-        while self.cdf(top) < p.max():
+        while self.cdf(top) < p.max(initial=0.0):
             top *= 2.0
             if top > 1e9:
                 raise ValueError("quantile bracket failed to close")

@@ -120,7 +120,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        dims = tuple((int(p), int(n)) for p, n in self.dims)
+        try:
+            dims = tuple((int(p), int(n)) for p, n in self.dims)
+        except (TypeError, ValueError, OverflowError):
+            dims = ()
         if not dims or any(p < 1 or n < 1 for p, n in dims):
             raise ValueError("dims must be a nonempty list of positive (p, n) pairs")
         object.__setattr__(self, "dims", dims)
@@ -240,10 +243,6 @@ def _replicate(config: ExperimentConfig, p: int, n: int, r: int) -> dict:
     return record
 
 
-def _replicate_star(args):
-    return _replicate(*args)
-
-
 def run_experiment(config: ExperimentConfig, *, n_jobs: int = 1) -> ExperimentReport:
     """Run every replication of every (p, n) pair and aggregate.
 
@@ -260,7 +259,7 @@ def run_experiment(config: ExperimentConfig, *, n_jobs: int = 1) -> ExperimentRe
     if n_jobs > 1:
         chunk = max(1, len(tasks) // (4 * n_jobs))
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            records = list(pool.map(_replicate_star, tasks, chunksize=chunk))
+            records = list(pool.map(_replicate, *zip(*tasks), chunksize=chunk))
     else:
         records = [_replicate(*task) for task in tasks]
     return ExperimentReport(config=config, records=tuple(records))

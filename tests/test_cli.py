@@ -6,11 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from psdfit import (Discrete, InverseCubic, Laguerre, PointMass,
+from psdfit import (Discrete, InverseCubic, Laguerre, PointMass, build_unet,
                     correlated_returns, population_from_model, sample_spectrum,
                     support_bounds)
 from psdfit.cli import main
 from psdfit.errors import IterationError
+from psdfit.simulate import _fit_family
 
 
 @pytest.fixture()
@@ -31,7 +32,8 @@ def test_support_out_file(model_file, tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert main(["support", "--model", model_file, "--c", "4.0",
                  "--out", str(out)]) == 0
-    capsys.readouterr()
+    printed = capsys.readouterr().out    # print ends the text with a newline
+    assert out.read_text() == printed
     assert json.loads(out.read_text())["mass_at_zero"] == pytest.approx(0.75)
 
 
@@ -113,6 +115,8 @@ def test_estimate_fits_eigenvalues(tmp_path, capsys, family, truth, order, size)
     assert fit["c"] == 60 / 300
     assert fit["objective"] == pytest.approx(
         sum(r * r for r in fit["residuals"]), rel=1e-12)
+    library = _fit_family(build_unet(spec, family, 20), family, order)
+    assert out.read_text() == json.dumps(library.to_dict(), indent=2) + "\n"
 
 
 def test_estimate_pads_missing_zeros(tmp_path, capsys):

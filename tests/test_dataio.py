@@ -14,7 +14,7 @@ from psdfit import (Discrete, ExperimentConfig, InverseCubic, PointMass,
 from psdfit import dataio
 from psdfit.dataio import (load_experiment_config, load_model_json,
                            read_eigenvalues_csv, write_curve_csv,
-                           write_report_csv, write_report_json)
+                           write_json, write_report_csv)
 from psdfit.mptransform import DensityCurve
 
 
@@ -284,7 +284,7 @@ class TestFileFormats:
                                family="discrete", order=1, seed=3)
         report = run_experiment(cfg)
         jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
-        write_report_json(jpath, report)
+        write_json(jpath, report)
         write_report_csv(cpath, report)
         assert json.loads(jpath.read_text(encoding="utf-8")) == report.to_dict()
         lines = cpath.read_text(encoding="utf-8").strip().splitlines()

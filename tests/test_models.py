@@ -201,6 +201,14 @@ class TestInverseCubic:
                 InverseCubic(alpha)
 
 
+@pytest.mark.parametrize("model", [
+    Discrete([1.0, 2.0], [0.5, 0.5]), Laguerre([1.0]), InverseCubic(0.5),
+], ids=["discrete", "laguerre", "inverse_cubic"])
+def test_quantile_of_no_probabilities_is_empty(model):
+    out = model.quantile([])
+    assert out.dtype == float and out.shape == (0,)
+
+
 def _random_discrete(draw_atoms, draw_weights):
     atoms = np.cumsum(np.asarray(draw_atoms))
     w = np.asarray(draw_weights)

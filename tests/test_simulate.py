@@ -208,10 +208,12 @@ class TestExperimentConfig:
         {"family": "gaussian"}, {"order": 0}, {"spacing": 0}, {"seed": -1},
         {"dims": 5}, {"dims": [5]}, {"replications": [1]},
         {"model": {"kind": "point_mass", "at": None}},
+        {"dims": [[1, 2, 3]]}, {"dims": [[1]]}, {"dims": [["a", "b"]]},
+        {"dims": [[float("inf"), 2]]},
     ])
     def test_validation(self, patch):
         data = {**CONFIG.to_dict(), **patch}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dims" if "dims" in patch else None):
             ExperimentConfig.from_dict(data)
 
 
