@@ -28,12 +28,6 @@ __all__ = [
     "correlation_spectrum",
     "kde_curve",
     "run_analysis",
-    "read_eigenvalues_csv",
-    "write_curve_csv",
-    "load_model_json",
-    "load_experiment_config",
-    "write_json",
-    "write_report_csv",
 ]
 
 _GRID_SIZE = 400     # curve points run_analysis draws on (0, 1.1 lambda_max]

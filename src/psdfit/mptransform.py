@@ -134,7 +134,7 @@ def companion_stieltjes(spectrum: SampleSpectrum, u):
     """
     u_arr = np.asarray(u, dtype=float)
     eig = spectrum.eigenvalues
-    diffs = eig[..., None] - u_arr[None, ...] if u_arr.ndim else eig - u_arr
+    diffs = np.subtract.outer(eig, u_arr)
     gap = np.min(np.abs(diffs), axis=0)
     if np.any(gap < _EIG_TOL) or np.any(np.abs(u_arr) < _EIG_TOL):
         bad = np.abs(u_arr) < _EIG_TOL
@@ -147,10 +147,10 @@ def companion_stieltjes(spectrum: SampleSpectrum, u):
 
 
 def _positive_ratio(c) -> float:
-    """The aspect ratio as a float; ValueError unless it is positive."""
+    """The aspect ratio as a float; ValueError unless it is positive and finite."""
     c = float(c)
-    if not c > 0.0:
-        raise ValueError("aspect ratio must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValueError("aspect ratio must be positive and finite")
     return c
 
 
@@ -159,7 +159,7 @@ def mp_u_map(s, model: PSDModel, c):
 
     One pole guard applies to every model: an s < 0 whose pole -1/s has
     |1 + t s| < POLE_GUARD at the support point t nearest it raises
-    NearPoleError with that t and margin.  A nonpositive c is a ValueError.
+    NearPoleError with that t and margin.  A c outside (0, inf) is a ValueError.
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr == 0.0):
@@ -580,12 +580,12 @@ def solve_companion_real(u: float, model: PSDModel, c) -> float:
     Runs ``support_bounds(model, c)``, finds the increasing branch whose
     image contains u and solves u(y) = u there by ``brentq`` in y = -1/s,
     in which the map rises with slope at most 1.  The bracket is the
-    branch, with its open ends closed by u itself: y > u - c * mean on
-    the positive branch (y < 0; a density with negative parts can break
-    this, and then the end is pushed out until it brackets the root),
-    y > u on the branch of the gap left of the support and y < u on the
-    branch right of it.  Points inside the support (or at zero) have no
-    real solution and raise ValueError.
+    branch (-1/s_lo, -1/s_hi), and only an end at s = 0, where y is
+    infinite, needs u to close it: y < u right of the support, and
+    y > u - c * mean on the positive branch (y < 0; a density with
+    negative parts can break this, and then the end is pushed out until
+    it brackets the root).  Points inside the support (or at zero) have
+    no real solution and raise ValueError.
     """
     u = float(u)
     c = _positive_ratio(c)
@@ -595,17 +595,14 @@ def solve_companion_real(u: float, model: PSDModel, c) -> float:
     for (s_lo, s_hi), (u_lo, u_hi) in zip(rep.branches, rep.complement):
         if not (u_lo < u < u_hi):
             continue
-        if s_lo == 0.0:                       # positive branch
+        y_hi = -1.0 / s_hi if s_hi else u     # gap right of the support
+        if s_lo:
+            y_lo = -1.0 / s_lo
+        else:                                 # positive branch
             width = max(c * model.mean(), abs(u)) or 1.0
             while not f(u - width) < 0.0 and width < 1e300:   # negative parts
                 width *= 2.0
-            bracket = (u - width, -1.0 / s_hi)
-        elif math.isinf(s_lo):                # gap left of the support
-            bracket = (u, -1.0 / s_hi)
-        elif s_hi == 0.0:                     # gap right of the support
-            bracket = (-1.0 / s_lo, u)
-        else:
-            bracket = (-1.0 / s_lo, -1.0 / s_hi)
-        y = optimize.brentq(f, *bracket, xtol=1e-300, rtol=8.9e-16)
+            y_lo = u - width
+        y = optimize.brentq(f, y_lo, y_hi, xtol=1e-300, rtol=8.9e-16)
         return -1.0 / y
     raise ValueError(f"u={u!r} lies inside the limiting spectrum support")

@@ -106,6 +106,14 @@ def correlated_returns(model: PSDModel, n_assets: int, n_obs: int,
     return (z * np.sqrt(pop)) @ q.T
 
 
+def _whole(value, name: str = "value") -> int:
+    """An int, or a float equal to one, as an int; else ValueError naming it."""
+    if (isinstance(value, (int, np.integer))
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One simulation case: a true model, dimensions, and a fit recipe."""
@@ -121,12 +129,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:
-            dims = tuple((int(p), int(n)) for p, n in self.dims)
-        except (TypeError, ValueError, OverflowError):
+            dims = tuple((_whole(p), _whole(n)) for p, n in self.dims)
+        except (TypeError, ValueError):
             dims = ()
         if not dims or any(p < 1 or n < 1 for p, n in dims):
             raise ValueError("dims must be a nonempty list of positive (p, n) pairs")
         object.__setattr__(self, "dims", dims)
+        for name in ("replications", "order", "spacing", "seed"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.family not in FAMILIES:
@@ -157,10 +167,9 @@ class ExperimentConfig:
                 case=str(data["case"]),
                 model=model_from_dict(data["model"]),
                 dims=data["dims"],
-                replications=int(data["replications"]),
+                replications=data["replications"],
                 family=str(data["family"]),
-                **{key: int(data[key]) for key in ("order", "spacing", "seed")
-                   if key in data},
+                **{key: data[key] for key in ("order", "spacing", "seed") if key in data},
             )
         except KeyError as err:
             raise ValueError(f"experiment config is missing {err.args[0]!r}") from None

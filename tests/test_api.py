@@ -50,3 +50,10 @@ def test_settable_values_are_pinned():
         "run_analysis.spikes",
         "run_experiment.n_jobs",
     ]
+
+
+def test_each_public_name_is_declared_once():
+    # psdfit re-publishes its modules' __all__ by wildcard import, so a name
+    # in two of them would be shadowed without a word by the later one
+    assert len(set(psdfit.__all__)) == len(psdfit.__all__)
+    assert all(hasattr(psdfit, name) for name in psdfit.__all__)

@@ -775,7 +775,7 @@ class TestSupportBounds:
         assert data["support"][-1][1] is None      # infinite endpoint
 
 
-@pytest.mark.parametrize("c", [-0.5, 0.0, math.nan])
+@pytest.mark.parametrize("c", [-0.5, 0.0, math.nan, math.inf])
 @pytest.mark.parametrize("call", [
     lambda c: lsd_density_curve(PointMass(1.0), c, np.linspace(0.1, 3.0, 5)),
     lambda c: solve_companion_fixed_point(1.0 + 0.1j, PointMass(1.0), c),

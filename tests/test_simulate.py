@@ -210,11 +210,17 @@ class TestExperimentConfig:
         {"model": {"kind": "point_mass", "at": None}},
         {"dims": [[1, 2, 3]]}, {"dims": [[1]]}, {"dims": [["a", "b"]]},
         {"dims": [[float("inf"), 2]]},
+        {"replications": 2.7}, {"order": 1.5}, {"seed": 0.5}, {"dims": [[40.9, 80.5]]},
     ])
     def test_validation(self, patch):
         data = {**CONFIG.to_dict(), **patch}
         with pytest.raises(ValueError, match="dims" if "dims" in patch else None):
             ExperimentConfig.from_dict(data)
+
+    def test_constructor_rejects_a_fractional_count(self):
+        with pytest.raises(ValueError, match="replications"):
+            ExperimentConfig(case="unit", model=CONFIG.model, dims=CONFIG.dims,
+                             replications=2.7, family="discrete")
 
 
 class TestRunExperiment:
