@@ -524,7 +524,12 @@ def support_bounds(model: PSDModel, c) -> SupportReport:
         s = -1.0 / y
         return 1.0 - 1.0 / (c * s * s * float(model.kernel(np.array([s]))[1][0]))
 
-    root = lambda a, b: optimize.brentq(excess, a, b, xtol=1e-300, rtol=8.9e-16)
+    def root(a, b):
+        y, result = optimize.brentq(excess, a, b, xtol=1e-300, rtol=8.9e-16,
+                                    full_output=True, disp=False)
+        if not result.converged:
+            raise IterationError(f"no branch end found in the bracket y in [{a!r}, {b!r}]")
+        return y
     u_at = lambda y: _u_map(-1.0 / y, model, c)
 
     # negative branches, one per gap of the model support, left to right

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg import lapack
 
 from .errors import NumericsError
 from .estimator import (FAMILIES, build_unet, fit_discrete, fit_inverse_cubic,
@@ -67,9 +68,15 @@ def population_draw(model: PSDModel, p: int, seed) -> NDArray:
 def sample_spectrum(population, n: int, seed: int) -> SampleSpectrum:
     """Eigenvalues of a sample covariance matrix drawn from a population.
 
-    Row i of the p-by-n data matrix is sqrt(population[i]) times standard
-    normals; the spectrum is that of (1/n) X X'.  For p > n the nonzero
-    part comes from the n-by-n Gram matrix and p - n zeros are appended.
+    Row i of the p-by-n data matrix X is sqrt(population[i]) times
+    standard normals; the spectrum is that of (1/n) X X'.  For p > n, X is
+    drawn in full, the nonzero part comes from the n-by-n Gram matrix and
+    p - n zeros are appended.  For p <= n, X X' has the law of
+    D^{1/2} A A' D^{1/2}, with D = diag(population) and A lower triangular,
+    N(0, 1) below the diagonal and A_ii = sqrt(chi^2_{n-i}), i = 0..p-1
+    (the Bartlett decomposition; Muirhead 1982, section 3.2), so only
+    p(p + 1)/2 variates are drawn; the spectrum is that of B' B / n with
+    B = D^{1/2} A, formed by LAPACK's triangular product ``dlauum``.
     """
     pop = np.asarray(population, dtype=float).ravel()
     if pop.size < 1 or not np.all(np.isfinite(pop)) or np.any(pop < 0.0):
@@ -79,11 +86,18 @@ def sample_spectrum(population, n: int, seed: int) -> SampleSpectrum:
         raise ValueError("n must be at least 1")
     p = pop.size
     rng = np.random.default_rng(seed)
-    x = np.sqrt(pop)[:, None] * rng.standard_normal((p, n))
     if p > n:
+        x = np.sqrt(pop)[:, None] * rng.standard_normal((p, n))
         eigs = np.concatenate([np.zeros(p - n), np.linalg.eigvalsh(x.T @ x / n)])
     else:
-        eigs = np.linalg.eigvalsh(x @ x.T / n)
+        a = np.zeros((p, p))
+        a[np.tri(p, p, -1, dtype=bool)] = rng.standard_normal(p * (p - 1) // 2)
+        a[np.diag_indices(p)] = np.sqrt(rng.chisquare(n - np.arange(p)))
+        # U U' = B' B in the upper triangle, written over U = B', a temporary
+        btb, info = lapack.dlauum((np.sqrt(pop)[:, None] * a).T, lower=0, overwrite_c=1)
+        if info != 0:
+            raise NumericsError(f"dlauum failed with info = {info}")
+        eigs = np.linalg.eigvalsh(btb / n, UPLO="U")
     return SampleSpectrum(eigs[::-1], p, n)
 
 

@@ -59,6 +59,20 @@ def dummy_spectrum(p, n):
     return SampleSpectrum(eigs, p, n)
 
 
+def full_gram_spectrum(population, n, seed):
+    """Spectrum of (1/n) X X' with X drawn in full.
+
+    Row i of X is sqrt(population[i]) times n standard normals, as one
+    p-by-n draw.  ``sample_spectrum`` draws the same law through the
+    Bartlett decomposition, from another random stream; the frozen
+    Nelder-Mead objectives in ``test_estimator.py`` were reached on nets
+    drawn this way, so that panel draws its nets here.
+    """
+    pop = np.asarray(population, dtype=float)
+    x = np.sqrt(pop)[:, None] * np.random.default_rng(seed).standard_normal((pop.size, n))
+    return SampleSpectrum(np.linalg.eigvalsh(x @ x.T / n)[::-1], pop.size, n)
+
+
 def exact_net(model, c, u_targets, p=100):
     """Evaluation net lying exactly on a model's spectrum-point curve.
 

@@ -221,6 +221,13 @@ def test_numerical_failure_maps_to_exit_two(model_file, capsys, monkeypatch):
     assert "IterationError" in err
 
 
+def test_unconverged_support_search_exits_two(tmp_path, capsys):
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps({"kind": "laguerre", "alphas": [1.0]}))
+    assert main(["support", "--model", str(path), "--c", "1e300"]) == 2
+    assert "IterationError" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(capsys):
     for argv in (["estimate", "--eigs", "x.csv"],       # missing required
                  ["forward", "--model", "m.json", "--c", "zero",

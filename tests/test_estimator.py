@@ -368,7 +368,8 @@ def test_over_specified_order(case, seed):
 
 # Objective values reached by the Nelder-Mead fitter that preceded the
 # least-squares one (8 adaptive simplex starts, xatol 1e-9, fatol 1e-13;
-# commit f89126d), on the nets below.
+# commit f89126d), on the nets below; they belong to spectra drawn in
+# full, so the panel draws through helpers.full_gram_spectrum.
 _NELDER_MEAD_OBJECTIVES = {
     ("two_atom", 101): 1.9451678802045468e-09,
     ("two_atom", 102): 6.08698826630157e-10,
@@ -388,7 +389,7 @@ _PANEL_TRUTHS = {"two_atom": Discrete([1.0, 2.0], [0.5, 0.5]),
 @pytest.mark.parametrize("case, seed", sorted(_NELDER_MEAD_OBJECTIVES))
 def test_objective_parity_with_nelder_mead(case, seed):
     truth = _PANEL_TRUTHS[case]
-    spec = sample_spectrum(population_from_model(truth, 100), 500, seed=seed)
+    spec = helpers.full_gram_spectrum(population_from_model(truth, 100), 500, seed=seed)
     net = build_unet(spec, "discrete")
     fit = fit_discrete(net, truth.atoms.size)
     assert fit.objective_value <= _NELDER_MEAD_OBJECTIVES[case, seed] * (1.0 + 1e-9)

@@ -768,6 +768,12 @@ class TestSupportBounds:
         with pytest.raises(ValueError, match="not a nonnegative law"):
             support_bounds(Laguerre([-1.0]), 2.0)
 
+    def test_unconverged_branch_end_is_an_iteration_error(self):
+        # at c = 1e300 the positive branch's bracket is [-2e300, 0], which
+        # brentq does not close in its 100 steps
+        with pytest.raises(IterationError, match=r"bracket y in \[-2e\+300, 0\.0\]"):
+            support_bounds(Laguerre([1.0]), 1e300)
+
     def test_report_round_trip(self):
         rep = support_bounds(InverseCubic(0.5), 0.5)
         data = rep.to_dict()

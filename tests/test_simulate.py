@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from psdfit import (Discrete, ExperimentConfig, InverseCubic, Laguerre,
                     PointMass, correlated_returns, population_draw,
@@ -138,6 +139,37 @@ class TestSampleSpectrum:
         c = sample_spectrum(pop, 100, seed=8)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert not np.array_equal(a.eigenvalues, c.eigenvalues)
+
+    @pytest.mark.parametrize("pop, n", [(np.linspace(0.5, 3.0, 30), 60),
+                                        (np.linspace(0.5, 3.0, 20), 20),
+                                        (np.r_[0.0, 0.0, np.linspace(1.0, 4.0, 8)], 25)],
+                             ids=["30x60", "p=n", "zero-entries"])
+    def test_exact_finite_n_moments(self, pop, n):
+        # for S = (1/n) D^{1/2} W D^{1/2} with W ~ Wishart(I_p, n):
+        # E tr S = tr D and E tr S^2 = (1 + 1/n) tr D^2 + (tr D)^2 / n;
+        # each sample mean is within 4.5 standard errors of its value
+        traces = np.array([[e.sum(), (e * e).sum()] for e in
+                           (sample_spectrum(pop, n, seed).eigenvalues
+                            for seed in range(4000))])
+        exact = [pop.sum(), (1.0 + 1.0 / n) * (pop @ pop) + pop.sum() ** 2 / n]
+        z = (traces.mean(axis=0) - exact) / (traces.std(axis=0, ddof=1) / np.sqrt(4000))
+        assert np.all(np.abs(z) < 4.5), z
+
+    def test_one_dimension_is_a_scaled_chi_square(self):
+        # p = 1: the one eigenvalue is pop * chi^2_n / n
+        draws = [sample_spectrum([2.5], 7, seed).eigenvalues[0] * 7 / 2.5
+                 for seed in range(2000)]
+        assert stats.kstest(draws, stats.chi2(7).cdf).pvalue > 1e-3
+
+    def test_square_case_has_full_rank(self):
+        spec = sample_spectrum(np.linspace(1.0, 2.0, 50), 50, seed=3)
+        assert spec.eigenvalues.size == 50 and spec.eigenvalues.min() > 0.0
+
+    def test_zero_population_entries_give_zero_eigenvalues(self):
+        pop = np.r_[np.zeros(3), np.linspace(1.0, 3.0, 37)]
+        eigs = sample_spectrum(pop, 80, seed=11).eigenvalues
+        assert np.all(np.abs(eigs[-3:]) <= 1e-13 * eigs[0])
+        assert eigs[-4] > 1e-3 * eigs[0]
 
     def test_rejects_bad_population(self):
         with pytest.raises(ValueError):
