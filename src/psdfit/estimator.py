@@ -4,14 +4,15 @@ The estimation recipe: pick spectrum points u_j outside the sample bulk,
 cache the companion Stieltjes transform there, and choose the model
 parameters that make the model-side spectrum point map reproduce the
 u_j best in the least-squares sense.  Atomic models go through one
-Levenberg–Marquardt (MINPACK) least-squares search over the atoms alone,
-started from the sample quantiles, with the weights of any atoms given
-by one nonnegative least-squares solve (variable projection), so no
-random numbers are drawn; the polynomial-exponential family is linear
-in its coefficients and solves in one orthogonal factorization, plus one
-nonnegative least-squares solve when its density has to be projected
-back onto the positive cone; the inverse-cubic family is a coarse grid
-followed by a bounded one-dimensional search.
+Levenberg–Marquardt (MINPACK, ``scipy.optimize.leastsq``) least-squares
+search over the atoms alone, started from the sample quantiles, with the
+weights of any atoms given by one nonnegative least-squares solve
+(variable projection), so no random numbers are drawn; the
+polynomial-exponential family is linear in its coefficients and solves
+in one orthogonal factorization, plus one nonnegative least-squares
+solve when its density has to be projected back onto the positive cone;
+the inverse-cubic family is a coarse grid followed by a bounded
+one-dimensional search.
 """
 
 from __future__ import annotations
@@ -161,15 +162,16 @@ def objective(model: PSDModel, net: UNet) -> float:
 class FitResult:
     """Outcome of a family fit against an evaluation net.
 
-    ``iterations`` is, for the atomic family, MINPACK's ``nfev`` for the
-    Levenberg–Marquardt search over the atoms.  It counts points that
-    scipy answers from its cache when MINPACK repeats one, so it can
-    exceed the nonnegative least-squares solves (one per distinct point)
-    by 1-3.  For the polynomial-exponential family it counts the active
-    grid constraints of the positivity projection (0 when the
-    unconstrained fit is kept) and, for the inverse-cubic family, the 200
-    coarse-grid objective values, all from one batched kernel evaluation,
-    plus the objective evaluations of the bounded search.
+    ``iterations`` is, for the atomic family, MINPACK's count ``nfev`` of
+    residual evaluations in the Levenberg–Marquardt search over the atoms.
+    It counts a point again when MINPACK repeats it, which the kept
+    projection answers without a new solve, so it can exceed the
+    nonnegative least-squares solves (one per distinct point) by 1-3.
+    For the polynomial-exponential family it counts the active grid
+    constraints of the positivity projection (0 when the unconstrained
+    fit is kept) and, for the inverse-cubic family, the 200 coarse-grid
+    objective values, all from one batched kernel evaluation, plus the
+    objective evaluations of the bounded search.
     """
 
     model: PSDModel
@@ -225,20 +227,21 @@ def _variable_projection(net: UNet, k: int):
     weights are None.  The NNLS target is built once and the design written
     into one buffer.  Each distinct raw vector gets one NNLS solve: the last
     points taken and differentiated keep theirs, for the Jacobian where the
-    residual just was, and for scipy's Jacobian and the final read at the
-    accepted point returned.
+    residual just was, for the repeats at the start that ``leastsq``'s
+    shape check adds, and for the final read at the accepted point.
     """
     s, c = net.companion_values, net.ratio()
     target = np.append(net.points + 1.0 / s, _MASS_ROW)
     design = np.full((net.m + 1, k), _MASS_ROW)
     kept = {}     # slot -> (raw bytes, projection)
+    gaps = lambda raw: np.exp(np.minimum(np.maximum(raw, -40.0), 40.0))   # between atoms
 
     def project(raw, slot="taken"):
         key = raw.tobytes()
         proj = next((proj for old, proj in kept.values() if old == key), None)
         if proj is None:
-            atoms = np.cumsum(np.exp(np.clip(raw, -40.0, 40.0)))
-            denom = 1.0 + np.outer(atoms, s)
+            atoms = np.cumsum(gaps(raw))
+            denom = 1.0 + atoms[:, None] * s
             weights = None
             if np.abs(denom).min() >= POLE_GUARD:
                 np.divide(c * atoms, denom.T, out=design[:-1])
@@ -276,7 +279,7 @@ def _variable_projection(net: UNet, k: int):
         q, _ = np.linalg.qr(design[:, weights > 0.0])
         jac = -(d_atom - q @ (q.T @ d_atom))[:-1]
         # a_i sums exp(raw_l) over l <= i
-        jac = np.cumsum(jac[:, ::-1], axis=1)[:, ::-1] * np.exp(np.clip(raw, -40.0, 40.0))
+        jac = np.cumsum(jac[:, ::-1], axis=1)[:, ::-1] * gaps(raw)
         jac[:, np.abs(raw) > 40.0] = 0.0
         return jac
 
@@ -294,14 +297,15 @@ def _quantile_start(net: UNet, k: int) -> NDArray:
 def fit_discrete(net: UNet, k: int) -> FitResult:
     """Fit a spectrum of at most k atoms by variable projection.
 
-    The ratio c is the net's p/n.  One Levenberg–Marquardt (MINPACK) run
-    of ``scipy.optimize.least_squares`` searches over the k atoms only,
-    from the sample quantiles (see ``_quantile_start``), with Kaufman's
-    Jacobian; it stops unconverged after 2000 residual evaluations.  The
-    weights are the nonnegative least-squares solution for the atoms (see
-    ``_variable_projection``).  The start is deterministic.  Atoms whose
-    weight ends exactly 0 are dropped, so the model may have fewer than k
-    atoms.  A search that ends inside the pole guard raises IterationError.
+    The ratio c is the net's p/n.  One Levenberg–Marquardt run of MINPACK
+    (``scipy.optimize.leastsq``, scaled by the Jacobian's column norms)
+    searches over the k atoms only, from the sample quantiles (see
+    ``_quantile_start``), with Kaufman's Jacobian; it stops unconverged
+    after 2000 residual evaluations.  The weights are the nonnegative
+    least-squares solution for the atoms (see ``_variable_projection``).
+    The start is deterministic.  Atoms whose weight ends exactly 0 are
+    dropped, so the model may have fewer than k atoms.  A search that ends
+    inside the pole guard raises IterationError.
     """
     k = int(k)
     if k < 1:
@@ -309,15 +313,15 @@ def fit_discrete(net: UNet, k: int) -> FitResult:
     if net.m < 2 * k - 1:
         raise ValueError(f"net has {net.m} points but {2 * k - 1} are required")
     project, residual, jacobian = _variable_projection(net, k)
-    res = optimize.least_squares(
-        residual, _quantile_start(net, k), jac=jacobian, method="lm",
-        ftol=_LSQ_TOL, xtol=_LSQ_TOL, gtol=_LSQ_GTOL, max_nfev=_MAX_NFEV)
-    atoms, _, weights = project(res.x)
+    raw, _, info, _, ier = optimize.leastsq(
+        residual, _quantile_start(net, k), Dfun=jacobian, full_output=True,
+        ftol=_LSQ_TOL, xtol=_LSQ_TOL, gtol=_LSQ_GTOL, maxfev=_MAX_NFEV)
+    atoms, _, weights = project(raw)
     if weights is None:
         raise IterationError("the least-squares search ended inside the pole guard")
     keep = weights > 0.0
     model = Discrete(atoms[keep], weights[keep])
-    return _finish(model, net, int(res.nfev), bool(res.success))
+    return _finish(model, net, int(info["nfev"]), ier in (1, 2, 3, 4))
 
 
 def _project_nonneg_density(design, target, degree):

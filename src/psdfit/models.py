@@ -187,6 +187,10 @@ class PSDModel:
         """Closed intervals (lo, hi) carrying the distribution's mass."""
         raise NotImplementedError
 
+    @cached_property
+    def _support_ends(self):
+        return np.array(self.support()).T     # starts and ends, built once
+
     def _distance_breaks(self):
         """Every panel edge ``wasserstein`` needs for this model: the kinks
         and jumps of the CDF and the family's own panel ends, up to one

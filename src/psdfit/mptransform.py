@@ -168,11 +168,11 @@ def mp_u_map(s, model: PSDModel, c):
     # for s > 0 the pole is negative, so |1 + t s| > 1 at every t >= 0
     neg = s_arr[s_arr < 0.0]
     if neg.size:
-        lo, hi = np.array(model.support()).T
-        nearest = np.clip((-1.0 / neg)[:, None], lo, hi)
+        lo, hi = model._support_ends
+        nearest = np.minimum(np.maximum((-1.0 / neg)[:, None], lo), hi)
         margin = np.abs(1.0 + nearest * neg[:, None])
-        i, j = np.unravel_index(np.argmin(margin), margin.shape)
-        if margin[i, j] < POLE_GUARD:
+        if margin.min() < POLE_GUARD:
+            i, j = np.unravel_index(np.argmin(margin), margin.shape)
             raise NearPoleError(
                 f"companion value {float(neg[i])!r} puts -1/s within the "
                 f"guard of the support point {float(nearest[i, j])!r}",
@@ -484,6 +484,7 @@ def _support_gaps(model: PSDModel):
     return gaps
 
 
+@np.errstate(divide="ignore", invalid="ignore")    # see the docstring's last lines
 def support_bounds(model: PSDModel, c) -> SupportReport:
     """Locate the limiting sample spectrum support for a model at ratio c.
 
@@ -510,7 +511,9 @@ def support_bounds(model: PSDModel, c) -> SupportReport:
     Branch images are complement intervals of the support; the support is
     what they leave uncovered on (0, inf).  These bounds hold for a
     nonnegative law; a Laguerre density whose negative parts break the
-    one at c > 1 (a mean <= 0, say) raises ValueError.
+    one at c > 1 (a mean <= 0, say) raises ValueError.  At a tiny c, an
+    edge that rounds onto its support end, where the kernel overflows, is
+    that end, and so is its image.
     """
     c = _positive_ratio(c)
     ends = {e for iv in model.support() for e in iv}
@@ -530,18 +533,23 @@ def support_bounds(model: PSDModel, c) -> SupportReport:
         if not result.converged:
             raise IterationError(f"no branch end found in the bracket y in [{a!r}, {b!r}]")
         return y
-    u_at = lambda y: _u_map(-1.0 / y, model, c)
+
+    def u_at(y):
+        u = _u_map(-1.0 / y, model, c)
+        return u if math.isfinite(u) else y
 
     # negative branches, one per gap of the model support, left to right
     branches, images = [], []
     for g_lo, g_hi in _support_gaps(model):
         if g_lo == 0.0:
             if c < 1.0:               # s -> -inf sends u to zero
-                y = root(max(0.0, g_hi * (1.0 - 2.0 * math.sqrt(c))), g_hi)
+                far = max(0.0, g_hi * (1.0 - 2.0 * math.sqrt(c)))
+                y = root(far, g_hi) if excess(far) < 0.0 else float(g_hi)
                 branches.append((-math.inf, -1.0 / y))
                 images.append((0.0, u_at(y)))
         elif math.isinf(g_hi):        # s -> 0- sends u to +inf
-            y = root(g_lo, g_lo * (1.0 + 2.0 * math.sqrt(c)))
+            far = g_lo * (1.0 + 2.0 * math.sqrt(c))
+            y = root(g_lo, far) if excess(far) < 0.0 else float(g_lo)
             branches.append((-1.0 / y, 0.0))
             images.append((u_at(y), math.inf))
         else:                         # searched in the gap's own unit, scale-free

@@ -228,6 +228,13 @@ def test_unconverged_support_search_exits_two(tmp_path, capsys):
     assert "IterationError" in capsys.readouterr().err
 
 
+def test_support_at_a_tiny_ratio_exits_zero(model_file, capsys):
+    # the support edges round onto the atom, which leaves no support wider
+    # than rounding
+    assert main(["support", "--model", model_file, "--c", "1e-300"]) == 0
+    assert json.loads(capsys.readouterr().out)["support"] == []
+
+
 def test_usage_errors_exit_one(capsys):
     for argv in (["estimate", "--eigs", "x.csv"],       # missing required
                  ["forward", "--model", "m.json", "--c", "zero",

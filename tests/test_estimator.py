@@ -268,8 +268,9 @@ class TestAtomicResidual:
             objective(fit.model, net), rel=1e-12)
 
     def test_jacobian_at_the_kept_point_after_later_trials(self, atomic_nets):
-        # scipy takes the Jacobian at the accepted point once more after
-        # the search ends, when rejected trials have been projected since
+        # the Jacobian at a kept point must not read the design buffer,
+        # which holds the design of the last point projected, here a later
+        # trial
         net = atomic_nets[2.0]
         raw = estimator._quantile_start(net, 3)
         _, residual, jacobian = _variable_projection(net, 3)
@@ -399,10 +400,11 @@ def test_objective_parity_with_nelder_mead(case, seed):
 @pytest.mark.parametrize("case, k, seed", [("two_atom", 2, 0), ("two_atom", 3, 0),
                                            ("wide_three_atom", 3, 101)])
 def test_one_nnls_solve_per_search_point(monkeypatch, case, k, seed):
-    # the Jacobian at the point the residual just took, scipy's closing
-    # Jacobian at the accepted point and the fit's final read all reuse a
-    # kept projection; the search may take a point twice in a row, which
-    # it counts twice
+    # leastsq's shape check takes the residual and the Jacobian at the
+    # start before MINPACK takes both there again; those repeats, the
+    # Jacobian at the point the residual just took and the fit's final
+    # read at the accepted point all reuse a kept projection; MINPACK may
+    # take a point twice in a row, which it counts twice
     spec = sample_spectrum(population_from_model(_PANEL_TRUTHS[case], 100), 500, seed=seed)
     net = build_unet(spec, "discrete")
     solves, points = [], set()
@@ -421,8 +423,8 @@ def test_one_nnls_solve_per_search_point(monkeypatch, case, k, seed):
 
 
 def test_search_stopped_at_the_evaluation_cap(case1_spectrum, monkeypatch):
-    # MINPACK stops when its evaluation count reaches the cap (status 5),
-    # which scipy reports as status 0, not success
+    # MINPACK stops when its evaluation count reaches the cap, with info 5
+    # (leastsq's ier == 5), which is not convergence
     net = build_unet(case1_spectrum, "discrete")
     assert fit_discrete(net, 2).iterations > 6
     monkeypatch.setattr(estimator, "_MAX_NFEV", 6)
@@ -430,6 +432,45 @@ def test_search_stopped_at_the_evaluation_cap(case1_spectrum, monkeypatch):
     assert not fit.converged
     assert fit.iterations == 6
     assert np.isfinite(fit.objective_value)
+
+
+# truth, k, p and n of the cases where fit_discrete is checked against
+# least_squares: c < 1 and c = 2, an over-specified k, and (with the cap)
+# a search stopped at 6 residual evaluations
+_LEAST_SQUARES_CASES = {
+    "two_atom": ("two_atom", 2, 100, 500, None),
+    "two_atom_c2": ("two_atom", 2, 400, 200, None),
+    "wide_three_atom_k4": ("wide_three_atom", 4, 100, 500, None),
+    "two_atom_capped": ("two_atom", 2, 100, 500, 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LEAST_SQUARES_CASES))
+def test_search_equals_least_squares_lm(monkeypatch, case):
+    # least_squares(method="lm") with x_scale="jac" calls the same MINPACK
+    # routine as leastsq (factor 100, no diag), through scipy's caching
+    # wrapper; the fit must equal it bit for bit
+    truth, k, p, n, cap = _LEAST_SQUARES_CASES[case]
+    if cap is not None:
+        monkeypatch.setattr(estimator, "_MAX_NFEV", cap)
+    for seed in range(3):
+        spec = sample_spectrum(population_from_model(_PANEL_TRUTHS[truth], p), n, seed=seed)
+        net = build_unet(spec, "discrete")
+        project, residual, jacobian = _variable_projection(net, k)
+        ref = optimize.least_squares(
+            residual, estimator._quantile_start(net, k), jac=jacobian, method="lm",
+            x_scale="jac", ftol=estimator._LSQ_TOL, xtol=estimator._LSQ_TOL,
+            gtol=estimator._LSQ_GTOL, max_nfev=estimator._MAX_NFEV)
+        atoms, _, weights = project(ref.x)
+        want = Discrete(atoms[weights > 0.0], weights[weights > 0.0])
+        fit = fit_discrete(net, k)
+        assert np.array_equal(fit.model.atoms, want.atoms)
+        assert np.array_equal(fit.model.weights, want.weights)
+        assert fit.objective_value == objective(want, net)
+        assert fit.iterations == ref.nfev
+        assert fit.converged == ref.success
+        if cap is not None:
+            assert fit.iterations == cap and not fit.converged
 
 
 class TestFitLaguerre:

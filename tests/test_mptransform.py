@@ -774,6 +774,25 @@ class TestSupportBounds:
         with pytest.raises(IterationError, match=r"bracket y in \[-2e\+300, 0\.0\]"):
             support_bounds(Laguerre([1.0]), 1e300)
 
+    @pytest.mark.parametrize("c", [1e-16, 1e-20, 1e-31, 1e-33, 1e-40, 1e-300])
+    @pytest.mark.parametrize("model", [PointMass(1.0), Discrete([1.0, 2.0], [0.5, 0.5]),
+                                       InverseCubic(0.5), Laguerre([1.0])],
+                             ids=["point-mass", "two-atom", "inverse-cubic", "gamma"])
+    def test_tiny_ratio_edges_sit_on_the_support_ends(self, model, c):
+        # an atom's edges lie about sqrt(c) from it and the inverse cubic's
+        # about c from alpha, so at these ratios a bracket or a root rounds
+        # onto a support end, where the kernel overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = support_bounds(model, c)
+        ends = [e for iv in model.support() for e in iv]
+        edges = [e for iv in rep.support + rep.complement for e in iv]
+        edges += [-1.0 / s for iv in rep.branches for s in iv if s != 0.0]
+        tol = max(1e-12, 4.0 * math.sqrt(c))
+        for e in edges:
+            if math.isfinite(e) and e != 0.0:
+                assert min(abs(e - t) for t in ends) <= tol * abs(e)
+
     def test_report_round_trip(self):
         rep = support_bounds(InverseCubic(0.5), 0.5)
         data = rep.to_dict()
