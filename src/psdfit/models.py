@@ -75,7 +75,11 @@ _GL_LAGUERRE = special.roots_laguerre(128)
 _IC_SERIES = 0.5        # inverse cubic: below this |beta/sigma| the series
 _IC_TERMS = 60          # in beta/sigma replaces the log form, with this many
                         # terms (0.5**60 is below rounding)
-_IC_K = tuple(np.arange(_IC_TERMS) + np.arange(1.0, 5.0)[:, None])   # k + 1 .. k + 4
+# series coefficients: with a w + b = (1 - alpha)(1 - w) + alpha w, K1 takes
+# int w^(k+1) (1 - w) dw and int w^(k+2) dw, K2 (k + 1) times int w^(k+1) (1 - w)^2,
+# w^(k+2) (1 - w) and w^(k+3) dw; int w^p (1 - w)^q dw = B(p + 1, q + 1)
+_IC_TABLE = special.beta(np.arange(_IC_TERMS)[:, None] + [2, 3, 2, 3, 4], [2, 1, 3, 2, 1])
+_IC_TABLE[:, 2:] *= np.arange(1.0, _IC_TERMS + 1)[:, None]
 
 
 def _laguerre_moments(s, degree: int):
@@ -130,33 +134,24 @@ def _inverse_cubic_kernel(alpha, s):
     cancel as r = beta/sigma -> 0, so where |r| < 0.5 the geometric
     series of 1/(beta w + sigma) in r is summed instead:
     K1 = (2/sigma) sum_k (-r)^k int w^(k+1) (a w + b) dw, and K2 alike.
-    A scalar alpha shares its row of series coefficients among the lanes,
-    which one matrix-vector product sums; an array alpha gives each lane
-    its own row.
+    Every lane, whatever the shape of alpha, sums it as its powers of -r
+    times the table _IC_TABLE, weighted by 1 - alpha and alpha, which
+    keeps every term nonnegative so that the sum cannot cancel.
     """
-    if np.ndim(alpha):
-        alpha, s = np.broadcast_arrays(alpha, s)
-        on = lambda v, *index: v[index]      # the lanes' values
-    else:
-        on = lambda v, *index: v             # one value every lane shares
+    alpha = alpha + np.zeros(np.shape(s))          # each lane's own alpha
     a, b = 2.0 * alpha - 1.0, 1.0 - alpha
     beta, sigma = 1.0 + a * s, b * s
     k1, k2 = np.empty_like(sigma), np.empty_like(sigma)
     near = np.abs(beta) < _IC_SERIES * np.abs(sigma)
     if near.any():
-        sg = sigma[near]
-        powers = np.vander(-beta[near] / sg, _IC_TERMS, increasing=True)
-        # int w^(k+1) (a w + b) dw and (k + 1) int w^(k+1) (a w + b)^2 dw
-        j1, j2, j3, j4 = _IC_K
-        an, bn = on(a, near, None), on(b, near, None)
-        rows = (an / j3 + bn / j2, j1 * (an * an / j4 + 2.0 * an * bn / j3 + bn * bn / j2))
-        sums = [powers @ row if row.ndim == 1 else np.einsum("ij,ij->i", powers, row)
-                for row in rows]
-        k1[near] = 2.0 * sums[0] / sg
-        k2[near] = 2.0 * sums[1] / sg / sg
+        sg, al, bn = sigma[near], alpha[near], b[near]
+        sums = np.vander(-beta[near] / sg, _IC_TERMS, increasing=True) @ _IC_TABLE
+        k1[near] = 2.0 * (bn * sums[:, 0] + al * sums[:, 1]) / sg
+        k2[near] = 2.0 * (bn * bn * sums[:, 2] + 2.0 * al * bn * sums[:, 3]
+                          + al * al * sums[:, 4]) / sg / sg
     far = ~near
-    be, sg, edge = beta[far], sigma[far], 1.0 + on(alpha, far) * s[far]
-    a, b = on(a, far), on(b, far)
+    be, sg, edge = beta[far], sigma[far], (1.0 + alpha * s)[far]
+    a, b = a[far], b[far]
     m0, n0 = np.log(edge / sg) / be, 1.0 / sg / edge
     m1, n1 = (1.0 - sg * m0) / be, (m0 - sg * n0) / be
     k1[far] = (a + 2.0 * b * m1) / be

@@ -229,10 +229,18 @@ def test_unconverged_support_search_exits_two(tmp_path, capsys):
 
 
 def test_support_at_a_tiny_ratio_exits_zero(model_file, capsys):
-    # the support edges round onto the atom, which leaves no support wider
-    # than rounding
+    # the support edges round onto the atom, which leaves no stretch of
+    # positive width
     assert main(["support", "--model", model_file, "--c", "1e-300"]) == 0
     assert json.loads(capsys.readouterr().out)["support"] == []
+
+
+def test_support_at_a_small_ratio_keeps_the_narrow_interval(model_file, capsys):
+    # the support is about 1 -+ 2 sqrt(c) = 1 -+ 4.5e-13, narrow but real
+    assert main(["support", "--model", model_file, "--c", "5e-26"]) == 0
+    [(lo, hi)] = json.loads(capsys.readouterr().out)["support"]
+    assert lo == pytest.approx(1.0 - 2.0 * np.sqrt(5e-26), rel=1e-15)
+    assert hi == pytest.approx(1.0 + 2.0 * np.sqrt(5e-26), rel=1e-15)
 
 
 def test_usage_errors_exit_one(capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
 from psdfit import (Discrete, InverseCubic, Laguerre, PointMass,
-                    model_from_dict, wasserstein)
+                    model_from_dict, models, wasserstein)
 
 
 class TestDiscrete:
@@ -539,3 +539,31 @@ def test_kernel_matches_reference(model, s, batched):
     for half, want in zip(got, _reference_kernel(model, s)):
         assert half.shape == (len(args),)
         assert abs(half[i] - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.4, 0.7])
+def test_inverse_cubic_series_matches_mpmath(alpha):
+    # points about s0, where 1 + (2 alpha - 1) s vanishes, on the series
+    # branch |beta| < 0.5 |sigma|, on the real axis and above it; a scalar
+    # alpha and a column of alphas, as in the fit's grid, sum the same series
+    s0 = -1.0 / (2.0 * alpha - 1.0)
+    points = [s0 * (1.0 + d) + 1j * f * abs(s0) if f else s0 * (1.0 + d)
+              for d in (0.0, 0.01, -0.01, 0.1, -0.1, 0.2, -0.2, 0.3, -0.3)
+              for f in (0.0, 1e-6, 1e-3, 0.1)]
+    points = [s for s in points
+              if abs(1.0 + (2.0 * alpha - 1.0) * s) < 0.5 * abs((1.0 - alpha) * s)]
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        density = lambda t: 2 * (1 - a) ** 2 / (t - (2 * a - 1)) ** 3
+        want = [[complex(mpmath.quad(lambda t: (t / (1 + t * mpmath.mpmathify(s))) ** j
+                                     * density(t), [a, mpmath.inf]))
+                 for s in points] for j in (1, 2)]
+    for real in (True, False):
+        lanes = [i for i, s in enumerate(points) if isinstance(s, float) == real]
+        s = np.array([points[i] for i in lanes])
+        scalar = InverseCubic(alpha).kernel(s)
+        column = models._inverse_cubic_kernel(np.full((2, 1), alpha), s)
+        for j in (0, 1):
+            ref = np.array([want[j][i] for i in lanes])
+            for got in (scalar[j], *column[j]):
+                assert np.all(np.abs(got - ref) <= 2e-15 * np.abs(ref))

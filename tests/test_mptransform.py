@@ -774,7 +774,7 @@ class TestSupportBounds:
         with pytest.raises(IterationError, match=r"bracket y in \[-2e\+300, 0\.0\]"):
             support_bounds(Laguerre([1.0]), 1e300)
 
-    @pytest.mark.parametrize("c", [1e-16, 1e-20, 1e-31, 1e-33, 1e-40, 1e-300])
+    @pytest.mark.parametrize("c", [1e-16, 1e-20, 5e-26, 1e-28, 1e-31, 1e-33, 1e-40, 1e-300])
     @pytest.mark.parametrize("model", [PointMass(1.0), Discrete([1.0, 2.0], [0.5, 0.5]),
                                        InverseCubic(0.5), Laguerre([1.0])],
                              ids=["point-mass", "two-atom", "inverse-cubic", "gamma"])
@@ -792,6 +792,9 @@ class TestSupportBounds:
         for e in edges:
             if math.isfinite(e) and e != 0.0:
                 assert min(abs(e - t) for t in ends) <= tol * abs(e)
+        if isinstance(model, Discrete) and c > 1e-31:
+            # down to c = 1e-30 each atom keeps an interval of positive width
+            assert len(rep.support) == model.atoms.size
 
     def test_report_round_trip(self):
         rep = support_bounds(InverseCubic(0.5), 0.5)
