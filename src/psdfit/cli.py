@@ -41,8 +41,8 @@ def _parse_grid(text: str):
         a, b, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"grid {text!r} must look like start:stop:count") from None
-    if count < 2 or not b > a:
-        raise ValueError("grid needs stop > start and count >= 2")
+    if count < 2 or not -np.inf < a < b < np.inf:
+        raise ValueError(f"grid {text!r} needs finite start < stop and count >= 2")
     grid = np.linspace(a, b, count)
     grid = grid[grid > 0.0]
     if grid.size == 0:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import optimize
+from scipy import optimize, special
 
 from .errors import IterationError, NearPoleError, PoleError
 from .models import Discrete, PSDModel
@@ -193,10 +193,11 @@ def _u_map(s, model, c):
 # kernel matrices on large grids.
 _SOLVE_BLOCK = 2048
 _SOLVE_TOL = 1e-10        # every point must reach |u(s) - z| below this
-_DAMPING = 0.5
 _SEED_STRIDE = 8          # every 8th point (and the last) is a seed
-_SURROGATE_NODES = 4      # atoms of the quantile surrogate of a non-atomic model
-_SEED_STEPS = 30          # damped steps that start a seed the atomic root fails
+# A non-atomic model's surrogate takes its quantiles Q(p) at the 4
+# Gauss-Legendre nodes p of (0, 1), with their weights: its K1 is the Gauss
+# rule for integral_0^1 Q(p) / (1 + Q(p) s) dp
+_SURROGATE_NODES, _SURROGATE_WEIGHTS = special.roots_sh_legendre(4)
 _CONTINUE_STEPS = 12      # Newton budget of every start
 _KEEP_IM = 0.1            # share of Im s a shortened Newton step keeps
 _DENSITY_EPS = 1e-6       # curves read the transform at x + i*_DENSITY_EPS
@@ -215,20 +216,6 @@ def _newton_step(s, r, k2, c):
         inside = s.imag + step.imag > 0.0
         scale = np.where(inside, 1.0, (1.0 - _KEEP_IM) * s.imag / -step.imag)
         return s + scale * step
-
-
-def _damped_start(z, model, c):
-    """A Newton start for every lane of a 1-d block of z: _SEED_STEPS
-    steps s <- s/2 + (-1/(z - c K1(s)))/2 from -1/z, damped by _DAMPING
-    so that they cannot leave the upper half plane.  A lane whose update
-    is 0 or not finite keeps its last value."""
-    s = -1.0 / z
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(_SEED_STEPS):
-            step_to = z - c * model.kernel(s)[0]
-            ok = (step_to != 0.0) & np.isfinite(step_to)
-            s = np.where(ok, (1.0 - _DAMPING) * s + _DAMPING * (-1.0 / step_to), s)
-    return s
 
 
 def _iterate(z, s, model, c):
@@ -268,24 +255,24 @@ def _continuation_starts(x, s, done, fresh):
     """Unsolved lanes with a freshly solved anchor, and their start values.
 
     A lane whose nearest solved lanes lie at most _SEED_STRIDE apart
-    starts on the line through them.  Any other lane beside a solved lane
-    (an edge stretch) starts on the line through it and the next solved
-    lane out, or at its value when that lane is unsolved.  Only lanes
-    whose anchor is ``fresh`` are returned, so no lane repeats a start it
-    has already failed from.
+    starts on the line through them.  Any other lane with a solved lane
+    within _SEED_STRIDE (an edge stretch) starts on the line through it
+    and the lane one further out, or at its value when that lane is
+    unsolved.  Only lanes whose anchor is ``fresh`` are returned, so no
+    lane repeats a start it has already failed from.
     """
     n = x.size
     idx = np.arange(n)
     left = np.maximum.accumulate(np.where(done, idx, -1))
     right = np.minimum.accumulate(np.where(done, idx, n)[::-1])[::-1]
     fresh = np.append(fresh, False)       # read at left = -1 and right = n
-    by_l, by_r = np.append(False, done[:-1]), np.append(done[1:], False)
     gap = (left >= 0) & (right < n) & (right - left <= _SEED_STRIDE)
-    lanes = np.flatnonzero(~done & np.where(gap, fresh[left] | fresh[right],
-                                            by_l & fresh[left] | by_r & fresh[right]))
+    by_l = (idx - left <= _SEED_STRIDE) & fresh[left]
+    by_r = (right - idx <= _SEED_STRIDE) & fresh[right]
+    lanes = np.flatnonzero(~done & np.where(gap, fresh[left] | fresh[right], by_l | by_r))
     by_l, gap, i = by_l[lanes], gap[lanes], lanes
     near = np.where(gap | by_l, left[i], right[i])
-    far = np.where(gap, right[i], np.where(by_l, i - 2, i + 2))
+    far = np.where(gap, right[i], np.where(by_l, near - 1, near + 1))
     far = np.where((far >= 0) & (far < n), far, near)
     far = np.where(done[far], far, near)
     weight = (x[i] - x[near]) / np.where(far == near, np.inf, x[far] - x[near])
@@ -298,28 +285,26 @@ def _continuation_starts(x, s, done, fresh):
 def _solve_block(z, model, c):
     """Companion values for a 1-d block of z, with each lane's residual.
 
-    Every model takes the same path: the solve continues along the grid
-    from its seeds, every _SEED_STRIDE-th point and the last.  A seed
-    starts Newton at the exact root (``Discrete.companion_root``) of an
-    atomic law: the model itself when it is ``Discrete``, else its
-    surrogate, the _SURROGATE_NODES equally weighted atoms at its midpoint
-    quantiles (from ``quantile``).  Only a seed that fails from there
-    starts Newton once more, at the end of _SEED_STEPS damped fixed-point
-    steps from -1/z (``_damped_start``, a start rule, not a solver).  The
-    points between two solved seeds start Newton from the line through
-    them, all in one batch; then, wave by wave, the same is done for
-    unsolved points between newly solved ones, and unsolved points beside
-    a newly solved one with no solved point within _SEED_STRIDE on their
-    other side start from the line through it and the next solved point
-    out, which carries the solve into the stretches near the support
-    edges.  Points still unsolved, other than seeds, start Newton once
-    more at the atomic law's root; a point unsolved after that fails.
-    Every Newton start takes at most _CONTINUE_STEPS steps.  The equation
-    has one root with Im s > 0 (Silverstein and Bai 1995), so every path
-    that is accepted found the same root; one more Newton step, from the
-    K2 of the call that accepted it, polishes it so that the value does
-    not depend on the path either.  Converged lanes return s with
-    residual < _SOLVE_TOL and Im s > 0.
+    Every model takes the same path, Newton only: the solve continues
+    along the grid from its seeds, every _SEED_STRIDE-th point and the
+    last.  A seed starts Newton at the exact root
+    (``Discrete.companion_root``) of an atomic law: the model itself when
+    it is ``Discrete``, else its surrogate, its quantiles at the 4
+    Gauss-Legendre nodes of (0, 1) with their weights.  A seed that fails
+    from there is an unsolved point like any other.  The points between
+    two solved seeds start Newton from the line through them, all in one
+    batch; then, wave by wave, the same is done for unsolved points between
+    newly solved ones, and the other unsolved points with a newly solved
+    one within _SEED_STRIDE start from the line through it and the point
+    one further out, which carries the solve into the stretches near the
+    support edges and across failed seeds.  Points still unsolved, other
+    than seeds, start Newton once more at the atomic law's root; a point
+    unsolved after that fails.  Every Newton start takes at most
+    _CONTINUE_STEPS steps.  The equation has one root with Im s > 0
+    (Silverstein and Bai 1995), so every path that is accepted found the
+    same root; one more Newton step, from the K2 of the call that accepted
+    it, polishes it so that the value does not depend on the path either.
+    Converged lanes return s with residual < _SOLVE_TOL and Im s > 0.
     """
     s = np.empty(z.size, dtype=complex)
     r = np.full(z.size, np.inf, dtype=complex)
@@ -332,14 +317,10 @@ def _solve_block(z, model, c):
     if isinstance(model, Discrete):
         law = model
     else:   # tied quantiles, as of a law with atoms, merge into one heavier atom
-        nodes = (np.arange(_SURROGATE_NODES) + 0.5) / _SURROGATE_NODES
-        atoms, counts = np.unique(model.quantile(nodes), return_counts=True)
-        law = Discrete(atoms, counts / _SURROGATE_NODES)
+        atoms, tied = np.unique(model.quantile(_SURROGATE_NODES), return_inverse=True)
+        law = Discrete(atoms, np.bincount(tied, _SURROGATE_WEIGHTS))
     seeds = np.unique(np.append(np.arange(0, z.size, _SEED_STRIDE), z.size - 1))
     run(seeds, law.companion_root(z[seeds], c))
-    lanes = seeds[~done[seeds]]
-    if lanes.size:
-        run(lanes, _damped_start(z[lanes], model, c))
     lanes, start = _continuation_starts(z.real, s, done, done)
     while lanes.size:
         solved = done.copy()
@@ -384,21 +365,22 @@ def _solve_companion(z, model, c):
 def solve_companion_fixed_point(z: complex, model: PSDModel, c) -> complex:
     """Solve z = -1/s + c*K1(s) for the companion transform value at z.
 
-    ``z`` must lie in the open upper half plane.  At most 12 Newton steps,
-    shortened where they would leave the upper half plane, start at the
-    exact root of an atomic law (``Discrete.companion_root``): the model
-    itself when it is atomic, else a four-atom surrogate built from its
-    ``quantile``.  Should those fail, Newton starts once more after 30
-    damped fixed-point steps s <- s/2 + (-1/(z - c K1(s)))/2 from -1/z, a
-    start rule only: the root with Im s > 0 is unique, so a start changes
-    where Newton begins, never the root.  One more Newton step polishes
-    it.  The returned value satisfies |u(s) - z| < 1e-10 and Im s > 0,
-    else IterationError ("no convergence ...").  This is the one-point
-    case of the solve ``lsd_density_curve`` runs on a whole grid, where
-    most points start Newton from their solved neighbours instead, and a
-    point that fails from there starts again at the atomic law's root.
+    ``z`` must be finite and lie in the open upper half plane.  Newton, at
+    most 12 steps shortened where they would leave the upper half plane,
+    starts at the exact root of an atomic law (``Discrete.companion_root``):
+    the model itself when it is atomic, else a four-atom surrogate, its
+    quantiles at the 4 Gauss-Legendre nodes of (0, 1) with their weights.
+    The root with Im s > 0 is unique, so the start changes where Newton
+    begins, never the root; the name is historical, no fixed point runs.
+    One more Newton step polishes the root.  The returned value satisfies
+    |u(s) - z| < 1e-10 and Im s > 0, else IterationError ("no convergence
+    ...").  This is the one-point case of the solve ``lsd_density_curve``
+    runs on a whole grid, where most points start Newton from their solved
+    neighbours instead.
     """
     z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"z must be finite, got {z!r}")
     if not (z.imag > 0.0):
         raise ValueError("z must have positive imaginary part")
     s = _solve_companion(np.array([z]), model, _positive_ratio(c))
@@ -410,21 +392,23 @@ def lsd_density_curve(model: PSDModel, c, grid) -> DensityCurve:
 
     Solves the companion equation at x + 1e-6 i for every grid point in
     one batched solve, as ``solve_companion_fixed_point`` does for one
-    point, by the same path for every model: Newton from the exact root of
+    point, by one start rule for every model: Newton from the exact root of
     an atomic law (the model itself when it is atomic, else a four-atom
-    quantile surrogate) at every 8th point (a seed it leaves unsolved
-    starts Newton again after 30 damped fixed-point steps), and from the
+    Gauss-Legendre quantile surrogate) at every 8th point, and from the
     line through solved neighbours at the others (continuation along the
-    grid); a point that continuation leaves unsolved starts Newton once
-    more at the atomic law's root.  Each point must reach |u(s) - z| <
-    1e-10 with Im s > 0, else IterationError ("no convergence to residual
-    1e-10 at z=...") names the first failing point.  The companion
-    transform is converted back to the spectrum's Stieltjes transform,
-    whose imaginary part over pi is the density.  The curve integrates to
-    min(1, 1/c); for c > 1 the remaining 1 - 1/c sits in a point mass at
-    zero that a density grid cannot show.
+    grid, which also reaches a point whose start from the root failed); a
+    point that continuation leaves unsolved starts Newton once more at the
+    atomic law's root.  Each point must reach |u(s) - z| < 1e-10 with
+    Im s > 0, else IterationError ("no convergence to residual 1e-10 at
+    z=...") names the first failing point.  The companion transform is
+    converted back to the spectrum's Stieltjes transform, whose imaginary
+    part over pi is the density.  The curve integrates to min(1, 1/c); for
+    c > 1 the remaining 1 - 1/c sits in a point mass at zero that a density
+    grid cannot show.  A grid that is not finite is a ValueError.
     """
     x = np.asarray(grid, dtype=float).ravel()
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"grid must be finite, got {float(x[~np.isfinite(x)][0])!r}")
     if x.size == 0 or np.any(x <= 0.0):
         raise ValueError("grid must be nonempty with positive entries")
     if np.any(np.diff(x) <= 0.0):

@@ -97,14 +97,14 @@ def test_criterion_04_real_roots_and_branch_monotonicity():
     worst = 0.0
     for u in (-5.0, -1.0, -0.1):
         root = solve_companion_real(u, SPLIT_BULK, c)
-        damped = solve_companion_fixed_point(complex(u, 1e-8), SPLIT_BULK, c)
-        worst = max(worst, abs(damped.real - root))
+        above = solve_companion_fixed_point(complex(u, 1e-8), SPLIT_BULK, c)
+        worst = max(worst, abs(above.real - root))
     rising = True
     for s_lo, s_hi in report.branches:
         u_vals = mp_u_map(_branch_interior(s_lo, s_hi), SPLIT_BULK, c)
         rising = rising and bool(np.all(np.diff(u_vals) > 0.0))
     _check(4, worst <= 1e-6 and rising,
-           f"real-root vs damped-solver gap {worst:.1e} (tol 1e-6) at "
+           f"real-root vs complex-solver gap {worst:.1e} (tol 1e-6) at "
            f"u in {{-5, -1, -0.1}}; map strictly increasing on all "
            f"{len(report.branches)} increasing branches: {rising}")
 

@@ -58,6 +58,15 @@ def test_forward_rejects_bad_grid(model_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("grid", ["0:inf:5", "nan:1:5", "-inf:1:5"])
+def test_forward_rejects_non_finite_grid(model_file, tmp_path, capsys, grid):
+    code = main(["forward", "--model", model_file, "--c", "0.25",
+                 f"--grid={grid}", "--out", str(tmp_path / "c.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: grid {grid!r} needs finite "
+                                       "start < stop and count >= 2\n")
+
+
 def test_forward_rejects_negative_ratio(model_file, tmp_path, capsys):
     code = main(["forward", "--model", model_file, "--c", "-0.5",
                  "--out", str(tmp_path / "c.csv")])

@@ -273,6 +273,13 @@ class TestFixedPointSolver:
             with pytest.raises(ValueError):
                 solve_companion_fixed_point(z, PointMass(1.0), 0.5)
 
+    @pytest.mark.parametrize("z", [complex(math.inf, 1.0), complex(1.0, math.inf),
+                                   complex(math.nan, 1.0)])
+    def test_rejects_non_finite_argument(self, z):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="z must be finite"):
+            warnings.simplefilter("error")
+            solve_companion_fixed_point(z, Laguerre([1.0]), 0.5)
+
     def test_newton_stays_in_the_upper_half_plane(self):
         # at c = 1 near zero the fixed point stalls, and unshortened Newton
         # steps from its last iterate reach the root -1.55 - 30.96i, whose
@@ -291,15 +298,39 @@ class TestFixedPointSolver:
                 return 1.0 / (z * super().companion_root(z, c))
 
         # its residual is 0 but its density would read 0: Newton accepts no
-        # lane started there, the damped start finds the upper root, and
-        # the curve is the identity's
+        # lane started there, every lane starts there, and the curve fails
         model, grid = LowerRoot([1.0], [1.0]), np.linspace(0.3, 2.5, 5)
         z = grid + 1j * mptransform._DENSITY_EPS
         lower = model.companion_root(z, 0.5)
         assert np.all(lower.imag < 0.0)
         assert not mptransform._iterate(z, lower, model, 0.5)[3].any()
+        with pytest.raises(IterationError, match=r"at z=\(0\.3\+1e-06j\)"):
+            lsd_density_curve(model, 0.5, grid)
+
+    def test_band_of_lower_roots_is_crossed_by_continuation(self, monkeypatch):
+        class LowerRootBand(Discrete):
+            """The identity model, handing out its root with Im s < 0 for
+            0.8 < Re z < 1.6."""
+
+            def companion_root(self, z, c):
+                upper = super().companion_root(z, c)
+                band = (z.real > 0.8) & (z.real < 1.6)
+                return np.where(band, 1.0 / (z * upper), upper)
+
+        # the seeds in the band fail from the lower root; continuation from
+        # the solved seeds on either side reaches every lane of it
+        model, grid = LowerRootBand([1.0], [1.0]), np.linspace(0.3, 2.5, 200)
+        calls, kernel = [], Discrete.kernel
+
+        def counted(self, s):
+            calls.append(s.size)
+            return kernel(self, s)
+
+        monkeypatch.setattr(LowerRootBand, "kernel", counted)
+        curve = lsd_density_curve(model, 0.5, grid)
         identity = lsd_density_curve(PointMass(1.0), 0.5, grid)
-        assert np.max(np.abs(lsd_density_curve(model, 0.5, grid).f - identity.f)) < 1e-15
+        assert np.max(np.abs(curve.f - identity.f)) < 1e-15
+        assert len(calls) <= 2 * 34
 
     def test_polish_that_fails_the_residual_test_is_dropped(self):
         class WrongSlope(PSDModel):
@@ -316,8 +347,7 @@ class TestFixedPointSolver:
         # the point mass itself), is accepted at once; the polishing step
         # from it lands 5e-7 away, so the solve must return the accepted value
         z = 1.0 + 1e-6j
-        nodes = (np.arange(mptransform._SURROGATE_NODES) + 0.5) / mptransform._SURROGATE_NODES
-        assert np.all(WrongSlope().quantile(nodes) == 1e-12)
+        assert np.all(WrongSlope().quantile(mptransform._SURROGATE_NODES) == 1e-12)
         start = PointMass(1e-12).companion_root(np.array([z]), 0.5)[0]
         s = solve_companion_fixed_point(z, WrongSlope(), 0.5)
         assert s == start
@@ -369,6 +399,17 @@ class TestDensityCurve:
         with pytest.raises(ValueError):
             lsd_density_curve(PointMass(1.0), 0.25, [2.0, 1.0])
 
+    @pytest.mark.parametrize("grid, bad", [([1.0, math.inf], "inf"),
+                                           ([math.nan, 1.0], "nan"),
+                                           ([0.5, math.nan, 1.0], "nan")])
+    @pytest.mark.parametrize("model", [PointMass(1.0), Laguerre([1.0])])
+    def test_rejects_non_finite_grid(self, model, grid, bad):
+        # NaN passes both the sign and the order test
+        with warnings.catch_warnings(), pytest.raises(ValueError) as err:
+            warnings.simplefilter("error")
+            lsd_density_curve(model, 0.5, grid)
+        assert str(err.value) == f"grid must be finite, got {bad}"
+
     def test_curve_type_validation(self):
         with pytest.raises(ValueError):
             DensityCurve([1.0, 2.0], [0.1, -0.5])
@@ -406,9 +447,9 @@ ATOMIC_CASES = [case for case in FORWARD_CASES
 KERNEL_CALLS = {("identity", 0.5): 10, ("identity", 2.0): 10,
                 ("two-atom", 0.5): 21, ("two-atom", 2.0): 11,
                 ("split-bulk", 0.5): 23, ("split-bulk", 2.0): 11,
-                ("gamma-shape", 0.5): 10, ("gamma-shape", 2.0): 56,
-                ("cubic-poly", 0.5): 10, ("cubic-poly", 2.0): 17,
-                ("inverse-cubic", 0.5): 26, ("inverse-cubic", 2.0): 15}
+                ("gamma-shape", 0.5): 10, ("gamma-shape", 2.0): 16,
+                ("cubic-poly", 0.5): 10, ("cubic-poly", 2.0): 16,
+                ("inverse-cubic", 0.5): 25, ("inverse-cubic", 2.0): 15}
 WORK_CASES = [pytest.param(FORWARD_FAMILIES[name], c,
                            np.linspace(*FORWARD_GRIDS[name, c], 400), calls,
                            id=f"{name}-c={c}")
@@ -422,10 +463,16 @@ ATOMIC_WORK_CASES = [case for case in WORK_CASES
 def check_solve_work(model, c, grid, kernel_calls, monkeypatch):
     """A 400-point curve takes at most 5 lane evaluations per point, twice
     its pinned kernel calls, no call on zero lanes, and the O(k^3) atomic
-    root on its 51 seeds (every 8th point and the last) only: no lane of
-    these curves needs the retry."""
-    calls, roots = [], []
+    root on its 51 seeds (every 8th point and the last) only: every seed is
+    accepted by its first Newton start, and no lane needs the retry."""
+    calls, roots, accepted = [], [], []
     kernel, companion_root = type(model).kernel, Discrete.companion_root
+    iterate = mptransform._iterate
+
+    def recorded(z, s, model, c):
+        out = iterate(z, s, model, c)
+        accepted.append(out[3])
+        return out
 
     def counted(self, s):
         calls.append(s.size)
@@ -437,11 +484,13 @@ def check_solve_work(model, c, grid, kernel_calls, monkeypatch):
 
     monkeypatch.setattr(type(model), "kernel", counted)
     monkeypatch.setattr(Discrete, "companion_root", rooted)
+    monkeypatch.setattr(mptransform, "_iterate", recorded)
     lsd_density_curve(model, c, grid)
     assert sum(calls) <= 5 * grid.size
     assert len(calls) <= 2 * kernel_calls
     assert min(calls) > 0
     assert roots == [51]
+    assert accepted[0].size == 51 and accepted[0].all()
 
 
 class TestBatchedSolve:
@@ -497,9 +546,8 @@ class TestBatchedSolve:
     def test_smooth_solve_work(self, model, c, grid, kernel_calls, monkeypatch):
         # the fixed point alone took 27-51 lane evaluations per point, and
         # the continuation from fixed-point seeds 6.5-7.3; from surrogate
-        # seeds it takes 4.2-4.7.  No call is on zero lanes: at c = 0.5
-        # every seed solves from the surrogate root, so the damped start
-        # has no lane to run, and at c = 2 Gamma(2) seeds take it
+        # seeds it takes 4.2-4.7.  Every seed solves from the root of the
+        # Gauss-Legendre surrogate at once
         check_solve_work(model, c, grid, kernel_calls, monkeypatch)
 
     @pytest.mark.parametrize("model, c, grid, kernel_calls", ATOMIC_WORK_CASES)
@@ -514,25 +562,17 @@ class TestBatchedSolve:
         # below the lower support edge, 0.069, and the 7 points up to the
         # next seed failed from the line through the two and once ran a
         # 600-step fixed point, 621 kernel calls in all; they solve from
-        # the surrogate root in at most 12 Newton steps, and no lane of
-        # the curve starts from the damped fixed point
+        # the surrogate root in at most 12 Newton steps
         model, c = InverseCubic(0.5523979680781911), 0.488
         grid = np.linspace(0.0, 1.1 * 14.625436489818789, 401)[1:]
-        calls, starts = [], []
-        kernel, damped_start = InverseCubic.kernel, mptransform._damped_start
+        calls, kernel = [], InverseCubic.kernel
 
         def counted(self, s):
             calls.append(s.size)
             return kernel(self, s)
 
-        def recorded(z, model, c):
-            starts.append(z.size)
-            return damped_start(z, model, c)
-
         monkeypatch.setattr(InverseCubic, "kernel", counted)
-        monkeypatch.setattr(mptransform, "_damped_start", recorded)
         lsd_density_curve(model, c, grid)
-        assert starts == []
         assert len(calls) <= 30
         assert sum(calls) <= 5 * grid.size
 
@@ -668,7 +708,9 @@ class TestBatchedSolve:
         with pytest.raises(IterationError) as one:
             solve_companion_fixed_point(1e-4 + 1e-6j, cubic, 1.0)
         assert str(one.value) == str(err.value)
-        assert one.value.residual == err.value.residual
+        # the grid retries 1e-4 from its solved neighbour at 0.5, the lone
+        # point from the surrogate root only, so their last residuals differ
+        assert math.isfinite(one.value.residual) and math.isfinite(err.value.residual)
 
     def test_failure_in_a_later_block(self, monkeypatch):
         class IdentityKernel(PSDModel):
