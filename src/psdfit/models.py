@@ -298,8 +298,11 @@ class Discrete(PSDModel):
         are the eigenvalues of the complex-symmetric arrowhead matrix with
         diagonal -a_1 .. -a_k, c sum w a - z and border i sqrt(c w) a.  The
         root kept is the one with the largest Im s.  The cost grows as k^3;
-        the forward solve pays it on its seed and retry lanes only.
+        the forward solve pays it on its seed and retry lanes only.  A z
+        that is not finite is a ValueError.
         """
+        if not np.all(np.isfinite(z)):
+            raise ValueError(f"z must be finite, got {complex(z[~np.isfinite(z)][0])!r}")
         k = self.atoms.size
         diag = np.arange(k)
         border = 1j * np.sqrt(c * self.weights) * self.atoms

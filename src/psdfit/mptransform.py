@@ -13,8 +13,8 @@ aspect ratio.  Restricted to the set where du/ds > 0 (and -1/s avoids the
 model support), this map is a monotone bijection onto the complement of
 the limiting sample spectrum support, which is what the whole estimation
 strategy rests on.  This module evaluates the map, solves the defining
-equation in the upper half plane and on the real line, recovers the
-limiting spectral density, and locates the support: in y = -1/s the map
+equation in the upper half plane, recovers the limiting spectral
+density, and locates the support: in y = -1/s the map
 rises where g(y) = c * integral t^2 / (y - t)^2 dH(t) < 1, and g is convex
 on every gap of the model support, so the support edges are the images
 of the roots of g = 1, at most two per gap.
@@ -38,8 +38,7 @@ __all__ = [
     "SupportReport",
     "companion_stieltjes",
     "mp_u_map",
-    "solve_companion_fixed_point",
-    "solve_companion_real",
+    "companion_transform",
     "lsd_density_curve",
     "support_bounds",
 ]
@@ -181,9 +180,9 @@ def mp_u_map(s, model: PSDModel, c):
 
 
 def _u_map(s, model, c):
-    """u(s) at real s with no pole guard.  The support edges and the real
-    solve need it: for small c a branch end can lie within 1e-6 relative
-    of a smooth model's support edge."""
+    """u(s) at real s with no pole guard.  The support edges need it: for
+    small c a branch end can lie within 1e-6 relative of a smooth model's
+    support edge."""
     s = np.asarray(s, dtype=float)
     out = -1.0 / s + c * model.kernel(np.atleast_1d(s))[0].reshape(s.shape)
     return out if out.ndim else float(out)
@@ -342,69 +341,48 @@ def _solve_block(z, model, c):
     return s, np.abs(r), done
 
 
-def _solve_companion(z, model, c):
-    """Solve z = -1/s + c*K1(s) at every point of a 1-d complex array.
+def companion_transform(z, model: PSDModel, c):
+    """Companion transform s(z): the root of z = -1/s + c*K1(s) with Im s > 0.
 
-    Works through the points in blocks of ``_SOLVE_BLOCK``; within a block
-    all points iterate together.  Returns s with |u(s) - z| < _SOLVE_TOL at
-    every point, else raises IterationError for the first point that failed.
+    ``z`` is a complex scalar or an array of any shape, and every element
+    must be finite with Im z > 0, else ValueError.  The root with
+    Im s > 0 is unique (Silverstein and Bai 1995); ``_solve_block`` says
+    how it is reached.  The points are solved in blocks of
+    ``_SOLVE_BLOCK``, within a block all together.  Returns s in the
+    shape of z, or a complex for a scalar z, with |u(s) - z| < 1e-10 and
+    Im s > 0 at every point, else raises IterationError ("no convergence
+    to residual 1e-10 at z=...") for the first point that failed.
     """
-    out = np.empty(z.size, dtype=complex)
-    for start in range(0, z.size, _SOLVE_BLOCK):
+    z_arr = np.asarray(z, dtype=complex)
+    flat = z_arr.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValueError(f"z must be finite, got {complex(flat[~np.isfinite(flat)][0])!r}")
+    if not np.all(flat.imag > 0.0):
+        raise ValueError("z must have positive imaginary part")
+    c = _positive_ratio(c)
+    out = np.empty(flat.size, dtype=complex)
+    for start in range(0, flat.size, _SOLVE_BLOCK):
         block = slice(start, start + _SOLVE_BLOCK)
-        s, residual, done = _solve_block(z[block], model, c)
+        s, residual, done = _solve_block(flat[block], model, c)
         if not done.all():
             i = int(np.argmin(done))
             raise IterationError(f"no convergence to residual {_SOLVE_TOL:g} "
-                                 f"at z={complex(z[start + i])!r}",
+                                 f"at z={complex(flat[start + i])!r}",
                                  residual=float(residual[i]))
         out[block] = s
-    return out
-
-
-def solve_companion_fixed_point(z: complex, model: PSDModel, c) -> complex:
-    """Solve z = -1/s + c*K1(s) for the companion transform value at z.
-
-    ``z`` must be finite and lie in the open upper half plane.  Newton, at
-    most 12 steps shortened where they would leave the upper half plane,
-    starts at the exact root of an atomic law (``Discrete.companion_root``):
-    the model itself when it is atomic, else a four-atom surrogate, its
-    quantiles at the 4 Gauss-Legendre nodes of (0, 1) with their weights.
-    The root with Im s > 0 is unique, so the start changes where Newton
-    begins, never the root; the name is historical, no fixed point runs.
-    One more Newton step polishes the root.  The returned value satisfies
-    |u(s) - z| < 1e-10 and Im s > 0, else IterationError ("no convergence
-    ...").  This is the one-point case of the solve ``lsd_density_curve``
-    runs on a whole grid, where most points start Newton from their solved
-    neighbours instead.
-    """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"z must be finite, got {z!r}")
-    if not (z.imag > 0.0):
-        raise ValueError("z must have positive imaginary part")
-    s = _solve_companion(np.array([z]), model, _positive_ratio(c))
-    return complex(s[0])
+    return out.reshape(z_arr.shape) if z_arr.ndim else complex(out[0])
 
 
 def lsd_density_curve(model: PSDModel, c, grid) -> DensityCurve:
     """Limiting sample spectral density on a positive grid.
 
-    Solves the companion equation at x + 1e-6 i for every grid point in
-    one batched solve, as ``solve_companion_fixed_point`` does for one
-    point, by one start rule for every model: Newton from the exact root of
-    an atomic law (the model itself when it is atomic, else a four-atom
-    Gauss-Legendre quantile surrogate) at every 8th point, and from the
-    line through solved neighbours at the others (continuation along the
-    grid, which also reaches a point whose start from the root failed); a
-    point that continuation leaves unsolved starts Newton once more at the
-    atomic law's root.  Each point must reach |u(s) - z| < 1e-10 with
-    Im s > 0, else IterationError ("no convergence to residual 1e-10 at
-    z=...") names the first failing point.  The companion transform is
-    converted back to the spectrum's Stieltjes transform, whose imaginary
-    part over pi is the density.  The curve integrates to min(1, 1/c); for
-    c > 1 the remaining 1 - 1/c sits in a point mass at zero that a density
-    grid cannot show.  A grid that is not finite is a ValueError.
+    Solves for the companion transform at x + 1e-6 i at every grid point
+    in one ``companion_transform`` call, so a point that fails raises its
+    IterationError.  The companion transform is converted back to the
+    spectrum's Stieltjes transform, whose imaginary part over pi is the
+    density.  The curve integrates to min(1, 1/c); for c > 1 the
+    remaining 1 - 1/c sits in a point mass at zero that a density grid
+    cannot show.  A grid that is not finite is a ValueError.
     """
     x = np.asarray(grid, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
@@ -415,7 +393,7 @@ def lsd_density_curve(model: PSDModel, c, grid) -> DensityCurve:
         raise ValueError("grid must be strictly increasing")
     c = _positive_ratio(c)
     z = x + 1j * _DENSITY_EPS
-    s = _solve_companion(z, model, c)
+    s = companion_transform(z, model, c)
     stieltjes = (s + (1.0 - c) / z) / c
     return DensityCurve(x, np.maximum(stieltjes.imag, 0.0) / math.pi)
 
@@ -569,37 +547,3 @@ def support_bounds(model: PSDModel, c) -> SupportReport:
         complement=tuple(images),
         mass_at_zero=max(0.0, 1.0 - 1.0 / c) if c > 1.0 else 0.0,
     )
-
-
-def solve_companion_real(u: float, model: PSDModel, c) -> float:
-    """Real companion-transform value at a point u outside the support.
-
-    Runs ``support_bounds(model, c)``, finds the increasing branch whose
-    image contains u and solves u(y) = u there by ``brentq`` in y = -1/s,
-    in which the map rises with slope at most 1.  The bracket is the
-    branch (-1/s_lo, -1/s_hi), and only an end at s = 0, where y is
-    infinite, needs u to close it: y < u right of the support, and
-    y > u - c * mean on the positive branch (y < 0; a density with
-    negative parts can break this, and then the end is pushed out until
-    it brackets the root).  Points inside the support (or at zero) have
-    no real solution and raise ValueError.
-    """
-    u = float(u)
-    c = _positive_ratio(c)
-    rep = support_bounds(model, c)
-    # u(y) - u, with u(0) = 0 (s = +-inf) taken by value
-    f = lambda y: (_u_map(-1.0 / y, model, c) if y else 0.0) - u
-    for (s_lo, s_hi), (u_lo, u_hi) in zip(rep.branches, rep.complement):
-        if not (u_lo < u < u_hi):
-            continue
-        y_hi = -1.0 / s_hi if s_hi else u     # gap right of the support
-        if s_lo:
-            y_lo = -1.0 / s_lo
-        else:                                 # positive branch
-            width = max(c * model.mean(), abs(u)) or 1.0
-            while not f(u - width) < 0.0 and width < 1e300:   # negative parts
-                width *= 2.0
-            y_lo = u - width
-        y = optimize.brentq(f, y_lo, y_hi, xtol=1e-300, rtol=8.9e-16)
-        return -1.0 / y
-    raise ValueError(f"u={u!r} lies inside the limiting spectrum support")

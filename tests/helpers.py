@@ -7,10 +7,12 @@ the least-squares objective at the true parameters vanishes to rounding.
 """
 
 import numpy as np
+from scipy import optimize
 
-from psdfit import (Discrete, SampleSpectrum, mp_u_map, solve_companion_real,
+from psdfit import (Discrete, PSDModel, SampleSpectrum, mp_u_map,
                     support_bounds)
 from psdfit.estimator import UNet
+from psdfit.mptransform import _positive_ratio, _u_map
 
 # Case models from the simulation study
 CASE1 = {"kind": "discrete", "atoms": [1.0, 2.0], "weights": [0.5, 0.5]}
@@ -71,6 +73,40 @@ def full_gram_spectrum(population, n, seed):
     pop = np.asarray(population, dtype=float)
     x = np.sqrt(pop)[:, None] * np.random.default_rng(seed).standard_normal((pop.size, n))
     return SampleSpectrum(np.linalg.eigvalsh(x @ x.T / n)[::-1], pop.size, n)
+
+
+def solve_companion_real(u: float, model: PSDModel, c) -> float:
+    """Real companion-transform value at a point u outside the support.
+
+    Runs ``support_bounds(model, c)``, finds the increasing branch whose
+    image contains u and solves u(y) = u there by ``brentq`` in y = -1/s,
+    in which the map rises with slope at most 1.  The bracket is the
+    branch (-1/s_lo, -1/s_hi), and only an end at s = 0, where y is
+    infinite, needs u to close it: y < u right of the support, and
+    y > u - c * mean on the positive branch (y < 0; a density with
+    negative parts can break this, and then the end is pushed out until
+    it brackets the root).  Points inside the support (or at zero) have
+    no real solution and raise ValueError.
+    """
+    u = float(u)
+    c = _positive_ratio(c)
+    rep = support_bounds(model, c)
+    # u(y) - u, with u(0) = 0 (s = +-inf) taken by value
+    f = lambda y: (_u_map(-1.0 / y, model, c) if y else 0.0) - u
+    for (s_lo, s_hi), (u_lo, u_hi) in zip(rep.branches, rep.complement):
+        if not (u_lo < u < u_hi):
+            continue
+        y_hi = -1.0 / s_hi if s_hi else u     # gap right of the support
+        if s_lo:
+            y_lo = -1.0 / s_lo
+        else:                                 # positive branch
+            width = max(c * model.mean(), abs(u)) or 1.0
+            while not f(u - width) < 0.0 and width < 1e300:   # negative parts
+                width *= 2.0
+            y_lo = u - width
+        y = optimize.brentq(f, y_lo, y_hi, xtol=1e-300, rtol=8.9e-16)
+        return -1.0 / y
+    raise ValueError(f"u={u!r} lies inside the limiting spectrum support")
 
 
 def exact_net(model, c, u_targets, p=100):

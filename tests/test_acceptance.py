@@ -13,13 +13,14 @@ import numpy as np
 from scipy import integrate
 
 import helpers
+from helpers import solve_companion_real
 from psdfit import (Discrete, ExperimentConfig, InverseCubic, Laguerre,
                     PointMass, ReturnsMatrix, SampleSpectrum,
-                    companion_stieltjes, correlated_returns, fit_laguerre,
-                    lsd_density_curve, mp_u_map, objective,
-                    population_from_model, run_analysis, run_experiment,
-                    sample_spectrum, solve_companion_fixed_point,
-                    solve_companion_real, support_bounds, wasserstein)
+                    companion_stieltjes, companion_transform,
+                    correlated_returns, fit_laguerre, lsd_density_curve,
+                    mp_u_map, objective, population_from_model, run_analysis,
+                    run_experiment, sample_spectrum, support_bounds,
+                    wasserstein)
 
 SEED = 20260823
 
@@ -97,7 +98,7 @@ def test_criterion_04_real_roots_and_branch_monotonicity():
     worst = 0.0
     for u in (-5.0, -1.0, -0.1):
         root = solve_companion_real(u, SPLIT_BULK, c)
-        above = solve_companion_fixed_point(complex(u, 1e-8), SPLIT_BULK, c)
+        above = companion_transform(complex(u, 1e-8), SPLIT_BULK, c)
         worst = max(worst, abs(above.real - root))
     rising = True
     for s_lo, s_hi in report.branches:

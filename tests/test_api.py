@@ -1,9 +1,14 @@
-"""The public API's settable values, found by introspecting ``psdfit``."""
+"""The public API's settable values, found by introspecting ``psdfit``,
+and its names, each of which some program code must use."""
 
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import psdfit
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def settable_values():
@@ -57,3 +62,21 @@ def test_each_public_name_is_declared_once():
     # in two of them would be shadowed without a word by the later one
     assert len(set(psdfit.__all__)) == len(psdfit.__all__)
     assert all(hasattr(psdfit, name) for name in psdfit.__all__)
+
+
+def test_each_public_name_has_a_caller_outside_the_tests():
+    # a public name that only its own tests use is API nobody needs: it
+    # counts as used where it appears as a name or an attribute in a
+    # non-test file of the package or the benchmark, not in a string, a
+    # docstring or an import
+    files = [f for d in ("src/psdfit", "perfbench") for f in (ROOT / d).glob("*.py")
+             if not f.name.startswith("test_")]
+    used = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert len(files) > 8
+    assert sorted(set(psdfit.__all__) - used - {"__version__"}) == []

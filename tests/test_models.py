@@ -82,6 +82,12 @@ class TestPointMass:
         assert type(again) is PointMass and again == m
         assert hash(again) == hash(m)
 
+    def test_companion_root_rejects_non_finite_z(self):
+        # the arrowhead eigensolver would raise LinAlgError instead
+        for bad in (complex(math.inf, 1.0), complex(math.nan, 1.0)):
+            with pytest.raises(ValueError, match="z must be finite"):
+                PointMass(1.0).companion_root(np.array([1.0 + 1j, bad]), 0.5)
+
 
 class TestLaguerre:
     def test_pinned_constant(self):

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 from scipy import special
 
 import helpers
+from helpers import solve_companion_real
 from psdfit import (DensityCurve, Discrete, InverseCubic, IterationError,
                     Laguerre, NearPoleError, PointMass, PoleError, PSDModel,
-                    SampleSpectrum, companion_stieltjes,
-                    lsd_density_curve, mp_u_map,
-                    solve_companion_fixed_point, solve_companion_real,
-                    support_bounds)
+                    SampleSpectrum, companion_stieltjes, companion_transform,
+                    lsd_density_curve, mp_u_map, support_bounds)
 from psdfit import mptransform
 from psdfit.models import _laguerre_moments
 
@@ -245,18 +244,25 @@ class TestUMap:
 class TestFixedPointSolver:
     def test_identity_model_closed_form(self):
         c = 0.25
-        for z in (1.0 + 0.5j, 0.5 + 1e-3j, 3.0 + 1e-4j, -1.0 + 1e-6j):
+        zs = (1.0 + 0.5j, 0.5 + 1e-3j, 3.0 + 1e-4j, -1.0 + 1e-6j)
+        wants = []
+        for z in zs:
             roots = np.roots([z, z + 1.0 - c, 1.0])
-            want = roots[np.argmax(roots.imag)]
-            got = solve_companion_fixed_point(z, PointMass(1.0), c)
-            assert abs(got - want) < 1e-8
+            wants.append(roots[np.argmax(roots.imag)])
+            got = companion_transform(z, PointMass(1.0), c)
+            assert type(got) is complex
+            assert abs(got - wants[-1]) < 1e-8
+        # an array of z comes back in its own shape
+        got = companion_transform(np.reshape(zs, (2, 2)), PointMass(1.0), c)
+        assert got.shape == (2, 2)
+        assert np.max(np.abs(got.ravel() - wants)) < 1e-8
 
     def test_residual_contract(self):
         m = Discrete([1.0, 3.0, 5.0], [0.3, 0.4, 0.3])
         c = 0.2
         for x in (0.5, 1.0, 2.0, 4.5):
             z = complex(x, 1e-6)
-            s = solve_companion_fixed_point(z, m, c)
+            s = companion_transform(z, m, c)
             resid = abs(mp_complex_u(s, m, c) - z)
             assert resid < 1e-10
             assert s.imag > 0.0
@@ -265,27 +271,28 @@ class TestFixedPointSolver:
         # adjacent to a support edge the plain iteration stalls; the
         # Newton stage must still deliver the full tolerance
         z = complex(0.2501, 1e-6)
-        s = solve_companion_fixed_point(z, PointMass(1.0), 0.25)
+        s = companion_transform(z, PointMass(1.0), 0.25)
         assert abs(mp_complex_u(s, PointMass(1.0), 0.25) - z) < 1e-10
 
     def test_rejects_lower_half_plane(self):
-        for z in (1.0 + 0.0j, 1.0 - 1e-3j):
-            with pytest.raises(ValueError):
-                solve_companion_fixed_point(z, PointMass(1.0), 0.5)
+        for z in (1.0 + 0.0j, 1.0 - 1e-3j, np.array([1.0 + 1e-3j, 2.0 - 1e-3j])):
+            with pytest.raises(ValueError, match="positive imaginary part"):
+                companion_transform(z, PointMass(1.0), 0.5)
 
     @pytest.mark.parametrize("z", [complex(math.inf, 1.0), complex(1.0, math.inf),
-                                   complex(math.nan, 1.0)])
+                                   complex(math.nan, 1.0),
+                                   np.array([1.0 + 1j, complex(math.nan, 1.0)])])
     def test_rejects_non_finite_argument(self, z):
         with warnings.catch_warnings(), pytest.raises(ValueError, match="z must be finite"):
             warnings.simplefilter("error")
-            solve_companion_fixed_point(z, Laguerre([1.0]), 0.5)
+            companion_transform(z, Laguerre([1.0]), 0.5)
 
     def test_newton_stays_in_the_upper_half_plane(self):
         # at c = 1 near zero the fixed point stalls, and unshortened Newton
         # steps from its last iterate reach the root -1.55 - 30.96i, whose
         # density reads 0; the closed-form-kernel density there is 9.8572
         model, z = Laguerre([1.0]), 0.001 + 1e-6j
-        s = solve_companion_fixed_point(z, model, 1.0)
+        s = companion_transform(z, model, 1.0)
         assert s.imag > 0.0
         assert abs(mp_complex_u(s, model, 1.0) - z) < 1e-10
         assert s.imag / math.pi == pytest.approx(9.8572, rel=1e-3)
@@ -349,7 +356,7 @@ class TestFixedPointSolver:
         z = 1.0 + 1e-6j
         assert np.all(WrongSlope().quantile(mptransform._SURROGATE_NODES) == 1e-12)
         start = PointMass(1e-12).companion_root(np.array([z]), 0.5)[0]
-        s = solve_companion_fixed_point(z, WrongSlope(), 0.5)
+        s = companion_transform(z, WrongSlope(), 0.5)
         assert s == start
         assert abs(mp_complex_u(s, WrongSlope(), 0.5) - z) < 1e-10
 
@@ -590,7 +597,7 @@ class TestBatchedSolve:
     @pytest.mark.parametrize("model, c, grid", FORWARD_CASES)
     def test_roots_lie_in_the_upper_half_plane(self, model, c, grid):
         z = grid + 1e-6j
-        s = mptransform._solve_companion(z, model, c)
+        s = companion_transform(z, model, c)
         assert np.all(s.imag > 0.0)
         assert np.max(np.abs(-1.0 / s + c * model.kernel(s)[0] - z)) < 1e-10
 
@@ -645,7 +652,7 @@ class TestBatchedSolve:
             warnings.simplefilter("error")
             curve = lsd_density_curve(model, 1.0, grid)
         z = np.array(grid) + 1e-6j
-        s = mptransform._solve_companion(z, model, 1.0)
+        s = companion_transform(z, model, 1.0)
         assert np.all(s.imag > 0.0)
         assert np.max(np.abs(-1.0 / s + model.kernel(s)[0] - z)) < 1e-10
         assert np.array_equal(curve.f, s.imag / math.pi)
@@ -661,7 +668,7 @@ class TestBatchedSolve:
             warnings.simplefilter("error")
             for x in (1e-5, 1e-4, 2e-4, 1e-3, 2e-3):
                 z = complex(x, 1e-6)
-                s = solve_companion_fixed_point(z, model, 1.0)
+                s = companion_transform(z, model, 1.0)
                 assert s.imag > 0.0
                 assert abs(mp_complex_u(s, model, 1.0) - z) < 1e-10
             for grid in ([1e-4, 0.5, 1.0], [1e-4, 2e-4, 0.5], [0.001, 0.002, 0.5]):
@@ -706,7 +713,7 @@ class TestBatchedSolve:
             lsd_density_curve(cubic, 1.0, [1e-4, 2e-4, 0.5])
         assert str(err.value) == "no convergence to residual 1e-10 at z=(0.0001+1e-06j)"
         with pytest.raises(IterationError) as one:
-            solve_companion_fixed_point(1e-4 + 1e-6j, cubic, 1.0)
+            companion_transform(1e-4 + 1e-6j, cubic, 1.0)
         assert str(one.value) == str(err.value)
         # the grid retries 1e-4 from its solved neighbour at 0.5, the lone
         # point from the surrogate root only, so their last residuals differ
@@ -848,12 +855,10 @@ class TestSupportBounds:
 @pytest.mark.parametrize("c", [-0.5, 0.0, math.nan, math.inf])
 @pytest.mark.parametrize("call", [
     lambda c: lsd_density_curve(PointMass(1.0), c, np.linspace(0.1, 3.0, 5)),
-    lambda c: solve_companion_fixed_point(1.0 + 0.1j, PointMass(1.0), c),
+    lambda c: companion_transform(1.0 + 0.1j, PointMass(1.0), c),
     lambda c: support_bounds(PointMass(1.0), c),
     lambda c: mp_u_map(2.0, PointMass(1.0), c),
-    lambda c: solve_companion_real(-1.0, PointMass(1.0), c),
-], ids=["lsd_density_curve", "solve_companion_fixed_point", "support_bounds",
-        "mp_u_map", "solve_companion_real"])
+], ids=["lsd_density_curve", "companion_transform", "support_bounds", "mp_u_map"])
 def test_ratio_must_be_positive(call, c):
     with pytest.raises(ValueError, match="aspect ratio must be positive"):
         call(c)
@@ -888,7 +893,7 @@ class TestRealSolver:
         model = Discrete([2.0, 7.0, 10.0], [0.3, 0.4, 0.3])
         for u in (-5.0, -1.0, -0.1):
             real_root = solve_companion_real(u, model, 0.1)
-            hp = solve_companion_fixed_point(complex(u, 1e-8), model, 0.1)
+            hp = companion_transform(complex(u, 1e-8), model, 0.1)
             assert abs(real_root - hp.real) < 1e-6
 
 
