@@ -858,7 +858,9 @@ class TestSupportBounds:
     lambda c: companion_transform(1.0 + 0.1j, PointMass(1.0), c),
     lambda c: support_bounds(PointMass(1.0), c),
     lambda c: mp_u_map(2.0, PointMass(1.0), c),
-], ids=["lsd_density_curve", "companion_transform", "support_bounds", "mp_u_map"])
+    lambda c: solve_companion_real(-1.0, PointMass(1.0), c),
+], ids=["lsd_density_curve", "companion_transform", "support_bounds",
+        "mp_u_map", "solve_companion_real"])
 def test_ratio_must_be_positive(call, c):
     with pytest.raises(ValueError, match="aspect ratio must be positive"):
         call(c)
