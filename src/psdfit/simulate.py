@@ -26,6 +26,14 @@ __all__ = [
 ]
 
 
+def _whole(value, name: str = "value") -> int:
+    """An int, or a float equal to one, as an int; else ValueError naming it."""
+    if (isinstance(value, (int, np.integer))
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def population_from_model(model: PSDModel, p: int) -> NDArray:
     """Discretize a model into p population eigenvalues.
 
@@ -33,7 +41,7 @@ def population_from_model(model: PSDModel, p: int) -> NDArray:
     largest-remainder correction so the counts sum to p exactly; smooth
     models get the quantiles Q((i - 0.5) / p).
     """
-    p = int(p)
+    p = _whole(p, "p")
     if p < 1:
         raise ValueError("p must be at least 1")
     if isinstance(model, Discrete):
@@ -55,7 +63,7 @@ def population_draw(model: PSDModel, p: int, seed) -> NDArray:
     random population carries, which for smooth models dominates the
     distance between the fitted and the true spectrum.
     """
-    p = int(p)
+    p = _whole(p, "p")
     if p < 1:
         raise ValueError("p must be at least 1")
     rng = np.random.default_rng(seed)
@@ -69,36 +77,33 @@ def sample_spectrum(population, n: int, seed: int) -> SampleSpectrum:
     """Eigenvalues of a sample covariance matrix drawn from a population.
 
     Row i of the p-by-n data matrix X is sqrt(population[i]) times
-    standard normals; the spectrum is that of (1/n) X X'.  For p > n, X is
-    drawn in full, the nonzero part comes from the n-by-n Gram matrix and
-    p - n zeros are appended.  For p <= n, X X' has the law of
-    D^{1/2} A A' D^{1/2}, with D = diag(population) and A lower triangular,
-    N(0, 1) below the diagonal and A_ii = sqrt(chi^2_{n-i}), i = 0..p-1
-    (the Bartlett decomposition; Muirhead 1982, section 3.2), so only
-    p(p + 1)/2 variates are drawn; the spectrum is that of B' B / n with
-    B = D^{1/2} A, formed by LAPACK's triangular product ``dlauum``.
+    standard normals; the spectrum is that of (1/n) X X'.  With
+    D = diag(population) and m = min(p, n), X X' has the law of
+    D^{1/2} L L' D^{1/2} for a p-by-m L whose top m rows are lower
+    triangular, N(0, 1) below the diagonal and L_ii = sqrt(chi^2_{n-i}),
+    and whose p - m rows below are iid N(0, 1) (the Bartlett decomposition;
+    Muirhead 1982, section 3.2).  The nonzero spectrum is that of B' B / n
+    with B = D^{1/2} L: LAPACK's ``dlauum`` forms the triangle's product,
+    a plain product adds the lower rows', and p - m zeros are appended.
     """
     pop = np.asarray(population, dtype=float).ravel()
     if pop.size < 1 or not np.all(np.isfinite(pop)) or np.any(pop < 0.0):
         raise ValueError("population eigenvalues must be finite and nonnegative")
-    n = int(n)
+    n = _whole(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
-    p = pop.size
+    p, m = pop.size, min(pop.size, n)
     rng = np.random.default_rng(seed)
-    if p > n:
-        x = np.sqrt(pop)[:, None] * rng.standard_normal((p, n))
-        eigs = np.concatenate([np.zeros(p - n), np.linalg.eigvalsh(x.T @ x / n)])
-    else:
-        a = np.zeros((p, p))
-        a[np.tri(p, p, -1, dtype=bool)] = rng.standard_normal(p * (p - 1) // 2)
-        a[np.diag_indices(p)] = np.sqrt(rng.chisquare(n - np.arange(p)))
-        # U U' = B' B in the upper triangle, written over U = B', a temporary
-        btb, info = lapack.dlauum((np.sqrt(pop)[:, None] * a).T, lower=0, overwrite_c=1)
-        if info != 0:
-            raise NumericsError(f"dlauum failed with info = {info}")
-        eigs = np.linalg.eigvalsh(btb / n, UPLO="U")
-    return SampleSpectrum(eigs[::-1], p, n)
+    a = np.zeros((m, m))
+    a[np.tri(m, m, -1, dtype=bool)] = rng.standard_normal(m * (m - 1) // 2)
+    a[np.diag_indices(m)] = np.sqrt(rng.chisquare(n - np.arange(m)))
+    rest = np.sqrt(pop[m:])[:, None] * rng.standard_normal((p - m, m))
+    # U U' = T' T for B's top m rows T, in the upper triangle, written over U = T'
+    btb, info = lapack.dlauum((np.sqrt(pop[:m])[:, None] * a).T, lower=0, overwrite_c=1)
+    if info != 0:
+        raise NumericsError(f"dlauum failed with info = {info}")
+    eigs = np.linalg.eigvalsh((btb + rest.T @ rest) / n, UPLO="U")
+    return SampleSpectrum(np.concatenate([eigs[::-1], np.zeros(p - m)]), p, n)
 
 
 def correlated_returns(model: PSDModel, n_assets: int, n_obs: int,
@@ -109,7 +114,7 @@ def correlated_returns(model: PSDModel, n_assets: int, n_obs: int,
     rotation the matrix would be diagonal and its correlation matrix the
     identity, hiding the spectrum this data is meant to carry.
     """
-    p, t = int(n_assets), int(n_obs)
+    p, t = _whole(n_assets, "n_assets"), _whole(n_obs, "n_obs")
     if p < 2 or t < 2:
         raise ValueError("need at least 2 assets and 2 observations")
     pop = population_from_model(model, p)
@@ -118,14 +123,6 @@ def correlated_returns(model: PSDModel, n_assets: int, n_obs: int,
     q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
     z = rng.standard_normal((t, p))
     return (z * np.sqrt(pop)) @ q.T
-
-
-def _whole(value, name: str = "value") -> int:
-    """An int, or a float equal to one, as an int; else ValueError naming it."""
-    if (isinstance(value, (int, np.integer))
-            or isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -275,6 +272,7 @@ def run_experiment(config: ExperimentConfig, *, n_jobs: int = 1) -> ExperimentRe
     the run.  Output is deterministic for a given config regardless of
     n_jobs, which must be at least 1.
     """
+    n_jobs = _whole(n_jobs, "n_jobs")
     if n_jobs < 1:
         raise ValueError("n_jobs must be at least 1")
     tasks = [(config, p, n, r)

@@ -3,9 +3,9 @@
 The values frozen in these tests (the Nelder-Mead objective panel in
 ``test_estimator.py`` among them) were computed with one OpenBLAS thread.
 The products behind a drawn spectrum split their sums differently with
-more threads: ``sample_spectrum``'s ``x.T @ x`` for p > n and its LAPACK
-``dlauum`` triangular product for p <= n, and the panel's ``x @ x.T`` in
-``helpers.full_gram_spectrum``.  The nets then differ in their last bits
+more threads: ``sample_spectrum``'s LAPACK ``dlauum`` triangular product
+plus, for p > n, its product of the rows below the triangle, and the
+panel's ``x @ x.T`` in ``helpers.full_gram_spectrum``.  The nets then differ in their last bits
 from those the values belong to.  As in ``perfbench/run.py``, this must be
 set before numpy loads.
 

@@ -47,6 +47,8 @@ class TestPopulationFromModel:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             population_from_model(PointMass(1.0), 0)
+        with pytest.raises(ValueError, match="p must be a whole number"):
+            population_from_model(PointMass(1.0), 3.7)
 
 
 def _bisection_quantile(model, p):
@@ -100,6 +102,8 @@ class TestPopulationDraw:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             population_draw(PointMass(1.0), 0, seed=0)
+        with pytest.raises(ValueError, match="p must be a whole number"):
+            population_draw(PointMass(1.0), 3.7, seed=0)
 
     def test_zero_uniform_draws_the_smallest_normal_quantile(self):
         class ZeroDraws(np.random.Generator):
@@ -121,7 +125,9 @@ class TestSampleSpectrum:
         pop = population_from_model(Laguerre([1.0]), 1000)
         spec = sample_spectrum(pop, 500, seed=0)
         assert spec.p == 1000 and spec.n == 500
-        assert np.count_nonzero(spec.eigenvalues == 0.0) >= 500
+        # p - n exact zeros, after n positive eigenvalues
+        assert np.count_nonzero(spec.eigenvalues == 0.0) == 500
+        assert np.all(spec.eigenvalues[:500] > 0.0)
 
     def test_identity_trace_concentrates(self):
         spec = sample_spectrum(np.ones(100), 500, seed=0)
@@ -142,8 +148,12 @@ class TestSampleSpectrum:
 
     @pytest.mark.parametrize("pop, n", [(np.linspace(0.5, 3.0, 30), 60),
                                         (np.linspace(0.5, 3.0, 20), 20),
-                                        (np.r_[0.0, 0.0, np.linspace(1.0, 4.0, 8)], 25)],
-                             ids=["30x60", "p=n", "zero-entries"])
+                                        (np.r_[0.0, 0.0, np.linspace(1.0, 4.0, 8)], 25),
+                                        (np.linspace(0.5, 3.0, 30), 20),
+                                        (np.r_[0.0, 0.0, np.linspace(1.0, 4.0, 28)], 12),
+                                        (np.array([0.5, 1.0, 2.0]), 1)],
+                             ids=["30x60", "p=n", "zero-entries", "30x20",
+                                  "p>n-zero-entries", "3x1"])
     def test_exact_finite_n_moments(self, pop, n):
         # for S = (1/n) D^{1/2} W D^{1/2} with W ~ Wishart(I_p, n):
         # E tr S = tr D and E tr S^2 = (1 + 1/n) tr D^2 + (tr D)^2 / n;
@@ -155,9 +165,11 @@ class TestSampleSpectrum:
         z = (traces.mean(axis=0) - exact) / (traces.std(axis=0, ddof=1) / np.sqrt(4000))
         assert np.all(np.abs(z) < 4.5), z
 
-    def test_one_dimension_is_a_scaled_chi_square(self):
-        # p = 1: the one eigenvalue is pop * chi^2_n / n
-        draws = [sample_spectrum([2.5], 7, seed).eigenvalues[0] * 7 / 2.5
+    @pytest.mark.parametrize("pop, n", [([2.5], 7), ([2.5] * 7, 1)], ids=["p=1", "n=1"])
+    def test_one_dimension_is_a_scaled_chi_square(self, pop, n):
+        # p = 1: the one eigenvalue is 2.5 chi^2_n / n; n = 1 with seven
+        # entries of 2.5: the one nonzero eigenvalue is 2.5 chi^2_7
+        draws = [sample_spectrum(pop, n, seed).eigenvalues[0] * n / 2.5
                  for seed in range(2000)]
         assert stats.kstest(draws, stats.chi2(7).cdf).pvalue > 1e-3
 
@@ -176,6 +188,8 @@ class TestSampleSpectrum:
             sample_spectrum([1.0, -0.5], 10, seed=0)
         with pytest.raises(ValueError):
             sample_spectrum([1.0], 0, seed=0)
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            sample_spectrum(np.ones(10), 20.9, 1)
 
 
 class TestCorrelatedReturns:
@@ -203,11 +217,18 @@ class TestCorrelatedReturns:
     def test_rejects_tiny_dimensions(self):
         with pytest.raises(ValueError):
             correlated_returns(PointMass(1.0), 1, 100, seed=0)
+        with pytest.raises(ValueError, match="n_assets must be a whole number"):
+            correlated_returns(PointMass(1.0), 20.5, 100, seed=0)
+        with pytest.raises(ValueError, match="n_obs must be a whole number"):
+            correlated_returns(PointMass(1.0), 20, 100.5, seed=0)
 
 
 CONFIG = ExperimentConfig(
     case="unit", model=Discrete([1.0, 2.0], [0.5, 0.5]),
     dims=((30, 60),), replications=4, family="discrete", order=2, seed=11)
+TALL_CONFIG = ExperimentConfig(
+    case="tall", model=Discrete([1.0, 2.0], [0.5, 0.5]),
+    dims=((60, 30),), replications=4, family="discrete", order=2, seed=11)
 
 
 class TestExperimentConfig:
@@ -270,12 +291,13 @@ class TestRunExperiment:
         b = run_experiment(CONFIG)
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
-    def test_parallel_matches_serial(self):
-        a = run_experiment(CONFIG)
-        b = run_experiment(CONFIG, n_jobs=2)
+    @pytest.mark.parametrize("config", [CONFIG, TALL_CONFIG], ids=["30x60", "60x30"])
+    def test_parallel_matches_serial(self, config):
+        a = run_experiment(config)
+        b = run_experiment(config, n_jobs=2)
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
-    @pytest.mark.parametrize("n_jobs", [0, -1])
+    @pytest.mark.parametrize("n_jobs", [0, -1, 1.5])
     def test_rejects_fewer_than_one_job(self, n_jobs):
         with pytest.raises(ValueError, match="n_jobs"):
             run_experiment(CONFIG, n_jobs=n_jobs)
