@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import linalg, optimize
+import scipy
 
 from .errors import IterationError, RankError
 from .models import (_POSITIVITY_GRID, Discrete, InverseCubic, Laguerre,
@@ -245,7 +245,7 @@ def _variable_projection(net: UNet, k: int):
             weights = None
             if np.abs(denom).min() >= POLE_GUARD:
                 np.divide(c * atoms, denom.T, out=design[:-1])
-                weights = optimize.nnls(design, target)[0]
+                weights = scipy.optimize.nnls(design, target)[0]
                 weights = weights / weights.sum()
             proj = atoms, denom, weights
         kept[slot] = key, proj
@@ -313,7 +313,7 @@ def fit_discrete(net: UNet, k: int) -> FitResult:
     if net.m < 2 * k - 1:
         raise ValueError(f"net has {net.m} points but {2 * k - 1} are required")
     project, residual, jacobian = _variable_projection(net, k)
-    raw, _, info, _, ier = optimize.leastsq(
+    raw, _, info, _, ier = scipy.optimize.leastsq(
         residual, _quantile_start(net, k), Dfun=jacobian, full_output=True,
         ftol=_LSQ_TOL, xtol=_LSQ_TOL, gtol=_LSQ_GTOL, maxfev=_MAX_NFEV)
     atoms, _, weights = project(raw)
@@ -341,14 +341,14 @@ def _project_nonneg_density(design, target, degree):
     gmat = np.stack([_POSITIVITY_GRID**r - math.factorial(r)
                      for r in range(1, degree + 1)], axis=1)
     q, r = np.linalg.qr(design)
-    a_ls = linalg.solve_triangular(r, q.T @ target)
-    system = np.vstack([linalg.solve_triangular(r, gmat.T, trans="T"),
+    a_ls = scipy.linalg.solve_triangular(r, q.T @ target)
+    system = np.vstack([scipy.linalg.solve_triangular(r, gmat.T, trans="T"),
                         -1.0 - gmat @ a_ls])
     unit = np.eye(degree + 1)[-1]
-    u, _ = optimize.nnls(system, unit)
+    u, _ = scipy.optimize.nnls(system, unit)
     resid = system @ u - unit
     y = -resid[:degree] / resid[degree]
-    return a_ls + linalg.solve_triangular(r, y), int(np.count_nonzero(u))
+    return a_ls + scipy.linalg.solve_triangular(r, y), int(np.count_nonzero(u))
 
 
 def _smooth_values(net: UNet) -> NDArray:
@@ -416,7 +416,7 @@ def fit_inverse_cubic(net: UNet) -> FitResult:
     i = int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))
     lo = alphas[max(i - 1, 0)]
     hi = alphas[min(i + 1, _IC_COARSE - 1)]
-    res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": _IC_XATOL})
+    res = scipy.optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                         options={"xatol": _IC_XATOL})
     return _finish(InverseCubic(float(res.x)), net,
                    _IC_COARSE + int(res.nfev), bool(res.success))

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import optimize, special
+import scipy
 
 __all__ = [
     "PSDModel",
@@ -71,15 +71,19 @@ def _as_prob_array(prob):
 # ---------------------------------------------------------------------------
 # kernel integrals K1(s) = int t/(1+ts) dH, K2(s) = int t^2/(1+ts)^2 dH
 
-_GL_LAGUERRE = special.roots_laguerre(128)
+_gl_laguerre = cache(lambda: scipy.special.roots_laguerre(128))
 _IC_SERIES = 0.5        # inverse cubic: below this |beta/sigma| the series
 _IC_TERMS = 60          # in beta/sigma replaces the log form, with this many
                         # terms (0.5**60 is below rounding)
 # series coefficients: with a w + b = (1 - alpha)(1 - w) + alpha w, K1 takes
 # int w^(k+1) (1 - w) dw and int w^(k+2) dw, K2 (k + 1) times int w^(k+1) (1 - w)^2,
 # w^(k+2) (1 - w) and w^(k+3) dw; int w^p (1 - w)^q dw = B(p + 1, q + 1)
-_IC_TABLE = special.beta(np.arange(_IC_TERMS)[:, None] + [2, 3, 2, 3, 4], [2, 1, 3, 2, 1])
-_IC_TABLE[:, 2:] *= np.arange(1.0, _IC_TERMS + 1)[:, None]
+@cache
+def _ic_table():
+    table = scipy.special.beta(np.arange(_IC_TERMS)[:, None] + [2, 3, 2, 3, 4],
+                               [2, 1, 3, 2, 1])
+    table[:, 2:] *= np.arange(1.0, _IC_TERMS + 1)[:, None]
+    return table
 
 
 def _laguerre_moments(s, degree: int):
@@ -95,7 +99,7 @@ def _laguerre_moments(s, degree: int):
     """
     if np.any(s <= 0.0):
         raise ValueError("real arguments must be positive")
-    x, w = _GL_LAGUERRE
+    x, w = _gl_laguerre()
     vals = np.empty((degree + 1, s.size))
     ders = np.empty_like(vals)
     small = s <= 1.0
@@ -106,7 +110,7 @@ def _laguerre_moments(s, degree: int):
         ders[j, small] = -(wj * x) @ (inv * inv)
     big = s[~small]
     b = 1.0 / big
-    e_scaled = np.exp(b) * special.exp1(b)
+    e_scaled = np.exp(b) * scipy.special.exp1(b)
     J = b * e_scaled
     dJ = -b * b * ((1.0 + b) * e_scaled - 1.0)
     fact = 1.0
@@ -135,7 +139,7 @@ def _inverse_cubic_kernel(alpha, s):
     series of 1/(beta w + sigma) in r is summed instead:
     K1 = (2/sigma) sum_k (-r)^k int w^(k+1) (a w + b) dw, and K2 alike.
     Every lane, whatever the shape of alpha, sums it as its powers of -r
-    times the table _IC_TABLE, weighted by 1 - alpha and alpha, which
+    times the table _ic_table(), weighted by 1 - alpha and alpha, which
     keeps every term nonnegative so that the sum cannot cancel.
     """
     alpha = alpha + np.zeros(np.shape(s))          # each lane's own alpha
@@ -145,7 +149,7 @@ def _inverse_cubic_kernel(alpha, s):
     near = np.abs(beta) < _IC_SERIES * np.abs(sigma)
     if near.any():
         sg, al, bn = sigma[near], alpha[near], b[near]
-        sums = np.vander(-beta[near] / sg, _IC_TERMS, increasing=True) @ _IC_TABLE
+        sums = np.vander(-beta[near] / sg, _IC_TERMS, increasing=True) @ _ic_table()
         k1[near] = 2.0 * (bn * sums[:, 0] + al * sums[:, 1]) / sg
         k2[near] = 2.0 * (bn * bn * sums[:, 2] + 2.0 * al * bn * sums[:, 3]
                           + al * al * sums[:, 4]) / sg / sg
@@ -398,7 +402,7 @@ class Laguerre(PSDModel):
 
     def _raw_cdf(self, x, upper=False):
         """Unclipped CDF at x >= 0, or one minus it when ``upper``."""
-        gamma = special.gammaincc if upper else special.gammainc
+        gamma = scipy.special.gammaincc if upper else scipy.special.gammainc
         out = np.zeros_like(x)
         for j, a in enumerate(self.full_coeffs):
             # integral of t^j e^-t from 0 to x is j! times the regularized
@@ -440,7 +444,8 @@ class Laguerre(PSDModel):
         for upper in (False, True):
             lanes = np.flatnonzero((p > 0.5) == upper)
             want = 1.0 - p[lanes] if upper else p[lanes]   # exact above 1/2
-            x = (special.gammainccinv if upper else special.gammaincinv)(shape, want)
+            inverse = scipy.special.gammainccinv if upper else scipy.special.gammaincinv
+            x = inverse(shape, want)
             x = np.where((x > 0.0) & (x < top), x, 0.5 * top)   # also catches nan
             lo, hi = np.zeros_like(x), np.full_like(x, top)
             live = np.arange(x.size)
@@ -483,7 +488,7 @@ class Laguerre(PSDModel):
         for upper in (False, True):
             raw = self._raw_cdf(ends, upper)
             for k in np.flatnonzero(raw[:-1] * raw[1:] < 0.0):
-                breaks.append(optimize.brentq(
+                breaks.append(scipy.optimize.brentq(
                     lambda x: float(self._raw_cdf(x, upper)),
                     ends[k], ends[k + 1]))
         return np.array(breaks)
@@ -496,7 +501,7 @@ class Laguerre(PSDModel):
         """Gauss-Laguerre weights of K1 and K2 at complex s, with the
         polynomial folded in: one matrix-vector product per kernel instead
         of one per moment."""
-        x, w = _GL_LAGUERRE
+        x, w = _gl_laguerre()
         wp = w * x * np.polynomial.polynomial.polyval(x, self.full_coeffs)
         return wp, wp * x
 
@@ -505,7 +510,7 @@ class Laguerre(PSDModel):
             w1, w2 = self._folded_weights
             # one (nodes x lanes) buffer, worked in place: temporaries of
             # this size cost more to allocate than to fill
-            inv = np.multiply.outer(_GL_LAGUERRE[0], s)
+            inv = np.multiply.outer(_gl_laguerre()[0], s)
             inv += 1.0
             np.divide(1.0, inv, out=inv)
             k1 = w1 @ inv
@@ -652,7 +657,7 @@ def _w_crossings(a, b, x, diff):
     i, j = k[:-1], k[1:]
     flips = (i // x.shape[1] == j // x.shape[1]) & (sign[i] != sign[j])
     x = x.ravel()
-    return [optimize.brentq(lambda t: float(a.cdf(t) - b.cdf(t)), x[p], x[q])
+    return [scipy.optimize.brentq(lambda t: float(a.cdf(t) - b.cdf(t)), x[p], x[q])
             for p, q in zip(i[flips], j[flips])]
 
 

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import optimize, special
+import scipy
 
 from .errors import IterationError, NearPoleError, PoleError
 from .models import Discrete, PSDModel
@@ -196,7 +197,7 @@ _SEED_STRIDE = 8          # every 8th point (and the last) is a seed
 # A non-atomic model's surrogate takes its quantiles Q(p) at the 4
 # Gauss-Legendre nodes p of (0, 1), with their weights: its K1 is the Gauss
 # rule for integral_0^1 Q(p) / (1 + Q(p) s) dp
-_SURROGATE_NODES, _SURROGATE_WEIGHTS = special.roots_sh_legendre(4)
+_surrogate_rule = cache(lambda: scipy.special.roots_sh_legendre(4))
 _CONTINUE_STEPS = 12      # Newton budget of every start
 _KEEP_IM = 0.1            # share of Im s a shortened Newton step keeps
 _DENSITY_EPS = 1e-6       # curves read the transform at x + i*_DENSITY_EPS
@@ -316,8 +317,9 @@ def _solve_block(z, model, c):
     if isinstance(model, Discrete):
         law = model
     else:   # tied quantiles, as of a law with atoms, merge into one heavier atom
-        atoms, tied = np.unique(model.quantile(_SURROGATE_NODES), return_inverse=True)
-        law = Discrete(atoms, np.bincount(tied, _SURROGATE_WEIGHTS))
+        nodes, weights = _surrogate_rule()
+        atoms, tied = np.unique(model.quantile(nodes), return_inverse=True)
+        law = Discrete(atoms, np.bincount(tied, weights))
     seeds = np.unique(np.append(np.arange(0, z.size, _SEED_STRIDE), z.size - 1))
     run(seeds, law.companion_root(z[seeds], c))
     lanes, start = _continuation_starts(z.real, s, done, done)
@@ -490,8 +492,8 @@ def support_bounds(model: PSDModel, c) -> SupportReport:
         return 1.0 - 1.0 / (c * s * s * float(model.kernel(np.array([s]))[1][0]))
 
     def root(a, b):
-        y, result = optimize.brentq(excess, a, b, xtol=1e-300, rtol=8.9e-16,
-                                    full_output=True, disp=False)
+        y, result = scipy.optimize.brentq(excess, a, b, xtol=1e-300, rtol=8.9e-16,
+                                          full_output=True, disp=False)
         if not result.converged:
             raise IterationError(f"no branch end found in the bracket y in [{a!r}, {b!r}]")
         return y
@@ -516,8 +518,8 @@ def support_bounds(model: PSDModel, c) -> SupportReport:
             images.append((u_at(y), math.inf))
         else:                         # searched in the gap's own unit, scale-free
             at = lambda t: g_lo + t * (g_hi - g_lo)
-            low = optimize.minimize_scalar(lambda t: excess(at(t)), bounds=(0.0, 1.0),
-                                           method="bounded", options={"xatol": 1e-10})
+            low = scipy.optimize.minimize_scalar(lambda t: excess(at(t)), bounds=(0.0, 1.0),
+                                                 method="bounded", options={"xatol": 1e-10})
             if low.fun < 0.0:
                 y_lo, y_hi = root(g_lo, at(low.x)), root(at(low.x), g_hi)
                 branches.append((-1.0 / y_lo, -1.0 / y_hi))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import lapack
+import scipy
 
 from .errors import NumericsError
 from .estimator import (FAMILIES, build_unet, fit_discrete, fit_inverse_cubic,
@@ -27,8 +27,8 @@ __all__ = [
 
 
 def _whole(value, name: str = "value") -> int:
-    """An int, or a float equal to one, as an int; else ValueError naming it."""
-    if (isinstance(value, (int, np.integer))
+    """An int but not a bool, or a float equal to one, as an int; else ValueError naming it."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             or isinstance(value, float) and value.is_integer()):
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
@@ -99,10 +99,11 @@ def sample_spectrum(population, n: int, seed: int) -> SampleSpectrum:
     a[np.diag_indices(m)] = np.sqrt(rng.chisquare(n - np.arange(m)))
     rest = np.sqrt(pop[m:])[:, None] * rng.standard_normal((p - m, m))
     # U U' = T' T for B's top m rows T, in the upper triangle, written over U = T'
-    btb, info = lapack.dlauum((np.sqrt(pop[:m])[:, None] * a).T, lower=0, overwrite_c=1)
+    btb, info = scipy.linalg.lapack.dlauum((np.sqrt(pop[:m])[:, None] * a).T,
+                                           lower=0, overwrite_c=1)
     if info != 0:
         raise NumericsError(f"dlauum failed with info = {info}")
-    eigs = np.linalg.eigvalsh((btb + rest.T @ rest) / n, UPLO="U")
+    eigs = np.linalg.eigvalsh((btb + np.dot(rest.T, rest)) / n, UPLO="U")
     return SampleSpectrum(np.concatenate([eigs[::-1], np.zeros(p - m)]), p, n)
 
 
@@ -278,6 +279,8 @@ def run_experiment(config: ExperimentConfig, *, n_jobs: int = 1) -> ExperimentRe
     tasks = [(config, p, n, r)
              for p, n in config.dims for r in range(config.replications)]
     if n_jobs > 1:
+        # loaded once here, or each forked worker would load it anew
+        import scipy.optimize  # noqa: F401
         chunk = max(1, len(tasks) // (4 * n_jobs))
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             records = list(pool.map(_replicate, *zip(*tasks), chunksize=chunk))

@@ -409,7 +409,8 @@ def test_one_nnls_solve_per_search_point(monkeypatch, case, k, seed):
     net = build_unet(spec, "discrete")
     solves, points = [], set()
     nnls, variable_projection = optimize.nnls, estimator._variable_projection
-    monkeypatch.setattr(estimator.optimize, "nnls",
+    # the fitter looks nnls up on scipy.optimize at each call
+    monkeypatch.setattr(estimator.scipy.optimize, "nnls",
                         lambda *args: solves.append(1) or nnls(*args))
 
     def recording(net, k):

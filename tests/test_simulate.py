@@ -49,6 +49,8 @@ class TestPopulationFromModel:
             population_from_model(PointMass(1.0), 0)
         with pytest.raises(ValueError, match="p must be a whole number"):
             population_from_model(PointMass(1.0), 3.7)
+        with pytest.raises(ValueError, match="p must be a whole number"):
+            population_from_model(PointMass(1.0), True)
 
 
 def _bisection_quantile(model, p):
@@ -190,6 +192,8 @@ class TestSampleSpectrum:
             sample_spectrum([1.0], 0, seed=0)
         with pytest.raises(ValueError, match="n must be a whole number"):
             sample_spectrum(np.ones(10), 20.9, 1)
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            sample_spectrum(np.ones(3), True, 0)
 
 
 class TestCorrelatedReturns:
@@ -275,6 +279,12 @@ class TestExperimentConfig:
             ExperimentConfig(case="unit", model=CONFIG.model, dims=CONFIG.dims,
                              replications=2.7, family="discrete")
 
+    def test_constructor_rejects_a_bool_count(self):
+        # True is an int to Python, but no count of replications
+        with pytest.raises(ValueError, match="replications must be a whole number"):
+            ExperimentConfig(case="unit", model=CONFIG.model, dims=CONFIG.dims,
+                             replications=True, family="discrete")
+
 
 class TestRunExperiment:
     def test_record_structure_and_seeds(self):
@@ -297,7 +307,7 @@ class TestRunExperiment:
         b = run_experiment(config, n_jobs=2)
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
-    @pytest.mark.parametrize("n_jobs", [0, -1, 1.5])
+    @pytest.mark.parametrize("n_jobs", [0, -1, 1.5, True])
     def test_rejects_fewer_than_one_job(self, n_jobs):
         with pytest.raises(ValueError, match="n_jobs"):
             run_experiment(CONFIG, n_jobs=n_jobs)
