@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .errors import _whole
 from .estimator import FitResult, build_unet, fit_inverse_cubic
 from .models import PointMass, PSDModel, model_from_dict
 from .mptransform import DensityCurve, SampleSpectrum, lsd_density_curve
@@ -138,7 +139,7 @@ def correlation_spectrum(returns: ReturnsMatrix, spikes: int = 0) -> SampleSpect
     `spikes` largest eigenvalues are removed, leaving p = N - spikes with
     n = T - 1 (centering consumes one degree of freedom).
     """
-    spikes = int(spikes)
+    spikes = _whole(spikes, "spikes")
     if spikes < 0 or spikes >= returns.n_assets:
         raise ValueError("spikes must lie in [0, number of assets)")
     x = returns.values
@@ -208,6 +209,7 @@ def run_analysis(returns: ReturnsMatrix, *, spikes: int = 0,
     spectral density, and the identity-covariance baseline, all on one
     grid of 400 equally spaced points over (0, 1.1 * lambda_max].
     """
+    spikes = _whole(spikes, "spikes")
     spectrum = correlation_spectrum(returns, spikes)
     net = build_unet(spectrum, "inverse_cubic", spacing)
     fit = fit_inverse_cubic(net)

@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its whole-number check.
 
 Input problems (bad files, bad arguments, invalid parameter vectors) raise
 plain ValueError/OSError.  Anything that goes wrong inside the numerics
 derives from NumericsError so callers can tell the two apart.
 """
+
+import numpy as np
 
 __all__ = [
     "NumericsError",
@@ -12,6 +14,14 @@ __all__ = [
     "IterationError",
     "RankError",
 ]
+
+
+def _whole(value, name: str = "value") -> int:
+    """An int but not a bool, or a float equal to one, as an int; else ValueError naming it."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 class NumericsError(Exception):

@@ -24,9 +24,9 @@ import numpy as np
 from numpy.typing import NDArray
 import scipy
 
-from .errors import IterationError, RankError
-from .models import (_POSITIVITY_GRID, Discrete, InverseCubic, Laguerre,
-                     PSDModel, _inverse_cubic_kernel, _laguerre_moments)
+from .errors import IterationError, RankError, _whole
+from .models import (_POSITIVITY_GRID, Discrete, InverseCubic, Laguerre, PSDModel,
+                     _gl_laguerre, _inverse_cubic_kernel, _laguerre_kernel)
 from .mptransform import POLE_GUARD, SampleSpectrum, companion_stieltjes, mp_u_map
 
 __all__ = [
@@ -121,7 +121,7 @@ def build_unet(spectrum: SampleSpectrum, family: str, spacing: int = 20) -> UNet
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    spacing = int(spacing)
+    spacing = _whole(spacing, "spacing")
     if spacing < 1:
         raise ValueError("spacing must be at least 1")
     intervals = [(-10.0, 0.0, "negative")]
@@ -307,7 +307,7 @@ def fit_discrete(net: UNet, k: int) -> FitResult:
     dropped, so the model may have fewer than k atoms.  A search that ends
     inside the pole guard raises IterationError.
     """
-    k = int(k)
+    k = _whole(k, "k")
     if k < 1:
         raise ValueError("k must be at least 1")
     if net.m < 2 * k - 1:
@@ -373,14 +373,16 @@ def fit_laguerre(net: UNet, degree: int) -> FitResult:
     shallower dips pass through untouched so that spectra touching zero
     are not pinned to the boundary.
     """
-    degree = int(degree)
+    degree = _whole(degree, "degree")
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if net.m < degree:
         raise ValueError(f"net has {net.m} points but {degree} are required")
     c = net.ratio()
     s = _smooth_values(net)
-    moments = _laguerre_moments(s, degree)[0]
+    x, w = _gl_laguerre()       # rows t^j e^-t, folded to w x^(j+1)
+    moments = _laguerre_kernel(w * x ** np.arange(1, degree + 2)[:, None],
+                               np.eye(degree + 1), s)[0]
     facts = np.array([math.factorial(r) for r in range(1, degree + 1)])
     design = (c * (moments[1:] - facts[:, None] * moments[0])).T
     target = net.points + 1.0 / s - c * moments[0]

@@ -11,10 +11,10 @@ a safeguarded Newton solve from a gamma-law start), the kernel integrals
 K1(s) = int t/(1+ts) dH and K2(s) = int t^2/(1+ts)^2 dH of the spectrum
 point map (atomic models also solve its forward equation in closed
 form), and JSON serialization.  ``kernel`` returns K1 and K2 from one
-call, each family by its own rule: finite sums over the atoms, the
-moment recursion or Gauss-Laguerre quadrature for the
-polynomial-exponential densities, and a closed form for the inverse
-cubic.  A kernel only integrates, at whatever s it is given: one rule in
+call, each family by its own rule: finite sums over the atoms, a closed
+form for the inverse cubic, and for the polynomial-exponential densities
+one Gauss-Laguerre routine, shared with the fit's moments, with the
+moment recursion on real s > 1.  A kernel only integrates: one rule in
 ``mptransform.mp_u_map``, the same for every family, keeps the pole
 -1/s of a real s off the support.  The module provides the first-order
 transport distance between models, integrated from their CDFs.
@@ -86,40 +86,43 @@ def _ic_table():
     return table
 
 
-def _laguerre_moments(s, degree: int):
-    """Moments I_j(s) = int t^{j+1} e^-t / (1 + t s) dt, j = 0..degree, and
-    their derivatives in s, at a 1-d array of real s > 0.
-
-    Returns (I, dI/ds), each of shape (degree + 1, s.size).  Up to s = 1
-    they are 128-node Gauss-Laguerre sums.  Above it, all lanes at once
-    run J_0 = b e^b E1(b) with b = 1/s and the upward recursion
-    J_{r+1} = (r! - J_r)/s for J_r = int t^r e^-t/(1+ts) dt, and
-    I_j = J_{j+1}; upward differences stay order one for s >= 1, so no
-    cancellation builds up.
+def _laguerre_kernel(folded, coeffs, s):
+    """K1 and K2, each of shape (rows, s.size), at a 1-d array of real s > 0
+    or complex s, for rows of densities (a_0 + ... + a_q t^q) e^-t: row r
+    has the coefficients coeffs[r] and the 128-node Gauss-Laguerre weights
+    w x p_r(x) as folded[r].  Every lane takes the quadrature.  Real lanes
+    with s > 1 are then overwritten by J_0 = b e^b E1(b), b = 1/s, and the
+    upward recursion J_{r+1} = (r! - J_r)/s for J_r = int t^r e^-t/(1+ts) dt,
+    all lanes at once: K1 = sum_j a_j J_{j+1} and K2 = -sum_j a_j dJ_{j+1}/ds.
+    Upward differences stay order one for s >= 1, so no cancellation builds up.
     """
-    if np.any(s <= 0.0):
+    real = not np.iscomplexobj(s)
+    if real and np.any(s <= 0.0):
         raise ValueError("real arguments must be positive")
-    x, w = _gl_laguerre()
-    vals = np.empty((degree + 1, s.size))
-    ders = np.empty_like(vals)
-    small = s <= 1.0
-    inv = 1.0 / (1.0 + np.outer(x, s[small]))
-    for j in range(degree + 1):
-        wj = w * x ** (j + 1)
-        vals[j, small] = wj @ inv
-        ders[j, small] = -(wj * x) @ (inv * inv)
-    big = s[~small]
+    x = _gl_laguerre()[0]
+    # one (nodes x lanes) buffer, worked in place: temporaries of this size
+    # cost more to allocate than to fill
+    inv = np.multiply.outer(x, s)
+    inv += 1.0
+    np.divide(1.0, inv, out=inv)
+    k1 = folded @ inv
+    inv *= inv
+    k2 = (folded * x) @ inv
+    lanes = s > 1.0 if real else np.zeros(s.shape, dtype=bool)
+    if not lanes.any():
+        return k1, k2
+    big = s[lanes]
     b = 1.0 / big
     e_scaled = np.exp(b) * scipy.special.exp1(b)
-    J = b * e_scaled
-    dJ = -b * b * ((1.0 + b) * e_scaled - 1.0)
-    fact = 1.0
-    for r in range(degree + 1):
+    J, dJ = b * e_scaled, -b * b * ((1.0 + b) * e_scaled - 1.0)
+    rec, fact = np.empty((2, coeffs.shape[1], big.size)), 1.0
+    for r in range(coeffs.shape[1]):
         J = (fact - J) / big
         dJ = -(J + dJ) / big
-        vals[r, ~small], ders[r, ~small] = J, dJ
+        rec[:, r] = J, dJ
         fact *= r + 1
-    return vals, ders
+    k1[:, lanes], k2[:, lanes] = coeffs @ rec[0], -(coeffs @ rec[1])
+    return k1, k2
 
 
 def _inverse_cubic_kernel(alpha, s):
@@ -387,12 +390,13 @@ class Laguerre(PSDModel):
     def degree(self) -> int:
         return self.coeffs.size
 
-    @property
+    @cached_property
     def full_coeffs(self) -> NDArray:
         """Polynomial coefficients (a0, a1, ..., aq) including the pinned a0."""
         facts = np.array([math.factorial(j) for j in range(1, self.degree + 1)])
-        a0 = 1.0 - float(facts @ self.coeffs)
-        return np.concatenate([[a0], self.coeffs])
+        out = np.concatenate([[1.0 - float(facts @ self.coeffs)], self.coeffs])
+        out.flags.writeable = False
+        return out
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
@@ -497,27 +501,14 @@ class Laguerre(PSDModel):
         return ((0.0, math.inf),)
 
     @cached_property
-    def _folded_weights(self):
-        """Gauss-Laguerre weights of K1 and K2 at complex s, with the
-        polynomial folded in: one matrix-vector product per kernel instead
-        of one per moment."""
+    def _folded(self):
+        """This density's row of ``_laguerre_kernel`` weights."""
         x, w = _gl_laguerre()
-        wp = w * x * np.polynomial.polynomial.polyval(x, self.full_coeffs)
-        return wp, wp * x
+        return (w * x * np.polynomial.polynomial.polyval(x, self.full_coeffs))[None]
 
     def kernel(self, s):
-        if np.iscomplexobj(s):
-            w1, w2 = self._folded_weights
-            # one (nodes x lanes) buffer, worked in place: temporaries of
-            # this size cost more to allocate than to fill
-            inv = np.multiply.outer(_gl_laguerre()[0], s)
-            inv += 1.0
-            np.divide(1.0, inv, out=inv)
-            k1 = w1 @ inv
-            inv *= inv
-            return k1, w2 @ inv
-        vals, ders = _laguerre_moments(s, self.degree)
-        return self.full_coeffs @ vals, -(self.full_coeffs @ ders)
+        k1, k2 = _laguerre_kernel(self._folded, self.full_coeffs[None], s)
+        return k1[0], k2[0]
 
     @property
     def theta(self) -> NDArray:

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 import scipy
 
-from .errors import IterationError, NearPoleError, PoleError
+from .errors import IterationError, NearPoleError, PoleError, _whole
 from .models import Discrete, PSDModel
 
 __all__ = [
@@ -67,7 +67,7 @@ class SampleSpectrum:
     n: int
 
     def __post_init__(self):
-        p, n = int(self.p), int(self.n)
+        p, n = _whole(self.p, "p"), _whole(self.n, "n")
         if p <= 0 or n <= 0:
             raise ValueError("p and n must be positive")
         eig = np.asarray(self.eigenvalues, dtype=float).ravel()

@@ -9,7 +9,7 @@ import numpy as np
 from numpy.typing import NDArray
 import scipy
 
-from .errors import NumericsError
+from .errors import NumericsError, _whole
 from .estimator import (FAMILIES, build_unet, fit_discrete, fit_inverse_cubic,
                         fit_laguerre)
 from .models import Discrete, PSDModel, model_from_dict, wasserstein
@@ -24,14 +24,6 @@ __all__ = [
     "correlated_returns",
     "run_experiment",
 ]
-
-
-def _whole(value, name: str = "value") -> int:
-    """An int but not a bool, or a float equal to one, as an int; else ValueError naming it."""
-    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            or isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def population_from_model(model: PSDModel, p: int) -> NDArray:

@@ -12,6 +12,7 @@ from scipy import optimize
 from psdfit import (Discrete, PSDModel, SampleSpectrum, mp_u_map,
                     support_bounds)
 from psdfit.estimator import UNet
+from psdfit.models import _gl_laguerre, _laguerre_kernel
 from psdfit.mptransform import _positive_ratio, _u_map
 
 # Case models from the simulation study
@@ -51,6 +52,17 @@ def identity_companion_root(u, c):
     r1 = (-b + disc) / (2.0 * u)
     r2 = (-b - disc) / (2.0 * u)
     return r2 if u < 0 else r1
+
+
+def laguerre_moments(s, degree):
+    """I_j(s) = int t^{j+1} e^-t / (1 + t s) dt, j = 0..degree, and dI_j/ds
+    at a 1-d array of real s > 0, each of shape (degree + 1, s.size): K1
+    and -K2 of ``_laguerre_kernel`` for the monomial rows t^j with
+    identity coefficients, as ``fit_laguerre`` passes them."""
+    x, w = _gl_laguerre()
+    vals, k2 = _laguerre_kernel(w * x ** np.arange(1, degree + 2)[:, None],
+                                np.eye(degree + 1), s)
+    return vals, -k2
 
 
 def dummy_spectrum(p, n):

@@ -176,6 +176,8 @@ class TestCorrelationSpectrum:
             correlation_spectrum(rm, spikes=5)
         with pytest.raises(ValueError):
             correlation_spectrum(rm, spikes=-1)
+        with pytest.raises(ValueError, match="spikes must be a whole number"):
+            correlation_spectrum(rm, spikes=1.5)
 
 
 class TestKdeCurve:
@@ -227,10 +229,19 @@ class TestRunAnalysis:
         l1_mp = integrate.trapezoid(np.abs(result.baseline.f - result.empirical.f), x)
         assert l1_fit < l1_mp
 
+    @pytest.mark.parametrize("option, message", [
+        ({"spikes": 2.7}, "spikes must be a whole number"),
+        ({"spacing": 5.5}, "spacing must be a whole number"),
+    ])
+    def test_rejects_counts_that_are_not_whole(self, synthetic, option, message):
+        with pytest.raises(ValueError, match=message):
+            run_analysis(synthetic, **option)
+
     def test_to_dict_serializable(self, synthetic):
-        result = run_analysis(synthetic, spikes=2)
+        # a whole float is stored as the int it checks out to
+        result = run_analysis(synthetic, spikes=2.0)
         data = result.to_dict()
-        assert data["spikes"] == 2
+        assert data["spikes"] == 2 and type(data["spikes"]) is int
         assert data["p"] == 118
         json.dumps(data)
 

@@ -63,6 +63,10 @@ class TestBuildUnet:
             build_unet(case1_spectrum, "gaussian")
         with pytest.raises(ValueError):
             build_unet(case1_spectrum, "discrete", 0)
+        with pytest.raises(ValueError, match="spacing must be a whole number"):
+            build_unet(case1_spectrum, "discrete", 20.9)
+        with pytest.raises(ValueError, match="spacing must be a whole number"):
+            build_unet(case1_spectrum, "discrete", True)
 
     def test_rejects_point_too_close_to_eigenvalue(self):
         spec = SampleSpectrum([2.0, 1e-9], 2, 4)
@@ -178,6 +182,8 @@ class TestFitDiscrete:
         net = build_unet(case1_spectrum, "discrete")
         with pytest.raises(ValueError):
             fit_discrete(net, 0)
+        with pytest.raises(ValueError, match="k must be a whole number"):
+            fit_discrete(net, 2.5)
         small = helpers.exact_net(Discrete([1.0, 2.0], [0.5, 0.5]), 0.2,
                                   [-5.0, -1.0])
         with pytest.raises(ValueError):
@@ -509,7 +515,6 @@ class TestFitLaguerre:
         # same grid constraints 1 + sum_r a_r (t^r - r!) >= 0
         import math
         from scipy import optimize
-        from psdfit.models import _laguerre_moments
         grid = np.arange(0.0, 50.0 + 1e-9, 0.01)
         pop = population_from_model(Discrete([1.0, 20.0], [0.5, 0.5]), 100)
         for degree in (3, 4):
@@ -520,7 +525,7 @@ class TestFitLaguerre:
                 fit = fit_laguerre(net, degree)
                 assert fit.iterations > 0          # projection engaged
                 assert fit.model.density(grid).min() >= -1e-10
-                moments = _laguerre_moments(net.companion_values, degree)[0]
+                moments = helpers.laguerre_moments(net.companion_values, degree)[0]
                 design = (fit.c * (moments[1:] - facts[:, None] * moments[0])).T
                 target = (net.points + 1.0 / net.companion_values
                           - fit.c * moments[0])
@@ -537,13 +542,12 @@ class TestFitLaguerre:
 
     def test_residuals_orthogonal_to_design_columns(self):
         import math
-        from psdfit.models import _laguerre_moments
         pop = population_from_model(Laguerre([0.5]), 150)
         spec = sample_spectrum(pop, 300, seed=9)
         net = build_unet(spec, "laguerre")
         fit = fit_laguerre(net, 2)
         assert fit.iterations == 0          # unconstrained solution accepted
-        moments = _laguerre_moments(net.companion_values, 2)[0]
+        moments = helpers.laguerre_moments(net.companion_values, 2)[0]
         facts = np.array([math.factorial(r) for r in (1, 2)])
         design = (fit.c * (moments[1:] - facts[:, None] * moments[0])).T
         assert np.all(np.abs(design.T @ fit.residuals) < 1e-8)
@@ -552,6 +556,8 @@ class TestFitLaguerre:
         net = build_unet(case1_spectrum, "laguerre")
         with pytest.raises(ValueError):
             fit_laguerre(net, 0)
+        with pytest.raises(ValueError, match="degree must be a whole number"):
+            fit_laguerre(net, 1.7)
 
 
 class TestFitInverseCubic:

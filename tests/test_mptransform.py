@@ -12,19 +12,18 @@ from hypothesis import strategies as st
 from scipy import special
 
 import helpers
-from helpers import solve_companion_real
+from helpers import laguerre_moments, solve_companion_real
 from psdfit import (DensityCurve, Discrete, InverseCubic, IterationError,
                     Laguerre, NearPoleError, PointMass, PoleError, PSDModel,
                     SampleSpectrum, companion_stieltjes, companion_transform,
                     lsd_density_curve, mp_u_map, support_bounds)
 from psdfit import mptransform
-from psdfit.models import _laguerre_moments
 
 
 def scalar_recursion(s, degree):
     """I_j(s) and dI_j/ds at one real s > 1 by the upward recursion
     J_{r+1} = (r! - J_r)/s from J_0 = b e^b E1(b), b = 1/s, one lane at a
-    time: the loop the batched ``_laguerre_moments`` must reproduce."""
+    time: the loop the batched ``_laguerre_kernel`` must reproduce."""
     b = 1.0 / s
     e_scaled = float(np.exp(b) * special.exp1(b))
     J, dJ = b * e_scaled, -b * b * ((1.0 + b) * e_scaled - 1.0)
@@ -39,8 +38,8 @@ def scalar_recursion(s, degree):
 
 
 def moments(s, degree):
-    """_laguerre_moments at one real s: (I, dI/ds), each of shape (degree + 1,)."""
-    vals, ders = _laguerre_moments(np.array([s]), degree)
+    """laguerre_moments at one real s: (I, dI/ds), each of shape (degree + 1,)."""
+    vals, ders = laguerre_moments(np.array([s]), degree)
     return vals[:, 0], ders[:, 0]
 
 
@@ -58,6 +57,12 @@ class TestSampleSpectrum:
     def test_rejects_large_negative(self):
         with pytest.raises(ValueError):
             SampleSpectrum([2.0, -1e-3], 2, 10)
+
+    def test_rejects_counts_that_are_not_whole(self):
+        with pytest.raises(ValueError, match="p must be a whole number"):
+            SampleSpectrum(np.ones(40), 40.5, 80)
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            SampleSpectrum(np.ones(1), 1, True)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -149,7 +154,7 @@ class TestMomentIntegrals:
         big = np.geomspace(1.0 + 1e-9, 1e4, 200)
         s = np.ravel(np.column_stack([big, 1.0 / big]))
         for degree in (1, 3, 6):
-            vals, ders = _laguerre_moments(s, degree)
+            vals, ders = laguerre_moments(s, degree)
             for i in np.flatnonzero(s > 1.0):
                 ref_vals, ref_ders = scalar_recursion(float(s[i]), degree)
                 assert np.array_equal(vals[:, i], ref_vals)
@@ -158,6 +163,18 @@ class TestMomentIntegrals:
     def test_rejects_nonpositive_real(self):
         with pytest.raises(ValueError):
             moments(-0.5, 2)
+
+    @pytest.mark.parametrize("coeffs", [[1.0], [1 / 9, 1 / 9, 1 / 9]])
+    def test_kernel_is_the_fit_moments_contracted(self, coeffs):
+        # the fit's design is the kernel's linear decomposition: K1 and K2
+        # are the moment rows weighted by the full coefficients, on
+        # quadrature and recursion lanes alike
+        model = Laguerre(coeffs)
+        s = np.array([0.05, 0.5, 0.999, 1.001, 2.0, 30.0])
+        vals, ders = laguerre_moments(s, model.degree)
+        k1, k2 = model.kernel(s)
+        assert np.allclose(k1, model.full_coeffs @ vals, rtol=1e-14, atol=0.0)
+        assert np.allclose(k2, -(model.full_coeffs @ ders), rtol=1e-14, atol=0.0)
 
 
 class TestUMap:
