@@ -65,13 +65,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    eigs = read_eigenvalues_csv(args.eigs)
-    missing = args.p - eigs.size
-    if 0 < missing <= args.p - args.n:
-        # spectra for p > n are often stored without their p - n
-        # structural zeros; any other shortfall is an input error
-        eigs = np.concatenate([eigs, np.zeros(missing)])
-    spectrum = SampleSpectrum(eigs, args.p, args.n)
+    spectrum = SampleSpectrum(read_eigenvalues_csv(args.eigs), args.p, args.n)
     fit = _fit_family(build_unet(spectrum, args.family, args.l), args.family, args.order)
     write_json(args.out, fit)
     theta = ", ".join(f"{v:.6g}" for v in fit.theta)

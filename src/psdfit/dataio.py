@@ -149,16 +149,14 @@ def correlation_spectrum(returns: ReturnsMatrix, spikes: int = 0) -> SampleSpect
     if flat.size:
         raise ValueError(f"asset {returns.labels[flat[0]]!r} is constant; "
                          f"cannot standardize")
-    z = (x - x.mean(axis=0)) / sd
-    corr = z.T @ z / (t - 1)
+    z = x - x.mean(axis=0)
+    z /= sd
+    corr = z.T @ z
+    corr /= t - 1
     eigs = np.linalg.eigvalsh(corr)
-    kept = eigs[:returns.n_assets - spikes][::-1]
-    p, n = kept.size, t - 1
-    if p > n:
-        # the correlation matrix has rank at most n; snap its null space
-        kept = kept.copy()
-        kept[n:] = 0.0
-    return SampleSpectrum(kept, p, n)
+    # rank at most n: keep the top min(p, n); SampleSpectrum adds the zeros
+    p, n = returns.n_assets - spikes, t - 1
+    return SampleSpectrum(eigs[max(p - n, 0):p], p, n)
 
 
 def kde_curve(eigenvalues, bandwidth: float, grid) -> DensityCurve:
@@ -230,15 +228,17 @@ def read_eigenvalues_csv(path) -> NDArray:
         rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
     if len(rows) < 2:
         raise ValueError(f"{path}: need a header and at least one eigenvalue")
-    out = []
-    for i, row in enumerate(rows[1:]):
-        cell = row[0].strip()
+    out = np.empty(len(rows) - 1)
+    for i, row in enumerate(rows):
+        if len(row) != 1:
+            raise ValueError(f"{path}: row {i + 1} has {len(row)} cells, expected 1")
         try:
-            out.append(float(cell))
+            if i:
+                out[i - 1] = float(row[0])
         except ValueError:
-            raise ValueError(f"{path}: non-numeric value {cell!r} in row "
-                             f"{i + 2}") from None
-    return np.asarray(out)
+            raise ValueError(f"{path}: non-numeric value {row[0].strip()!r} in row "
+                             f"{i + 1}") from None
+    return out
 
 
 def write_curve_csv(path, curve: DensityCurve) -> None:

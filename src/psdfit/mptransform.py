@@ -57,9 +57,9 @@ _CLAMP_TOL = 1e-10    # sample eigenvalues below -this are rejected, above clamp
 class SampleSpectrum:
     """Eigenvalues of a sample covariance matrix, stored descending.
 
-    When the dimension p exceeds the sample count n the spectrum must
-    carry its p - n structural zeros explicitly; several transform
-    identities rely on them.
+    For p > n the spectrum carries its p - n structural zeros explicitly,
+    as several transform identities rely on them; of the p values, those
+    past the first min(p, n) may be left out and are filled in as zeros.
     """
 
     eigenvalues: NDArray
@@ -71,13 +71,13 @@ class SampleSpectrum:
         if p <= 0 or n <= 0:
             raise ValueError("p and n must be positive")
         eig = np.asarray(self.eigenvalues, dtype=float).ravel()
-        if eig.size != p:
+        if not min(p, n) <= eig.size <= p:
             raise ValueError(f"expected {p} eigenvalues, got {eig.size}")
         if not np.all(np.isfinite(eig)):
             raise ValueError("eigenvalues must be finite")
         if eig.min(initial=0.0) < -_CLAMP_TOL:
             raise ValueError(f"eigenvalue {eig.min():.3e} is negative beyond tolerance")
-        eig = np.where(eig < 0.0, 0.0, eig)
+        eig = np.concatenate([np.where(eig < 0.0, 0.0, eig), np.zeros(p - eig.size)])
         eig = np.sort(eig)[::-1].copy()
         if p > n and np.count_nonzero(eig == 0.0) < p - n:
             raise ValueError(f"spectrum with p > n needs at least {p - n} exact zeros")

@@ -76,7 +76,7 @@ def sample_spectrum(population, n: int, seed: int) -> SampleSpectrum:
     and whose p - m rows below are iid N(0, 1) (the Bartlett decomposition;
     Muirhead 1982, section 3.2).  The nonzero spectrum is that of B' B / n
     with B = D^{1/2} L: LAPACK's ``dlauum`` forms the triangle's product,
-    a plain product adds the lower rows', and p - m zeros are appended.
+    a plain product adds the lower rows', and SampleSpectrum adds the zeros.
     """
     pop = np.asarray(population, dtype=float).ravel()
     if pop.size < 1 or not np.all(np.isfinite(pop)) or np.any(pop < 0.0):
@@ -96,7 +96,7 @@ def sample_spectrum(population, n: int, seed: int) -> SampleSpectrum:
     if info != 0:
         raise NumericsError(f"dlauum failed with info = {info}")
     eigs = np.linalg.eigvalsh((btb + np.dot(rest.T, rest)) / n, UPLO="U")
-    return SampleSpectrum(np.concatenate([eigs[::-1], np.zeros(p - m)]), p, n)
+    return SampleSpectrum(eigs, p, n)
 
 
 def correlated_returns(model: PSDModel, n_assets: int, n_obs: int,

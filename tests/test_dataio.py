@@ -262,10 +262,16 @@ class TestFileFormats:
         f = write(tmp_path / "e.csv", "eigenvalue\n2.5\n1.0\n0.0\n")
         assert read_eigenvalues_csv(f).tolist() == [2.5, 1.0, 0.0]
 
-    def test_eigenvalues_reject_text(self, tmp_path):
-        f = write(tmp_path / "e.csv", "eigenvalue\nbig\n")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("text, message", [
+        ("eigenvalue\nbig\n", "non-numeric value 'big' in row 2"),
+        ("eig,other\n3.0,9\n2.0,8\n1.0,7\n", "row 1 has 2 cells, expected 1"),
+        ("eigenvalue\n3.0\n1.0,\n", "row 3 has 2 cells, expected 1"),
+    ], ids=["text", "two-columns", "trailing-comma"])
+    def test_eigenvalues_reject_text(self, tmp_path, text, message):
+        f = write(tmp_path / "e.csv", text)
+        with pytest.raises(ValueError) as err:
             read_eigenvalues_csv(f)
+        assert str(err.value) == f"{f}: {message}"
 
     def test_model_json_round_trip(self, tmp_path):
         model = Discrete([1.0, 3.0], [0.25, 0.75])

@@ -64,15 +64,22 @@ class TestSampleSpectrum:
         with pytest.raises(ValueError, match="n must be a whole number"):
             SampleSpectrum(np.ones(1), 1, True)
 
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            SampleSpectrum([1.0, 2.0], 3, 10)
+    # p <= n takes exactly p values; p > n from min(p, n) to p of them
+    @pytest.mark.parametrize("values, p, n", [
+        ([1.0, 2.0], 3, 10), ([1.0, 2.0, 3.0, 4.0], 3, 10),
+        ([1.0, 2.0, 3.0, 4.0], 3, 2), ([1.0], 3, 2),
+    ], ids=["short", "long", "tall-long", "tall-short"])
+    def test_rejects_length_mismatch(self, values, p, n):
+        with pytest.raises(ValueError, match=f"expected {p} eigenvalues"):
+            SampleSpectrum(values, p, n)
 
     def test_tall_case_needs_zeros(self):
         with pytest.raises(ValueError):
             SampleSpectrum([1.0, 2.0, 3.0], 3, 2)
         s = SampleSpectrum([1.0, 2.0, 0.0], 3, 2)
         assert s.eigenvalues.tolist() == [2.0, 1.0, 0.0]
+        # the missing structural zero is filled in
+        assert SampleSpectrum([2.0, 1.0], 3, 2).eigenvalues.tolist() == [2.0, 1.0, 0.0]
 
 
 class TestCompanionStieltjes:

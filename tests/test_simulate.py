@@ -7,8 +7,9 @@ import pytest
 from scipy import stats
 
 from psdfit import (Discrete, ExperimentConfig, InverseCubic, Laguerre,
-                    PointMass, correlated_returns, population_draw,
-                    population_from_model, run_experiment, sample_spectrum)
+                    PointMass, SampleSpectrum, correlated_returns,
+                    population_draw, population_from_model, run_experiment,
+                    sample_spectrum)
 from psdfit.errors import IterationError
 from psdfit.simulate import summarize_records
 
@@ -130,6 +131,9 @@ class TestSampleSpectrum:
         # p - n exact zeros, after n positive eigenvalues
         assert np.count_nonzero(spec.eigenvalues == 0.0) == 500
         assert np.all(spec.eigenvalues[:500] > 0.0)
+        # the positive part alone rebuilds the same spectrum, bit for bit
+        again = SampleSpectrum(spec.eigenvalues[:500], 1000, 500)
+        assert again.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
 
     def test_identity_trace_concentrates(self):
         spec = sample_spectrum(np.ones(100), 500, seed=0)
